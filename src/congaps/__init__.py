@@ -26,8 +26,6 @@ from .constants import (
     constants_bundle,
     gamma_function,
     l_one,
-    pi1_product,
-    pi2_product,
     theta_at_one,
 )
 from .contour import (

@@ -41,7 +41,7 @@ class ComparisonReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=False)
+        return json.dumps(self.to_dict(), allow_nan=False)
 
     @staticmethod
     def csv_header() -> list[str]:
@@ -186,8 +186,4 @@ def lemma33_prediction(
     phi_q = totient(q)
     log_x = math.log(X)
     main = bundle.c_q / gamma_function(1.0 / phi_q) * X * log_x ** (1.0 / phi_q - 1.0)
-    cls = table.residue_class(q, 1)
-    cls = cls[cls <= Y].astype(float)
-    if cls.size:
-        main *= float(np.exp(np.sum(np.log1p(-1.0 / cls))))
-    return main
+    return main / mertens_ap_product(q, Y, table)

@@ -1,6 +1,7 @@
-"""Census of consecutive prime pairs p_r, p_{r+1} <= X lying in the same
+"""Census of consecutive prime pairs p_r <= X, p_{r+1} lying in the same
 residue class a mod q with gap below epsilon * log p_r, plus the two
-lower-bound reference curves it is juxtaposed with.
+lower-bound reference curves it is juxtaposed with. Only p_r is bounded by
+X; its successor p_{r+1} may exceed X.
 """
 
 from __future__ import annotations
@@ -23,10 +24,11 @@ class CensusResult:
     a: int
     epsilon: float
     pair_count: int
-    bound_thm11: float
-    bound_shiu: float
+    bound_thm11: float | None  # None where the bound is undefined at X
+    bound_shiu: float | None
     wall_time_ms: float
     pairs: tuple[tuple[int, int], ...] | None = None
+    bound_reasons: dict = field(default_factory=dict)  # why a bound is None
 
     def to_dict(self, sample_cap: int = 100) -> dict:
         sample = []
@@ -40,6 +42,7 @@ class CensusResult:
             "pair_count": self.pair_count,
             "bound_thm11": self.bound_thm11,
             "bound_shiu": self.bound_shiu,
+            "bound_reasons": self.bound_reasons,
             "sample_pairs": sample,
             "wall_time_ms": self.wall_time_ms,
         }
@@ -57,8 +60,10 @@ def find_congruent_pairs(
 ) -> CensusResult:
     """Single pass over consecutive prime pairs with p_r <= X.
 
-    Both reference bounds are informational; they are attached when their
-    iterated logarithms are defined, else reported as NaN.
+    The successor of the last prime <= X must be in the table, so the table
+    has to hold a prime above X. Both reference bounds are informational;
+    each is attached when it is defined at X, else reported as None with
+    the reason in bound_reasons.
     """
     if math.gcd(a, q) != 1:
         raise DomainError(f"a={a} and q={q} must be coprime")
@@ -66,8 +71,11 @@ def find_congruent_pairs(
         raise DomainError(f"q must be >= 3, got {q}")
     if epsilon <= 0:
         raise DomainError(f"epsilon must be > 0, got {epsilon}")
-    if X > table.limit:
-        raise OutOfRangeError(f"X={X} exceeds table limit {table.limit}")
+    if table.primes.size == 0 or table.primes[-1] <= X:
+        raise OutOfRangeError(
+            f"the table to {table.limit} holds no prime above X={X}, so the "
+            "successor of the last prime <= X is unknown"
+        )
 
     start = time.perf_counter()
     primes = table.primes
@@ -86,14 +94,9 @@ def find_congruent_pairs(
     if keep_pairs:
         pairs = tuple((int(lo[i]), int(hi[i])) for i in idx)
 
-    try:
-        b11 = theorem11_bound(X, thm11_c)
-    except DomainError:
-        b11 = math.nan
-    try:
-        bsh = shiu_bound(X, q, a, shiu_C)
-    except DomainError:
-        bsh = math.nan
+    reasons: dict[str, str] = {}
+    b11 = _bound_or_reason(reasons, "bound_thm11", theorem11_bound, X, thm11_c)
+    bsh = _bound_or_reason(reasons, "bound_shiu", shiu_bound, X, q, a, shiu_C)
     elapsed = (time.perf_counter() - start) * 1000.0
     return CensusResult(
         X=X,
@@ -105,7 +108,18 @@ def find_congruent_pairs(
         bound_shiu=bsh,
         wall_time_ms=elapsed,
         pairs=pairs,
+        bound_reasons=reasons,
     )
+
+
+def _bound_or_reason(reasons: dict, name: str, bound, *args) -> float | None:
+    """bound(*args), or None with the DomainError message kept as
+    reasons[name]."""
+    try:
+        return bound(*args)
+    except DomainError as exc:
+        reasons[name] = str(exc)
+        return None
 
 
 def theorem11_bound(X: float, c: float) -> float:

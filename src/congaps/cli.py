@@ -14,18 +14,14 @@ import sys
 import time
 
 from . import asymptotics, census, characters, constants, contour, primes, shiu, suite
-from .errors import CongapsError
-
-_BOOL_KEYS = {"list_pairs", "members"}
-_INT_KEYS = {"q", "a", "x", "h", "p0", "limit", "threads", "n"}
-_FLOAT_KEYS = {"epsilon", "y", "tol", "c", "big_c", "beta", "eta", "r",
-               "kappa", "t_height", "u_max", "theta"}
+from .errors import CongapsError, NumericsError
 
 
-def _load_config(path: str) -> dict:
-    """Flat key=value config; '#' starts a comment; unknown keys rejected
-    at argparse level by feeding them back as flags."""
-    out = {}
+def _config_flags(path: str) -> list[str]:
+    """Read a flat key=value config ('#' starts a comment) as flags of the
+    subcommand, so that argparse checks and types each value as it does a
+    flag. A switch such as --members is turned on by `members = true`."""
+    flags = []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -34,43 +30,32 @@ def _load_config(path: str) -> dict:
             if "=" not in line:
                 raise CongapsError(f"{path}:{lineno}: expected key=value, got {raw!r}")
             key, value = (part.strip() for part in line.split("=", 1))
-            out[key.replace("-", "_")] = value
-    return out
+            flag = "--" + key.replace("_", "-")
+            flags.append(flag if value.lower() == "true" else f"{flag}={value}")
+    return flags
 
 
-def _apply_config(args: argparse.Namespace, config: dict, parser, argv) -> None:
-    known = set(vars(args))
-    for key, value in config.items():
-        if key not in known:
-            parser.error(f"unknown config key: {key}")
-        if _explicitly_set(key, argv):
-            continue  # flags override config
-        if key in _INT_KEYS:
-            value = int(value)
-        elif key in _FLOAT_KEYS:
-            value = float(value)
-        elif key in _BOOL_KEYS:
-            value = value.lower() in ("1", "true", "yes")
-        setattr(args, key, value)
-
-
-def _explicitly_set(key: str, argv) -> bool:
-    flag = "--" + key.replace("_", "-")
-    return any(arg == flag or arg.startswith(flag + "=") for arg in argv)
+def _with_config(argv: list[str], flags: list[str]) -> list[str]:
+    """argv with the config flags placed right after the subcommand name,
+    ahead of the user's own flags, which therefore win."""
+    i = 0
+    while argv[i].startswith("-"):  # only --config precedes the subcommand
+        i += 1 if "=" in argv[i] else 2
+    return argv[: i + 1] + flags + argv[i + 1 :]
 
 
 def _emit(payload, args) -> None:
-    if getattr(args, "format", "json") == "csv" and isinstance(
-        payload, asymptotics.ComparisonReport
-    ):
+    is_report = isinstance(payload, asymptotics.ComparisonReport)
+    if args.format == "csv" and is_report:
         text = asymptotics.reports_to_csv([payload])
-    elif isinstance(payload, asymptotics.ComparisonReport):
-        text = json.dumps(payload.to_dict()) + "\n"
     else:
-        text = json.dumps(payload) + "\n"
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", newline="") as fh:
+        try:
+            text = (payload.to_json() if is_report
+                    else json.dumps(payload, allow_nan=False)) + "\n"
+        except ValueError as exc:  # NaN or infinity, which JSON cannot carry
+            raise NumericsError(f"report holds a non-finite number: {exc}") from exc
+    if args.out:
+        with open(args.out, "w", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -110,7 +95,8 @@ def cmd_mertens(args) -> int:
 
 
 def cmd_count(args) -> int:
-    table = primes.get_prime_table(args.x, args.cache_dir)
+    # the prediction's Euler product runs over the primes up to Y
+    table = primes.get_prime_table(max(args.x, math.ceil(args.y)), args.cache_dir)
     bundle = constants.constants_bundle(args.q)
     report = asymptotics.compare(
         "restricted count vs prediction",
@@ -126,8 +112,7 @@ def cmd_count(args) -> int:
 def cmd_shiu(args) -> int:
     table = primes.get_prime_table(args.h, args.cache_dir)
     con = shiu.build_construction(args.h, args.q, args.a, args.p0, table)
-    spf_table = primes.build_spf(args.h)
-    sets = shiu.compute_S_T(con, spf_table, keep_members=args.members)
+    sets = shiu.compute_S_T(con, keep_members=args.members)
     lemma = shiu.lemma34_check(con, sets)
     tb = shiu.t_bound_report(con, sets)
     payload = {
@@ -146,6 +131,8 @@ def cmd_shiu(args) -> int:
         "lemma34_ratio": lemma.ratio,
         "t_bound_ratio": tb.ratio,
     }
+    if args.members:
+        payload.update(S_members=sets.S_members, T_members=sets.T_members)
     _emit(payload, args)
     return 0
 
@@ -241,8 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write the report here instead of stdout")
         p.add_argument("--cache-dir", dest="cache_dir",
                        help="prime cache directory (default: $CONGAPS_CACHE_DIR)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker cap hint (modules are single-threaded)")
 
     p = sub.add_parser("constants", help="constants bundle for one modulus")
     p.add_argument("--q", type=int, required=True)
@@ -315,14 +300,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.config:
         try:
-            config = _load_config(args.config)
+            flags = _config_flags(args.config)
         except OSError as exc:
             print(f"congaps: cannot read config: {exc}", file=sys.stderr)
             return 3
         except CongapsError as exc:
             print(f"congaps: {exc}", file=sys.stderr)
             return 2
-        _apply_config(args, config, parser, argv)
+        args = parser.parse_args(_with_config(argv, flags))
     try:
         return args.func(args)
     except CongapsError as exc:

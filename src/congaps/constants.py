@@ -1,26 +1,22 @@
 """Numerical constants attached to a modulus q: L(1, chi) for the
 non-principal characters, the prime-power correction factor Theta(1), the
-Mertens-in-progression constant c(q), the Gamma function on (0, 2], and the
-auxiliary products Pi1, Pi2.
+Mertens-in-progression constant c(q), and the Gamma function on (0, 2].
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 
-import numpy as np
 from scipy.special import digamma
 
-from .characters import Character, CharacterTable, build_character_table, totient
+from .characters import Character, build_character_table, totient
 from .errors import DomainError
-from .primes import PrimeTable, sieve_primes
+from .primes import sieve_primes
 
 EULER_GAMMA = 0.5772156649015329
 
 _BUNDLE_CACHE: dict = {}
-_BUNDLE_LOCK = threading.Lock()
 
 
 def l_one(chi: Character, tol: float = 1e-8) -> complex:
@@ -83,35 +79,10 @@ def theta_at_one(q: int, tol: float = 1e-6) -> float:
     return math.exp(log_theta)
 
 
-def c_of_q(
-    q: int,
-    tol: float = 1e-6,
-    table: CharacterTable | None = None,
-    l_tol: float = 1e-8,
-) -> float:
-    """The Mertens-in-progression constant c(q).
-
-    c(1) = 1 and c(2) = 1/2 are fixed; for q >= 3,
-    c(q) = Theta(1) * ((phi(q)/q) * prod_{chi != chi0} L(1, chi))^(1/phi(q)),
-    taking the real positive phi(q)-th root.
-    """
-    if q < 1:
-        raise DomainError(f"q must be >= 1, got {q}")
-    if q == 1:
-        return 1.0
-    if q == 2:
-        return 0.5
-    table = table or build_character_table(q)
-    prod = 1 + 0j
-    for chi in table.non_principal():
-        prod *= l_one(chi, l_tol)
-    if abs(prod.imag) > 1e-9 or prod.real <= 0:
-        raise DomainError(
-            f"L(1, chi) product for q={q} is not real positive: {prod}"
-        )
-    phi_q = table.phi_q
-    theta1 = theta_at_one(q, tol)
-    return theta1 * ((phi_q / q) * prod.real) ** (1.0 / phi_q)
+def c_of_q(q: int, tol: float = 1e-6, l_tol: float = 1e-8) -> float:
+    """The Mertens-in-progression constant c(q), as constants_bundle forms
+    it with Theta(1) to tol and each L(1, chi) to l_tol."""
+    return constants_bundle(q, l_tol, tol).c_q
 
 
 def gamma_function(x: float) -> float:
@@ -121,36 +92,6 @@ def gamma_function(x: float) -> float:
     if x > 2:
         raise DomainError(f"Gamma is only exposed on (0, 2], got {x}")
     return math.gamma(x)
-
-
-def pi1_product(q: int, sigma: float) -> float:
-    """Product of (1 + p^-sigma) over the distinct primes dividing q."""
-    if sigma <= 0:
-        raise DomainError(f"sigma must be > 0, got {sigma}")
-    out = 1.0
-    n, d = q, 2
-    while d * d <= n:
-        if n % d == 0:
-            out *= 1.0 + float(d) ** (-sigma)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out *= 1.0 + float(n) ** (-sigma)
-    return out
-
-
-def pi2_product(q: int, Y: float, sigma: float, table: PrimeTable) -> float:
-    """Product of (1 + p^-sigma) over primes p <= Y with p = 1 mod q."""
-    if sigma <= 0:
-        raise DomainError(f"sigma must be > 0, got {sigma}")
-    if Y > table.limit:
-        raise DomainError(f"Y={Y} exceeds table limit {table.limit}")
-    cls = table.residue_class(q, 1 % q)
-    cls = cls[cls <= Y]
-    if cls.size == 0:
-        return 1.0
-    return float(np.exp(np.sum(np.log1p(cls.astype(float) ** (-sigma)))))
 
 
 @dataclass(frozen=True)
@@ -169,39 +110,39 @@ class ConstantsBundle:
 def constants_bundle(
     q: int, l_tol: float = 1e-8, theta_tol: float = 1e-6
 ) -> ConstantsBundle:
-    """Build (and cache per (q, tolerances)) the constants for modulus q."""
+    """Build (and cache per (q, tolerances)) the constants for modulus q.
+
+    c(1) = 1 and c(2) = 1/2 are fixed; for q >= 3,
+    c(q) = Theta(1) * ((phi(q)/q) * prod_{chi != chi0} L(1, chi))^(1/phi(q)),
+    taking the real positive phi(q)-th root.
+    """
+    if q < 1:
+        raise DomainError(f"q must be >= 1, got {q}")
     key = (q, l_tol, theta_tol)
-    with _BUNDLE_LOCK:
-        if key in _BUNDLE_CACHE:
-            return _BUNDLE_CACHE[key]
+    if key in _BUNDLE_CACHE:
+        return _BUNDLE_CACHE[key]
     phi_q = totient(q)
-    if q < 3:
-        bundle = ConstantsBundle(
-            q=q,
-            gamma_euler=EULER_GAMMA,
-            l_values=(),
-            theta1=None,
-            c_q=1.0 if q == 1 else 0.5,
-            gamma_recip=1.0 / gamma_function(1.0 / phi_q),
-            tolerances={"l_tol": l_tol, "theta_tol": theta_tol},
-        )
-    else:
+    l_values: tuple[complex, ...] = ()
+    theta1 = None
+    c_q = 1.0 if q == 1 else 0.5
+    if q >= 3:
         table = build_character_table(q)
         l_values = tuple(l_one(chi, l_tol) for chi in table.non_principal())
+        prod = math.prod(l_values, start=1 + 0j)
+        if abs(prod.imag) > 1e-9 or prod.real <= 0:
+            raise DomainError(
+                f"L(1, chi) product for q={q} is not real positive: {prod}"
+            )
         theta1 = theta_at_one(q, theta_tol)
-        prod = 1 + 0j
-        for v in l_values:
-            prod *= v
         c_q = theta1 * ((phi_q / q) * prod.real) ** (1.0 / phi_q)
-        bundle = ConstantsBundle(
-            q=q,
-            gamma_euler=EULER_GAMMA,
-            l_values=l_values,
-            theta1=theta1,
-            c_q=c_q,
-            gamma_recip=1.0 / gamma_function(1.0 / phi_q),
-            tolerances={"l_tol": l_tol, "theta_tol": theta_tol},
-        )
-    with _BUNDLE_LOCK:
-        _BUNDLE_CACHE[key] = bundle
+    bundle = ConstantsBundle(
+        q=q,
+        gamma_euler=EULER_GAMMA,
+        l_values=l_values,
+        theta1=theta1,
+        c_q=c_q,
+        gamma_recip=1.0 / gamma_function(1.0 / phi_q),
+        tolerances={"l_tol": l_tol, "theta_tol": theta_tol},
+    )
+    _BUNDLE_CACHE[key] = bundle
     return bundle

@@ -18,7 +18,8 @@ from .errors import CacheError, CapacityError, DomainError, OutOfRangeError
 
 MAX_SIEVE_LIMIT = 2**32
 SEGMENT_SIZE = 1 << 20  # integers per segment; cache-friendly default
-CACHE_MAGIC = b"PRIMTBL1"
+CACHE_MAGIC = b"PRIMTBL2"
+_CACHE_HEADER = struct.Struct("<8sQQ")  # magic, limit, prime count
 CACHE_ENV = "CONGAPS_CACHE_DIR"
 
 
@@ -146,8 +147,9 @@ def build_spf(limit: int, max_limit: int = MAX_SIEVE_LIMIT) -> SpfTable:
 
 # --- binary prime cache -------------------------------------------------
 #
-# File layout: 8-byte magic "PRIMTBL1", little-endian u64 limit, then the
-# primes as little-endian u64, ascending.
+# File layout: 8-byte magic "PRIMTBL2", little-endian u64 limit, u64 count
+# of primes, then the primes as little-endian u64, ascending. The count
+# lets a load tell a truncated file from a complete one.
 
 
 def cache_dir() -> str | None:
@@ -160,26 +162,38 @@ def cache_path(limit: int, directory: str | None = None) -> str:
 
 
 def save_cache(table: PrimeTable, path: str | None = None) -> str:
+    """Write the table to path atomically: a reader sees the old file or
+    the complete new one, never a partial write."""
     path = path or cache_path(table.limit)
-    with open(path, "wb") as fh:
-        fh.write(CACHE_MAGIC)
-        fh.write(struct.pack("<Q", table.limit))
-        fh.write(table.primes.astype("<u8").tobytes())
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_CACHE_HEADER.pack(CACHE_MAGIC, table.limit, table.primes.size))
+            fh.write(table.primes.astype("<u8").tobytes())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
     return path
 
 
 def load_cache(path: str, expected_limit: int | None = None) -> PrimeTable:
     """Load a prime cache file; header limit must match any expected limit."""
     with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != CACHE_MAGIC:
-            raise CacheError(f"bad magic in {path!r}: {magic!r}")
-        (limit,) = struct.unpack("<Q", fh.read(8))
-        if expected_limit is not None and limit != expected_limit:
-            raise CacheError(
-                f"cache {path!r} holds limit {limit}, requested {expected_limit}"
-            )
+        header = fh.read(_CACHE_HEADER.size)
         body = fh.read()
+    if len(header) < _CACHE_HEADER.size or header[:8] != CACHE_MAGIC:
+        raise CacheError(f"bad header in {path!r}: {header[:8]!r}")
+    _, limit, count = _CACHE_HEADER.unpack(header)
+    if expected_limit is not None and limit != expected_limit:
+        raise CacheError(
+            f"cache {path!r} holds limit {limit}, requested {expected_limit}"
+        )
+    if len(body) != 8 * count:
+        raise CacheError(
+            f"cache {path!r} is truncated: header promises {count} primes, "
+            f"body holds {len(body)} bytes"
+        )
     primes = np.frombuffer(body, dtype="<u8").astype(np.int64)
     if primes.size and (np.any(np.diff(primes) <= 0) or primes[-1] > limit):
         raise CacheError(f"cache {path!r} body is not ascending primes <= limit")

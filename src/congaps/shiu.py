@@ -15,7 +15,7 @@ import numpy as np
 from .asymptotics import ComparisonReport
 from .characters import factorize, totient
 from .errors import DomainError
-from .primes import PrimeTable, SpfTable
+from .primes import PrimeTable
 
 # t_of_H needs log log log H > 0, i.e. H > e^e.
 T_OF_H_THRESHOLD = math.exp(math.e)
@@ -51,15 +51,6 @@ class ShiuConstruction:
         return frozenset(out)
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for d in range(2, math.isqrt(n) + 1):
-        if n % d == 0:
-            return False
-    return True
-
-
 def build_construction(
     H: int, q: int, a: int, p0: int = 1, table: PrimeTable | None = None
 ) -> ShiuConstruction:
@@ -81,7 +72,7 @@ def build_construction(
         raise DomainError("a PrimeTable with limit >= H is required")
     log_h = math.log(H)
     if p0 != 1:
-        if not _is_prime(p0):
+        if factorize(p0) != [(p0, 1)]:
             raise DomainError(f"p0 must be 1 or prime, got {p0}")
         if p0 <= log_h:
             raise DomainError(f"p0={p0} must exceed log H = {log_h:.4f}")
@@ -140,47 +131,27 @@ class ResidueSets:
     T_members: tuple[int, ...] | None = None
 
 
-def compute_S_T(
-    c: ShiuConstruction, spf_table: SpfTable, keep_members: bool = False
-) -> ResidueSets:
-    """Classify every h in [1, H]: h is kept iff none of its prime factors
-    lies in the modulus prime set; kept h goes to S iff h = a mod q."""
-    if spf_table.limit < c.H:
-        raise DomainError(
-            f"SpfTable limit {spf_table.limit} is below H = {c.H}"
-        )
-    qset = c.modulus_primes()
-    spf = spf_table.spf
+def compute_S_T(c: ShiuConstruction, keep_members: bool = False) -> ResidueSets:
+    """Strike the multiples of every modulus prime from [1, H]; of the h
+    kept, those with h = a mod q form S and the rest T."""
+    keep = np.ones(c.H + 1, dtype=bool)
+    keep[0] = False
+    for p in c.modulus_primes():
+        keep[p::p] = False
     a_mod = c.a % c.q
-    s_count = t_count = 0
-    s_members: list[int] = []
-    t_members: list[int] = []
-    for h in range(1, c.H + 1):
-        n = h
-        coprime = True
-        while n > 1:
-            p = int(spf[n])
-            if p in qset:
-                coprime = False
-                break
-            while n % p == 0:
-                n //= p
-        if not coprime:
-            continue
-        if h % c.q == a_mod:
-            s_count += 1
-            if keep_members:
-                s_members.append(h)
-        else:
-            t_count += 1
-            if keep_members:
-                t_members.append(h)
+    s_count = int(np.count_nonzero(keep[a_mod::c.q]))
+    s_members = t_members = None
+    if keep_members:
+        kept = np.flatnonzero(keep)
+        in_s = kept % c.q == a_mod
+        s_members = tuple(kept[in_s].tolist())
+        t_members = tuple(kept[~in_s].tolist())
     return ResidueSets(
         S_count=s_count,
-        T_count=t_count,
+        T_count=int(np.count_nonzero(keep)) - s_count,
         phiQ_over_Q=phi_over_Q(c),
-        S_members=tuple(s_members) if keep_members else None,
-        T_members=tuple(t_members) if keep_members else None,
+        S_members=s_members,
+        T_members=t_members,
     )
 
 

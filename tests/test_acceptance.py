@@ -15,7 +15,6 @@ from congaps import (
     characters,
     constants,
     contour,
-    primes,
     shiu,
     suite,
 )
@@ -115,13 +114,12 @@ def test_criterion_07_effective_perron():
     assert time.perf_counter() - start < 60.0
 
 
-def test_criterion_08_shiu_construction(table5, spf5):
+def test_criterion_08_shiu_construction(table5):
     start = time.perf_counter()
     for H in (10**4, 10**5):
-        spf_table = spf5 if spf5.limit >= H else primes.build_spf(H)
         for q, a in ((3, 1), (3, 2), (4, 1), (4, 3), (6, 1), (6, 5)):
             con = shiu.build_construction(H, q, a, 1, table5)
-            sets = shiu.compute_S_T(con, spf_table)
+            sets = shiu.compute_S_T(con)
             # brute-force oracle: strike multiples of every modulus prime
             keep = np.ones(H + 1, dtype=bool)
             keep[0] = False

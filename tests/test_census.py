@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from congaps import census
+from congaps import census, primes
 from congaps.errors import DomainError, OutOfRangeError
 
 
@@ -105,7 +105,23 @@ def test_shiu_bound_branches():
         census.shiu_bound(X, 5, 4, 0.0)
 
 
-def test_census_reports_nan_bound_when_undefined(table5):
+def test_census_reports_null_bound_when_undefined(table5):
     res = census.find_congruent_pairs(10**4, 5, 2, 1.0, table5)
-    assert math.isnan(res.bound_shiu)  # fourth iterated log undefined here
+    assert res.bound_shiu is None  # fourth iterated log undefined here
+    assert "loglogloglog" in res.bound_reasons["bound_shiu"]
     assert math.isfinite(res.bound_thm11)
+    assert "bound_thm11" not in res.bound_reasons
+    d = res.to_dict()
+    assert d["bound_shiu"] is None
+    assert d["bound_reasons"] == res.bound_reasons
+
+
+def test_census_needs_successor_of_last_prime():
+    # 131 = 2 mod 3 and its successor 137 = 2 mod 3 make the fifth pair
+    with pytest.raises(OutOfRangeError):
+        census.find_congruent_pairs(131, 3, 2, 10.0, primes.sieve_primes(131))
+    with pytest.raises(OutOfRangeError):
+        census.find_congruent_pairs(132, 3, 2, 10.0, primes.sieve_primes(136))
+    res = census.find_congruent_pairs(131, 3, 2, 10.0, primes.sieve_primes(137))
+    assert res.pair_count == len(trial_pairs(131, 3, 2, 10.0)) == 5
+    assert res.pairs[-1] == (131, 137)

@@ -6,6 +6,15 @@ import pytest
 from congaps import cli
 
 
+def strict_json(text):
+    """json.loads that rejects NaN and Infinity, as RFC 8259 does."""
+
+    def reject(name):
+        raise ValueError(f"non-finite constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
 def run(capsys, *argv):
     rc = cli.main(list(argv))
     out, err = capsys.readouterr()
@@ -37,6 +46,16 @@ def test_count_csv(capsys):
     lines = out.strip().split("\n")
     assert lines[0] == "label,actual,predicted,ratio,params,pass"
     assert len(lines) == 2
+
+
+def test_count_with_y_above_x(capsys):
+    rc, out, _ = run(capsys, "count", "--q", "3", "--x", "1000", "--y", "5000")
+    assert rc == 0
+    payload = json.loads(out)
+    assert payload["actual"] == 1  # only n = 1 has no prime factor <= Y
+    # the prediction's product over primes = 1 mod 3 up to Y reaches past X
+    low = json.loads(run(capsys, "count", "--q", "3", "--x", "1000", "--y", "1000")[1])
+    assert payload["predicted"] < low["predicted"]
 
 
 def test_shiu_payload(capsys):
@@ -132,3 +151,81 @@ def test_malformed_config(tmp_path, capsys):
     rc, _, err = run(capsys, "--config", str(cfg), "constants", "--q", "3")
     assert rc == 2
     assert "key=value" in err
+
+
+@pytest.mark.parametrize("q", ["0", "-3"])
+def test_constants_rejects_nonpositive_modulus(capsys, q):
+    rc, out, err = run(capsys, "constants", "--q", q)
+    assert rc == 2
+    assert out == ""
+    assert "q must be >= 1" in err
+
+
+def test_census_json_is_strict_when_bounds_undefined(capsys):
+    rc, out, _ = run(capsys, "census", "--q", "3", "--a", "2", "--x", "5")
+    assert rc == 0
+    payload = strict_json(out)
+    assert payload["bound_thm11"] is None and payload["bound_shiu"] is None
+    assert set(payload["bound_reasons"]) == {"bound_thm11", "bound_shiu"}
+
+    rc, out, _ = run(capsys, "census", "--q", "5", "--a", "2", "--x", "1000000")
+    assert rc == 0
+    payload = strict_json(out)
+    assert payload["bound_shiu"] is None
+    assert payload["bound_thm11"] > 0
+    assert "loglogloglog" in payload["bound_reasons"]["bound_shiu"]
+
+
+@pytest.mark.parametrize("flag", ["--epsilon", "--c", "--big-c"])
+def test_non_finite_report_exit_code(capsys, flag):
+    rc, out, err = run(capsys, "census", "--q", "3", "--a", "2", "--x", "100", flag, "nan")
+    assert rc == 2
+    assert out == ""
+    assert "non-finite" in err
+
+
+@pytest.mark.parametrize("cut", [8 * 600, 8 * 600 + 3])
+def test_truncated_cache_exit_code(tmp_path, capsys, cut):
+    argv = ("mertens", "--q", "3", "--x", "10000", "--cache-dir", str(tmp_path))
+    rc, _, _ = run(capsys, *argv)
+    assert rc == 0
+    path = tmp_path / "primes_10000.bin"
+    path.write_bytes(path.read_bytes()[:-cut])
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert "truncated" in err
+
+
+@pytest.mark.parametrize("entry, argv", [
+    ("scale = huge", ["suite"]),
+    ("format = xml", ["constants", "--q", "3"]),
+])
+def test_config_values_checked_like_flags(tmp_path, capsys, entry, argv):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(entry + "\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--config", str(cfg), *argv])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+def test_config_switch_honoured(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("members = true\n")
+    rc, out, _ = run(capsys, "--config", str(cfg), "shiu", "--h", "1000", "--q", "3",
+                     "--a", "2")
+    assert rc == 0
+    payload = json.loads(out)
+    assert len(payload["S_members"]) == payload["S_count"]
+    assert len(payload["T_members"]) == payload["T_count"]
+    rc, out, _ = run(capsys, "shiu", "--h", "1000", "--q", "3", "--a", "2")
+    assert "S_members" not in json.loads(out)
+
+
+def test_config_typed_values(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("big-c = 2\nlist_pairs = true\nepsilon = 1\nx = 600\n")
+    rc, out, _ = run(capsys, "--config=" + str(cfg), "census", "--q", "3", "--a", "2")
+    assert rc == 0
+    assert len(out.strip().split("\n")) == 7  # header plus the 6 pairs

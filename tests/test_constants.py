@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from congaps import constants
+from congaps import constants, suite
 from congaps.characters import build_character_table, totient
 from congaps.errors import DomainError
 
@@ -107,8 +107,11 @@ def test_c_of_q_positive_small_moduli():
 
 
 def test_c_of_q_domain():
-    with pytest.raises(DomainError):
-        constants.c_of_q(0)
+    for q in (0, -3):
+        with pytest.raises(DomainError):
+            constants.c_of_q(q)
+        with pytest.raises(DomainError):
+            constants.constants_bundle(q)
 
 
 def test_gamma_function():
@@ -127,22 +130,6 @@ def test_gamma_functional_equation():
         lhs = constants.gamma_function(x + 1.0)
         rhs = x * constants.gamma_function(x)
         assert lhs == pytest.approx(rhs, rel=1e-12)
-
-
-def test_pi1_product():
-    assert constants.pi1_product(12, 1.0) == pytest.approx((1.5) * (4.0 / 3.0))
-    assert constants.pi1_product(1, 1.0) == 1.0
-    with pytest.raises(DomainError):
-        constants.pi1_product(12, 0.0)
-
-
-def test_pi2_product(table5):
-    # primes = 1 mod 3 up to 20: just 7, 13, 19
-    expect = (1 + 1 / 7) * (1 + 1 / 13) * (1 + 1 / 19)
-    assert constants.pi2_product(3, 20, 1.0, table5) == pytest.approx(expect)
-    assert constants.pi2_product(3, 5, 1.0, table5) == 1.0
-    with pytest.raises(DomainError):
-        constants.pi2_product(3, table5.limit + 1, 1.0, table5)
 
 
 def test_bundle_contents():
@@ -167,3 +154,19 @@ def test_bundle_small_moduli():
 def test_bundle_cached():
     assert constants.constants_bundle(3) is constants.constants_bundle(3)
     assert constants.constants_bundle(3) is not constants.constants_bundle(3, l_tol=1e-9)
+
+
+def test_c_anchors_compute_theta_once_per_q(monkeypatch):
+    calls = []
+
+    def counting_theta(q, tol=1e-6):
+        calls.append(q)
+        return 0.5
+
+    monkeypatch.setattr(constants, "_BUNDLE_CACHE", {})
+    monkeypatch.setattr(constants, "theta_at_one", counting_theta)
+    record = suite._check_c_anchors()
+    assert sorted(calls) == list(range(3, 31))
+    assert record["c_values"]["3"] == pytest.approx(
+        0.5 * math.sqrt((2.0 / 3.0) * math.pi / (3 * math.sqrt(3))), abs=1e-8
+    )

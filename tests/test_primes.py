@@ -157,6 +157,38 @@ def test_cache_rejects_garbled_body(tmp_path):
         primes.load_cache(path)
 
 
+def _cut_cache(tmp_path, cut_bytes):
+    """A cache of the 9,592 primes below 10^5 with its last cut_bytes removed."""
+    path = primes.save_cache(primes.sieve_primes(100_000), str(tmp_path / "p.bin"))
+    raw = open(path, "rb").read()
+    open(path, "wb").write(raw[:-cut_bytes])
+    return path
+
+
+def test_cache_rejects_truncation_at_word_boundary(tmp_path):
+    path = _cut_cache(tmp_path, 8 * 4796)  # half the primes
+    with pytest.raises(CacheError, match="truncated"):
+        primes.load_cache(path, expected_limit=100_000)
+
+
+def test_cache_rejects_truncation_mid_word(tmp_path):
+    path = _cut_cache(tmp_path, 8 * 4796 + 3)
+    with pytest.raises(CacheError, match="truncated"):
+        primes.load_cache(path, expected_limit=100_000)
+
+
+def test_cache_rejects_short_header(tmp_path):
+    path = tmp_path / "short.bin"
+    path.write_bytes(primes.CACHE_MAGIC + b"\0" * 4)
+    with pytest.raises(CacheError):
+        primes.load_cache(str(path))
+
+
+def test_save_cache_leaves_no_temp_file(tmp_path):
+    primes.save_cache(primes.sieve_primes(1000), str(tmp_path / "p.bin"))
+    assert os.listdir(tmp_path) == ["p.bin"]
+
+
 def test_get_prime_table_caches(tmp_path, monkeypatch):
     monkeypatch.setenv(primes.CACHE_ENV, str(tmp_path))
     t1 = primes.get_prime_table(3000)

@@ -7,15 +7,13 @@ from congaps import shiu
 from congaps.errors import DomainError
 
 
-def brute_sets(con, H):
-    """Per-h membership via a divisibility sieve, no factorization."""
-    keep = np.ones(H + 1, dtype=bool)
-    keep[0] = False
-    for p in con.modulus_primes():
-        keep[p::p] = False
-    h = np.arange(H + 1)
-    s = int(np.count_nonzero(keep & (h % con.q == con.a % con.q)))
-    t = int(np.count_nonzero(keep)) - s
+def brute_sets(con, spf_table):
+    """S and T member lists by factoring each h with the SPF table."""
+    qset = con.modulus_primes()
+    s, t = [], []
+    for h in range(1, con.H + 1):
+        if qset.isdisjoint(spf_table.factor(h)):
+            (s if h % con.q == con.a % con.q else t).append(h)
     return s, t
 
 
@@ -109,36 +107,24 @@ def test_phi_over_q_tiny():
 def test_compute_s_t_matches_brute_force(table5, spf5):
     for q, a in ((3, 1), (3, 2), (4, 1), (4, 3), (6, 1), (6, 5)):
         con = shiu.build_construction(10**4, q, a, 1, table5)
-        sets = shiu.compute_S_T(con, spf5)
-        assert (sets.S_count, sets.T_count) == brute_sets(con, 10**4)
+        sets = shiu.compute_S_T(con)
+        s, t = brute_sets(con, spf5)
+        assert (sets.S_count, sets.T_count) == (len(s), len(t))
+        assert sets.S_members is None and sets.T_members is None
 
 
 def test_compute_s_t_members(table5, spf5):
     con = shiu.build_construction(10**4, 3, 2, 1, table5)
-    sets = shiu.compute_S_T(con, spf5, keep_members=True)
-    assert len(sets.S_members) == sets.S_count
-    assert len(sets.T_members) == sets.T_count
-    assert set(sets.S_members).isdisjoint(sets.T_members)
-    qset = con.modulus_primes()
-    for h in sets.S_members:
-        assert h % 3 == 2
-        assert all(h % p for p in qset)
-    for h in sets.T_members:
-        assert h % 3 != 2
-        assert all(h % p for p in qset)
+    sets = shiu.compute_S_T(con, keep_members=True)
+    s, t = brute_sets(con, spf5)
+    assert sets.S_members == tuple(s)
+    assert sets.T_members == tuple(t)
+    assert (sets.S_count, sets.T_count) == (len(s), len(t))
 
 
-def test_compute_s_t_table_too_small(table5):
+def test_lemma34_check_a1(table5):
     con = shiu.build_construction(10**4, 3, 1, 1, table5)
-    from congaps.primes import build_spf
-
-    with pytest.raises(DomainError):
-        shiu.compute_S_T(con, build_spf(100))
-
-
-def test_lemma34_check_a1(table5, spf5):
-    con = shiu.build_construction(10**4, 3, 1, 1, table5)
-    sets = shiu.compute_S_T(con, spf5)
+    sets = shiu.compute_S_T(con)
     rep = shiu.lemma34_check(con, sets)
     assert rep.actual == float(sets.S_count - sets.T_count)
     expect_rhs = 10**4 / math.gamma(0.5) * sets.phiQ_over_Q
@@ -147,9 +133,9 @@ def test_lemma34_check_a1(table5, spf5):
     assert rep.passed == (rep.actual >= rep.predicted)
 
 
-def test_lemma34_check_a2(table5, spf5):
+def test_lemma34_check_a2(table5):
     con = shiu.build_construction(10**4, 3, 2, 1, table5)
-    sets = shiu.compute_S_T(con, spf5)
+    sets = shiu.compute_S_T(con)
     rep = shiu.lemma34_check(con, sets)
     expect_rhs = 0.4 * 10**4 / (3 * math.gamma(0.5)) * sets.phiQ_over_Q
     assert rep.predicted == pytest.approx(expect_rhs, rel=1e-12)
@@ -157,9 +143,9 @@ def test_lemma34_check_a2(table5, spf5):
     assert rep.params["regime"] == "asymptotic regime not reached"
 
 
-def test_t_bound_report(table5, spf5):
+def test_t_bound_report(table5):
     con = shiu.build_construction(10**4, 3, 1, 1, table5)
-    sets = shiu.compute_S_T(con, spf5)
+    sets = shiu.compute_S_T(con)
     rep = shiu.t_bound_report(con, sets)
     assert rep.passed is None
     assert rep.ratio == pytest.approx(
