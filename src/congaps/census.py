@@ -69,8 +69,9 @@ def find_congruent_pairs(
         raise DomainError(f"a={a} and q={q} must be coprime")
     if q < 3:
         raise DomainError(f"q must be >= 3, got {q}")
-    if epsilon <= 0:
-        raise DomainError(f"epsilon must be > 0, got {epsilon}")
+    for name, value in (("epsilon", epsilon), ("c", thm11_c), ("C", shiu_C)):
+        if value <= 0:
+            raise DomainError(f"{name} must be > 0, got {value}")
     if table.primes.size == 0 or table.primes[-1] <= X:
         raise OutOfRangeError(
             f"the table to {table.limit} holds no prime above X={X}, so the "

@@ -1,9 +1,13 @@
-"""Dirichlet characters mod q with exact root-of-unity ("turn") arithmetic.
+"""Dirichlet characters mod q as exponent vectors over one discrete-log table.
 
-A character value is either None (residue not coprime to q) or a Fraction
-k/m in [0, 1), standing for e^{2*pi*i*k/m}.  Turn addition mod 1 makes
-complete multiplicativity, closure, and orthogonality exactly testable;
-conversion to floating complex happens only at the boundary.
+(Z/qZ)* is a product of cyclic groups of orders d_1..d_k, and the table
+maps every residue n to its discrete log x(n) = (x_1..x_k) over their
+generators.  A character is its exponent vector e: its value at a unit n
+is the root of unity e^{2*pi*i*t} with turn t = sum_i e_i x_i / d_i mod 1,
+computed exactly on demand as the integer numerator
+sum_i e_i x_i (L/d_i) mod L over the group exponent L.  Turn addition mod 1
+makes complete multiplicativity, closure, and orthogonality exactly
+testable; float values are built from the same numerators.
 """
 
 from __future__ import annotations
@@ -14,6 +18,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
+
+import numpy as np
 
 from .errors import DomainError
 
@@ -69,115 +75,125 @@ def _local_generators(pe: int, p: int, e: int) -> list[tuple[int, int]]:
 def _crt_lift(residue: int, pe: int, q: int) -> int:
     """The residue mod q that is `residue` mod pe and 1 mod q/pe."""
     rest = q // pe
-    if rest == 1:
-        return residue % q
     inv = pow(rest, -1, pe)
     return (1 + rest * ((residue - 1) * inv % pe)) % q
 
 
-def _unit_group(q: int) -> tuple[list[int], list[int], dict[int, tuple[int, ...]]]:
-    """Generators of (Z/qZ)*, their orders, and a discrete-log table.
+def unit_group(q: int) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+    """(Z/qZ)* as cyclic orders, discrete-log table and unit mask.
 
-    Returns (generators, orders, dlog) where dlog maps each coprime residue
-    to its exponent vector over the generators.
+    Returns (orders, dlog, units): dlog[n] is the exponent vector of n over
+    the generators (zeros where units[n] is False).  Residue 0 counts as
+    the unit of Z/1Z.
     """
-    gens: list[int] = []
-    orders: list[int] = []
+    if not 1 <= q <= MAX_MODULUS:
+        raise DomainError(f"q must satisfy 1 <= q <= {MAX_MODULUS}, got {q}")
+    residues = np.array([1 % q], dtype=np.int64)  # in lexicographic exponent order
+    orders = []
     for p, e in factorize(q):
         pe = p**e
-        for local_g, order in _local_generators(pe, p, e):
-            gens.append(_crt_lift(local_g, pe, q))
-            orders.append(order)
-    dlog: dict[int, tuple[int, ...]] = {}
-    for exps in itertools.product(*(range(d) for d in orders)):
-        r = 1
-        for g, e in zip(gens, exps):
-            r = r * pow(g, e, q) % q
-        dlog[r] = exps
-    if q == 1:
-        dlog[0] = ()
-    return gens, orders, dlog
+        for local_g, d in _local_generators(pe, p, e):
+            gens = itertools.repeat(_crt_lift(local_g, pe, q), d - 1)
+            powers = itertools.accumulate(gens, lambda x, g: x * g % q, initial=1)
+            residues = (residues[:, None] * np.fromiter(powers, np.int64) % q).ravel()
+            orders.append(d)
+    dlog = np.zeros((q, len(orders)), dtype=np.int64)
+    dlog[residues] = np.indices(orders).reshape(len(orders), residues.size).T
+    return tuple(orders), dlog, np.gcd(np.arange(q), q) == 1
 
 
-@dataclass(frozen=True)
+def element_orders(coords: np.ndarray, orders: tuple[int, ...]) -> np.ndarray:
+    """Orders lcm_i d_i / gcd(x_i, d_i) of the elements with coordinates
+    x = coords[..., :] in Z/d_1 x ... x Z/d_k."""
+    d = np.asarray(orders, dtype=np.int64)
+    return np.lcm.reduce(d // np.gcd(coords, d), axis=-1, initial=1)
+
+
+@dataclass(frozen=True, slots=True)
 class Character:
-    """One Dirichlet character mod q; `turns[r]` is None off the coprime
-    residues, otherwise the exact turn of the value at r."""
+    """One Dirichlet character mod q: its exponent vector over the table's
+    cyclic components."""
 
-    modulus: int
-    turns: tuple  # length q; Fraction in [0, 1) or None
-    is_principal: bool
-    order: int
-    exponents: tuple[int, ...] = field(default=())  # coordinates in the dual group
+    table: CharacterTable = field(repr=False)
+    exponents: tuple[int, ...]
+
+    @property
+    def modulus(self) -> int:
+        return self.table.q
+
+    @property
+    def is_principal(self) -> bool:
+        return not any(self.exponents)
+
+    @property
+    def order(self) -> int:
+        return int(element_orders(np.array(self.exponents), self.table.orders))
+
+    def _numerators(self, coords: np.ndarray) -> np.ndarray:
+        """Turn numerators over the group exponent L of the elements with
+        discrete logs coords: sum_i e_i x_i (L/d_i) mod L."""
+        table = self.table
+        L = table.exponent
+        weights = [e * (L // d) for e, d in zip(self.exponents, table.orders)]
+        return coords @ np.array(weights, dtype=np.int64) % L
 
     def turn(self, n: int) -> Fraction | None:
-        return self.turns[n % self.modulus]
+        """The exact turn of chi(n), or None if n is not coprime to q."""
+        r = n % self.table.q
+        if not self.table.units[r]:
+            return None
+        return Fraction(int(self._numerators(self.table.dlog[r])), self.table.exponent)
+
+    def values(self) -> np.ndarray:
+        """chi(n) for n = 0..q-1 as complex floats, exactly 0 off the units."""
+        table = self.table
+        phase = self._numerators(table.dlog) / table.exponent
+        return np.where(table.units, np.exp(2j * np.pi * phase), 0)
 
     def __call__(self, n: int) -> complex:
         return evaluate(self, n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CharacterTable:
-    """The full group of phi(q) characters mod q, principal first, then
-    lexicographic in generator exponents."""
+    """The full group of phi(q) characters mod q over one discrete-log
+    table; principal first, then lexicographic in generator exponents."""
 
     q: int
-    phi_q: int
-    characters: tuple[Character, ...]
-    orders: tuple[int, ...] = field(default=())  # cyclic component orders
-    _dlog: dict = field(default_factory=dict, repr=False, compare=False)
+    orders: tuple[int, ...]  # cyclic component orders d_1..d_k
+    dlog: np.ndarray = field(repr=False)  # (q, k) exponent vector of each residue
+    units: np.ndarray = field(repr=False)  # (q,) residue coprime to q
+    characters: tuple[Character, ...] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        exps = itertools.product(*(range(d) for d in self.orders))
+        object.__setattr__(self, "characters", tuple(Character(self, e) for e in exps))
+
+    @property
+    def phi_q(self) -> int:
+        return math.prod(self.orders)
+
+    @property
+    def exponent(self) -> int:
+        """L = lcm of the cyclic orders: every turn is a multiple of 1/L."""
+        return math.lcm(*self.orders)
 
     def non_principal(self) -> tuple[Character, ...]:
         return self.characters[1:]
 
     def product(self, chi1: Character, chi2: Character) -> Character:
-        """Pointwise product, looked up in the table (group closure)."""
+        """Pointwise product, indexed in the table (group closure)."""
         if chi1.modulus != self.q or chi2.modulus != self.q:
             raise DomainError("characters do not belong to this table")
-        exps = tuple(
-            (e1 + e2) % d
-            for e1, e2, d in zip(chi1.exponents, chi2.exponents, self.orders)
-        )
-        for chi in self.characters:
-            if chi.exponents == exps:
-                return chi
-        raise DomainError("characters do not belong to this table")
+        index = 0
+        for e1, e2, d in zip(chi1.exponents, chi2.exponents, self.orders):
+            index = index * d + (e1 + e2) % d
+        return self.characters[index]
 
 
 def build_character_table(q: int) -> CharacterTable:
     """Construct all phi(q) Dirichlet characters mod q."""
-    if not 1 <= q <= MAX_MODULUS:
-        raise DomainError(f"q must satisfy 1 <= q <= {MAX_MODULUS}, got {q}")
-    gens, orders, dlog = _unit_group(q)
-    phi_q = math.prod(orders)
-    characters = []
-    for exps in itertools.product(*(range(d) for d in orders)):
-        turns: list[Fraction | None] = [None] * max(q, 1)
-        for r, xs in dlog.items():
-            t = Fraction(0)
-            for e, x, d in zip(exps, xs, orders):
-                t += Fraction(e * x, d)
-            turns[r % max(q, 1)] = t % 1
-        order = 1
-        for e, d in zip(exps, orders):
-            order = math.lcm(order, d // gcd(e, d))
-        characters.append(
-            Character(
-                modulus=q,
-                turns=tuple(turns),
-                is_principal=all(e == 0 for e in exps),
-                order=order,
-                exponents=exps,
-            )
-        )
-    return CharacterTable(
-        q=q,
-        phi_q=phi_q,
-        characters=tuple(characters),
-        orders=tuple(orders),
-        _dlog=dlog,
-    )
+    return CharacterTable(q, *unit_group(q))
 
 
 def evaluate(chi: Character, n: int) -> complex:
@@ -187,8 +203,6 @@ def evaluate(chi: Character, n: int) -> complex:
     t = chi.turn(n)
     if t is None:
         return 0j
-    if t == 0:
-        return 1 + 0j
     return cmath.exp(2j * cmath.pi * t)
 
 
@@ -201,14 +215,7 @@ def orthogonality_sum(table: CharacterTable, n: int) -> complex:
     """
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
-    q = table.q
-    if q == 1:
-        return complex(1)
-    r = n % q
-    if gcd(r, q) > 1:
+    r = n % table.q
+    if not table.units[r] or table.dlog[r].any():
         return 0j
-    xs = table._dlog[r]
-    total = 1
-    for x, d in zip(xs, table.orders):
-        total *= d if x % d == 0 else 0
-    return complex(total)
+    return complex(table.phi_q)

@@ -5,18 +5,34 @@ Mertens-in-progression constant c(q), and the Gamma function on (0, 2].
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
 from scipy.special import digamma
 
-from .characters import Character, build_character_table, totient
+from .characters import (
+    Character, build_character_table, element_orders, totient, unit_group,
+)
 from .errors import DomainError
 from .primes import sieve_primes
 
 EULER_GAMMA = 0.5772156649015329
 
-_BUNDLE_CACHE: dict = {}
+
+@functools.lru_cache(maxsize=4)
+def _digamma_partials(q: int, tol: float) -> np.ndarray:
+    """f(r) = sum_{n <= N, n = r mod q} 1/n for r = 0..q-1 (f(0) = 0), with
+    N the l_one truncation for (q, tol), through the digamma identity
+    sum_{k<K} 1/(r+kq) = (digamma(r/q+K) - digamma(r/q))/q."""
+    tail_bound = 2.0 * math.sqrt(q) * math.log(q)
+    n_terms = max(q, int(math.ceil(tail_bound / tol)))
+    r = np.arange(1, q)
+    f = np.zeros(q)
+    f[1:] = (digamma(r / q + ((n_terms - r) // q + 1)) - digamma(r / q)) / q
+    f.flags.writeable = False
+    return f
 
 
 def l_one(chi: Character, tol: float = 1e-8) -> complex:
@@ -24,28 +40,15 @@ def l_one(chi: Character, tol: float = 1e-8) -> complex:
 
     Computed as the partial sum of chi(n)/n up to N, with N chosen so the
     Abel-summation tail bound 2*sqrt(q)*log(q)/N (from Polya-Vinogradov)
-    is at most tol.  The partial sum itself is evaluated residue class by
-    residue class through the digamma identity
-    sum_{k<K} 1/(r+kq) = (digamma(r/q+K) - digamma(r/q))/q.
+    is at most tol: sum_r chi(r) f(r) over the residue-class partial sums
+    f, which depend only on (q, tol) and are formed once for all chi.
     """
     if chi.is_principal:
         raise DomainError("L(1, chi) diverges for the principal character")
     if not 1e-12 < tol < 1e-2:
         raise DomainError(f"tol must lie in (1e-12, 1e-2), got {tol}")
-    q = chi.modulus
-    tail_bound = 2.0 * math.sqrt(q) * math.log(q)
-    n_terms = max(q, int(math.ceil(tail_bound / tol)))
-    total = 0j
-    for r in range(1, q):
-        if chi.turns[r] is None:
-            continue
-        k_count = (n_terms - r) // q + 1
-        if k_count <= 0:
-            continue
-        x = r / q
-        partial = (digamma(x + k_count) - digamma(x)) / q
-        total += chi(r) * partial
-    return total
+    terms = chi.values() * _digamma_partials(chi.modulus, tol)
+    return complex(np.cumsum(terms)[-1])  # left to right, as a loop over r rounds
 
 
 def theta_at_one(q: int, tol: float = 1e-6) -> float:
@@ -56,27 +59,18 @@ def theta_at_one(q: int, tol: float = 1e-6) -> float:
     For such p with multiplicative order d (necessarily >= 2), the inner
     sum collapses to -(1/d) * log(1 - p^-d), so
     log Theta(1) = sum_p (1/d) * log(1 - p^-d), truncated at a prime
-    cutoff P with tail below 2/P <= tol.
+    cutoff P with tail below 2/P <= tol.  The order of p depends only on
+    p mod q and is read from the discrete-log table.
     """
     if q < 3:
         raise DomainError(f"Theta(1) needs q >= 3, got {q}")
+    orders, dlog, _ = unit_group(q)
     cutoff = max(100, int(math.ceil(2.0 / tol)))
     primes = sieve_primes(cutoff).primes
-    log_theta = 0.0
-    for p in primes:
-        p = int(p)
-        if q % p == 0:
-            continue
-        r = p % q
-        if r == 1:
-            continue
-        d = 2
-        x = r * r % q
-        while x != 1:
-            x = x * r % q
-            d += 1
-        log_theta += math.log1p(-float(p) ** (-d)) / d
-    return math.exp(log_theta)
+    d = element_orders(dlog[primes % q], orders)  # 1 for p = 1 mod q and for p | q
+    p, d = primes[d > 1].astype(float), d[d > 1]
+    terms = np.log1p(-(p ** -d)) / d
+    return math.exp(np.cumsum(terms)[-1])  # left to right, as a loop over p rounds
 
 
 def c_of_q(q: int, tol: float = 1e-6, l_tol: float = 1e-8) -> float:
@@ -110,7 +104,7 @@ class ConstantsBundle:
 def constants_bundle(
     q: int, l_tol: float = 1e-8, theta_tol: float = 1e-6
 ) -> ConstantsBundle:
-    """Build (and cache per (q, tolerances)) the constants for modulus q.
+    """Build the constants for modulus q.
 
     c(1) = 1 and c(2) = 1/2 are fixed; for q >= 3,
     c(q) = Theta(1) * ((phi(q)/q) * prod_{chi != chi0} L(1, chi))^(1/phi(q)),
@@ -118,9 +112,6 @@ def constants_bundle(
     """
     if q < 1:
         raise DomainError(f"q must be >= 1, got {q}")
-    key = (q, l_tol, theta_tol)
-    if key in _BUNDLE_CACHE:
-        return _BUNDLE_CACHE[key]
     phi_q = totient(q)
     l_values: tuple[complex, ...] = ()
     theta1 = None
@@ -135,7 +126,7 @@ def constants_bundle(
             )
         theta1 = theta_at_one(q, theta_tol)
         c_q = theta1 * ((phi_q / q) * prod.real) ** (1.0 / phi_q)
-    bundle = ConstantsBundle(
+    return ConstantsBundle(
         q=q,
         gamma_euler=EULER_GAMMA,
         l_values=l_values,
@@ -144,5 +135,3 @@ def constants_bundle(
         gamma_recip=1.0 / gamma_function(1.0 / phi_q),
         tolerances={"l_tol": l_tol, "theta_tol": theta_tol},
     )
-    _BUNDLE_CACHE[key] = bundle
-    return bundle

@@ -25,7 +25,7 @@ def test_principal_first():
         assert all(not chi.is_principal for chi in table.non_principal())
         for r in range(q):
             expect = Fraction(0) if gcd(r, q) == 1 else None
-            assert chi0.turns[r] == expect
+            assert chi0.turn(r) == expect
 
 
 def test_q5_order_four_character():
@@ -69,7 +69,8 @@ def test_orders_divide_group_order():
         for chi in table.characters:
             assert table.phi_q % chi.order == 0
             # the order really is the lcm of the turn denominators
-            denoms = [t.denominator for t in chi.turns if t is not None]
+            turns = (chi.turn(r) for r in range(q))
+            denoms = [t.denominator for t in turns if t is not None]
             assert max(denoms) == chi.order or chi.is_principal
 
 
@@ -96,7 +97,8 @@ def test_character_sum_over_residues_vanishes():
         table = characters.build_character_table(q)
         for chi in table.non_principal():
             m = chi.order
-            counts = Counter(t for t in chi.turns if t is not None)
+            turns = (chi.turn(r) for r in range(q))
+            counts = Counter(t for t in turns if t is not None)
             assert counts == {
                 Fraction(j, m) % 1: table.phi_q // m for j in range(m)
             }
@@ -109,11 +111,11 @@ def test_product_closure():
         for c2 in table.characters:
             prod = table.product(c1, c2)
             for r in range(12):
-                t1, t2 = c1.turns[r], c2.turns[r]
+                t1, t2 = c1.turn(r), c2.turn(r)
                 if t1 is None:
-                    assert prod.turns[r] is None
+                    assert prod.turn(r) is None
                 else:
-                    assert prod.turns[r] == (t1 + t2) % 1
+                    assert prod.turn(r) == (t1 + t2) % 1
 
 
 def test_product_rejects_foreign_character():
@@ -145,3 +147,42 @@ def test_orthogonality_random(q, n):
     got = characters.orthogonality_sum(table, n)
     expect = table.phi_q if n % q == 1 else 0
     assert got == complex(expect)
+
+
+def brute_order(r, q):
+    d, x = 1, r % q
+    while x != 1 % q:
+        x = x * r % q
+        d += 1
+    return d
+
+
+ODD_PRIMES = [p for p in range(3, 500) if characters.factorize(p) == [(p, 1)]]
+TWICE_PRIME_POWERS = sorted(
+    2 * p**k for p in ODD_PRIMES for k in (1, 2, 3) if 2 * p**k <= 2000
+)
+MODULI = st.one_of(
+    st.integers(1, 10).map(lambda k: 2**k),
+    st.sampled_from([2] + ODD_PRIMES),
+    st.sampled_from(TWICE_PRIME_POWERS),
+    st.just(30030),  # 2*3*5*7*11*13
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(q=MODULI, data=st.data())
+def test_dlog_orders_and_exact_turns(q, data):
+    table = characters.build_character_table(q)
+    units = [r for r in range(q) if gcd(r, q) == 1]
+    assert [r for r in range(q) if table.units[r]] == units
+    orders = characters.element_orders(table.dlog[units], table.orders)
+    assert orders.tolist() == [brute_order(r, q) for r in units]
+
+    chi = data.draw(st.sampled_from(table.characters))
+    m, n = data.draw(st.integers(0, 10**6)), data.draw(st.integers(0, 10**6))
+    tm, tn, tmn = chi.turn(m), chi.turn(n), chi.turn(m * n)
+    if tm is None or tn is None:
+        assert tmn is None
+    else:
+        assert tmn == (tm + tn) % 1
+    assert chi.values()[m % q] == pytest.approx(chi(m), abs=1e-15)

@@ -184,6 +184,15 @@ def test_non_finite_report_exit_code(capsys, flag):
     assert "non-finite" in err
 
 
+@pytest.mark.parametrize("flag, value", [("--c", "0"), ("--big-c", "-1")])
+def test_census_rejects_nonpositive_bound_constants(capsys, flag, value):
+    argv = ("census", "--q", "3", "--a", "2", "--x", "1000", flag, value)
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert "must be > 0" in err
+
+
 @pytest.mark.parametrize("cut", [8 * 600, 8 * 600 + 3])
 def test_truncated_cache_exit_code(tmp_path, capsys, cut):
     argv = ("mertens", "--q", "3", "--x", "10000", "--cache-dir", str(tmp_path))

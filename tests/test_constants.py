@@ -1,8 +1,11 @@
 import math
+import time
 
+import mpmath
+import numpy as np
 import pytest
 
-from congaps import constants, suite
+from congaps import constants, primes, suite
 from congaps.characters import build_character_table, totient
 from congaps.errors import DomainError
 
@@ -23,6 +26,17 @@ def test_l_one_tolerance_scales():
     exact = math.pi / (3 * math.sqrt(3))
     for tol in (1e-4, 1e-6, 1e-10):
         assert abs(constants.l_one(chi3, tol) - exact) <= tol
+
+
+@pytest.mark.parametrize("q", [*range(3, 61), 720, 1009])
+def test_l_one_against_digamma_identity(q):
+    # L(1, chi) = -(1/q) sum_r chi(r) psi(r/q) for non-principal chi, with
+    # psi from mpmath at 25 digits: no truncation, no partial sums
+    with mpmath.workdps(25):
+        psi = np.array([float(mpmath.digamma(mpmath.mpf(r) / q)) for r in range(1, q)])
+    for chi in nonprincipal(q):
+        want = -(chi.values()[1:] @ psi) / q
+        assert abs(constants.l_one(chi, 1e-10) - want) <= 1e-9
 
 
 def test_l_one_conjugate_pair():
@@ -67,6 +81,28 @@ def test_theta_against_double_sum(table5):
         got = constants.theta_at_one(q)
         # oracle truncation at 1e5 leaves a tail below sum p^-2 ~ 1e-5
         assert abs(got - theta_oracle(q, table5)) <= 1e-4
+
+
+def theta_order_walk(q, tol):
+    # log Theta(1) = sum_p log(1 - p^-d)/d, with the order d of each prime
+    # found by walking its powers mod q
+    log_theta = 0.0
+    for p in primes.sieve_primes(max(100, math.ceil(2.0 / tol))).primes:
+        p = int(p)
+        if q % p == 0 or p % q == 1:
+            continue
+        d, x = 1, p % q
+        while x != 1:
+            x = x * p % q
+            d += 1
+        log_theta += math.log1p(-float(p) ** (-d)) / d
+    return math.exp(log_theta)
+
+
+@pytest.mark.parametrize("q", [991, 1009, 1024])
+def test_theta_against_order_walk(q):
+    got = constants.theta_at_one(q, tol=1e-3)
+    assert got == pytest.approx(theta_order_walk(q, 1e-3), rel=1e-13)
 
 
 def test_theta_frozen_values():
@@ -151,11 +187,6 @@ def test_bundle_small_moduli():
     assert b2.l_values == ()
 
 
-def test_bundle_cached():
-    assert constants.constants_bundle(3) is constants.constants_bundle(3)
-    assert constants.constants_bundle(3) is not constants.constants_bundle(3, l_tol=1e-9)
-
-
 def test_c_anchors_compute_theta_once_per_q(monkeypatch):
     calls = []
 
@@ -163,10 +194,19 @@ def test_c_anchors_compute_theta_once_per_q(monkeypatch):
         calls.append(q)
         return 0.5
 
-    monkeypatch.setattr(constants, "_BUNDLE_CACHE", {})
     monkeypatch.setattr(constants, "theta_at_one", counting_theta)
     record = suite._check_c_anchors()
     assert sorted(calls) == list(range(3, 31))
     assert record["c_values"]["3"] == pytest.approx(
         0.5 * math.sqrt((2.0 / 3.0) * math.pi / (3 * math.sqrt(3))), abs=1e-8
     )
+
+
+def test_q1009_time_budget():
+    # one discrete-log table serves all 1008 characters, L(1, chi) and Theta(1)
+    start = time.perf_counter()
+    build_character_table(1009)
+    assert time.perf_counter() - start < 5.0
+    start = time.perf_counter()
+    constants.constants_bundle(1009)
+    assert time.perf_counter() - start < 5.0
