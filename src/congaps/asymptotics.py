@@ -116,62 +116,49 @@ def mertens_prediction(q: int, X: float, bundle: ConstantsBundle) -> float:
     )
 
 
-def count_restricted(X: int, q: int, Y: float, table: PrimeTable) -> int:
-    """Exact count of n <= X whose prime factors are all congruent to
-    1 mod q and greater than Y (n = 1 counts vacuously).
-
-    Enumerated depth-first over nondecreasing products of allowed primes;
-    the counted set is far sparser than [1, X], so no per-n factoring.
-    """
+def _restricted_walk(X: int, q: int, Y: float, table: PrimeTable):
+    """Depth-first walk over the nondecreasing products n <= X of allowed
+    primes (p = 1 mod q, p > Y) that a further factor can extend, n = 1
+    first. Yields (n, leaves): leaves holds the allowed p >= n's largest
+    factor with isqrt(X // n) < p <= X // n. Each n * p is a member that no
+    allowed prime extends, so it is taken from one np.searchsorted and never
+    visited. Every member is some yielded n or one n * p, exactly once."""
     if q < 3:
         raise DomainError(f"q must be >= 3, got {q}")
-    if Y < 1:
+    if not Y >= 1:
         raise DomainError(f"Y must be >= 1, got {Y}")
     if X > table.limit:
         raise OutOfRangeError(f"X={X} exceeds table limit {table.limit}")
     if X < 1:
-        return 0
+        return
     cls = table.residue_class(q, 1)
-    allowed = [int(p) for p in cls[(cls > Y) & (cls <= X)]]
+    # an integer key: a float one would make searchsorted cast the whole class
+    allowed = cls[np.searchsorted(cls, math.floor(min(Y, X)), side="right"):]
+    stack = [(1, 0)]  # (n, index of the least prime n may still take)
+    while stack:
+        n, start = stack.pop()
+        cap = X // n
+        mid, end = np.searchsorted(allowed, (math.isqrt(cap), cap), side="right")
+        yield n, allowed[max(start, mid):end]
+        for i, p in enumerate(allowed[start:mid].tolist(), start):
+            stack.append((n * p, i))
 
-    def walk(start: int, cap: int) -> int:
-        total = 1  # the product accumulated so far
-        for i in range(start, len(allowed)):
-            p = allowed[i]
-            if p > cap:
-                break
-            total += walk(i, cap // p)
-        return total
 
-    return walk(0, X)
+def count_restricted(X: int, q: int, Y: float, table: PrimeTable) -> int:
+    """Exact count of n <= X whose prime factors are all congruent to
+    1 mod q and greater than Y (n = 1 counts vacuously), read off the
+    restricted-product walk: each node and its leaves."""
+    return sum(1 + leaves.size for _, leaves in _restricted_walk(X, q, Y, table))
 
 
 def enumerate_restricted(X: int, q: int, Y: float, table: PrimeTable) -> list[int]:
-    """Sorted members of the set counted by count_restricted (same DFS);
-    comparing this list against a per-n factorization oracle certifies the
-    count for every cutoff up to X at once."""
-    if q < 3:
-        raise DomainError(f"q must be >= 3, got {q}")
-    if Y < 1:
-        raise DomainError(f"Y must be >= 1, got {Y}")
-    if X > table.limit:
-        raise OutOfRangeError(f"X={X} exceeds table limit {table.limit}")
-    cls = table.residue_class(q, 1)
-    allowed = [int(p) for p in cls[(cls > Y) & (cls <= X)]]
-    out: list[int] = []
-
-    def walk(start: int, value: int) -> None:
-        out.append(value)
-        for i in range(start, len(allowed)):
-            p = allowed[i]
-            if value * p > X:
-                break
-            walk(i, value * p)
-
-    if X >= 1:
-        walk(0, 1)
-    out.sort()
-    return out
+    """Sorted members of the set counted by count_restricted, from the same
+    walk; comparing this list against a per-n factorization oracle
+    certifies the count for every cutoff up to X at once."""
+    members = []
+    for n, leaves in _restricted_walk(X, q, Y, table):
+        members += [n, *(n * leaves).tolist()]
+    return sorted(members)
 
 
 def lemma33_prediction(

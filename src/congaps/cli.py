@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 suite failure, 2 precondition/domain violation,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -44,9 +45,16 @@ def _with_config(argv: list[str], flags: list[str]) -> list[str]:
     return argv[: i + 1] + flags + argv[i + 1 :]
 
 
+def _output(args):
+    """The report's destination: the --out file, else stdout."""
+    return (open(args.out, "w", newline="") if args.out
+            else contextlib.nullcontext(sys.stdout))
+
+
 def _emit(payload, args) -> None:
     is_report = isinstance(payload, asymptotics.ComparisonReport)
-    if args.format == "csv" and is_report:
+    # only the subcommands that emit a report (mertens, count) take --format
+    if is_report and args.format == "csv":
         text = asymptotics.reports_to_csv([payload])
     else:
         try:
@@ -54,11 +62,8 @@ def _emit(payload, args) -> None:
                     else json.dumps(payload, allow_nan=False)) + "\n"
         except ValueError as exc:  # NaN or infinity, which JSON cannot carry
             raise NumericsError(f"report holds a non-finite number: {exc}") from exc
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _output(args) as fh:
+        fh.write(text)
 
 
 def _complex_pair(z: complex) -> list[float]:
@@ -145,10 +150,11 @@ def cmd_census(args) -> int:
         thm11_c=args.c, shiu_C=args.big_c,
     )
     if args.list_pairs:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["p_r", "p_next", "gap", "log_p", "q", "a"])
-        for p, nxt in result.pairs:
-            writer.writerow([p, nxt, nxt - p, repr(math.log(p)), args.q, args.a])
+        with _output(args) as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["p_r", "p_next", "gap", "log_p", "q", "a"])
+            for p, nxt in result.pairs:
+                writer.writerow([p, nxt, nxt - p, repr(math.log(p)), args.q, args.a])
         return 0
     _emit(result.to_dict(), args)
     return 0
@@ -223,11 +229,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="flat key=value config file")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--format", choices=["json", "csv"], default="json")
+    def common(p, *, report=False, cache=False):
+        """--out for every subcommand; --format for those emitting a
+        comparison report, --cache-dir for those reading a prime table."""
         p.add_argument("--out", help="write the report here instead of stdout")
-        p.add_argument("--cache-dir", dest="cache_dir",
-                       help="prime cache directory (default: $CONGAPS_CACHE_DIR)")
+        if report:
+            p.add_argument("--format", choices=["json", "csv"], default="json")
+        if cache:
+            p.add_argument("--cache-dir", dest="cache_dir",
+                           help="prime cache directory (default: $CONGAPS_CACHE_DIR)")
 
     p = sub.add_parser("constants", help="constants bundle for one modulus")
     p.add_argument("--q", type=int, required=True)
@@ -239,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--tol", type=float, default=0.05)
-    common(p)
+    common(p, report=True, cache=True)
     p.set_defaults(func=cmd_mertens)
 
     p = sub.add_parser("count", help="restricted-integer count vs prediction")
@@ -247,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--y", type=float, default=1.0)
     p.add_argument("--tol", type=float, default=0.2)
-    common(p)
+    common(p, report=True, cache=True)
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("shiu", help="prime-set construction and S/T split")
@@ -256,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--p0", type=int, default=1)
     p.add_argument("--members", action="store_true")
-    common(p)
+    common(p, cache=True)
     p.set_defaults(func=cmd_shiu)
 
     p = sub.add_parser("census", help="consecutive congruent prime pairs")
@@ -269,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--big-c", dest="big_c", type=float, default=1.0,
                    help="constant in the X^(1-eps(X)) reference bound")
     p.add_argument("--list-pairs", dest="list_pairs", action="store_true")
-    common(p)
+    common(p, cache=True)
     p.set_defaults(func=cmd_census)
 
     p = sub.add_parser("contour", help="Hankel/Perron/Gamma numerical checks")
@@ -287,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("suite", help="run the verification battery")
     p.add_argument("--scale", choices=["small", "full"], default="small")
-    common(p)
+    common(p, cache=True)
     p.set_defaults(func=cmd_suite)
 
     return parser

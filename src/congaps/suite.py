@@ -160,11 +160,12 @@ def _check_shiu(table) -> dict:
 def _check_census(table) -> dict:
     X = 10**5
     res = census.find_congruent_pairs(X, 3, 2, 2.0, table)
-    ok = True
-    for p, nxt in res.pairs:
-        between = table.primes[(table.primes > p) & (table.primes < nxt)]
-        ok = ok and between.size == 0 and p % 3 == 2 and nxt % 3 == 2
-        ok = ok and (nxt - p) < 2.0 * math.log(p)
+    p_r, p_next = np.array(res.pairs, dtype=np.int64).reshape(-1, 2).T
+    # consecutive: no table prime lies strictly between p_r and p_next
+    ok = np.array_equal(np.searchsorted(table.primes, p_next),
+                        np.searchsorted(table.primes, p_r, side="right"))
+    ok = ok and all(p % 3 == 2 and nxt % 3 == 2 and nxt - p < 2.0 * math.log(p)
+                    for p, nxt in res.pairs)
     smaller = census.find_congruent_pairs(X // 10, 3, 2, 2.0, table)
     ok = ok and smaller.pair_count <= res.pair_count
     return {"name": "census_pairs", "ok": bool(ok), "pair_count": res.pair_count}

@@ -1,7 +1,9 @@
 import csv
 import io
 import math
+import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -58,6 +60,8 @@ def test_count_restricted_errors(table5):
         asymptotics.count_restricted(50, 2, 1, table5)
     with pytest.raises(DomainError):
         asymptotics.count_restricted(50, 3, 0.5, table5)
+    with pytest.raises(DomainError):
+        asymptotics.enumerate_restricted(50, 3, math.nan, table5)
     with pytest.raises(OutOfRangeError):
         asymptotics.count_restricted(table5.limit + 1, 3, 1, table5)
 
@@ -81,6 +85,47 @@ def test_count_against_spf_oracle(table5, spf5):
     for n in range(1, n_max + 1):
         in_set = all(p % 3 == 1 and p > 10 for p in spf5.factor(n))
         assert (n in members) == in_set
+
+
+def strike_count(X, q, Y):
+    """Oracle for count_restricted sharing no code with it: sieve the primes
+    up to X here, strike the multiples of every prime that is not allowed
+    (p != 1 mod q, or p <= Y) from [1, X], and count the survivors, 1 among
+    them."""
+    is_prime = np.ones(X + 1, dtype=bool)
+    is_prime[:2] = False
+    for p in range(2, math.isqrt(X) + 1):
+        if is_prime[p]:
+            is_prime[p * p::p] = False
+    survivors = np.ones(X + 1, dtype=bool)
+    survivors[0] = False
+    for p in np.flatnonzero(is_prime).tolist():
+        if p % q != 1 or p <= Y:
+            survivors[p::p] = False
+    return int(survivors.sum())
+
+
+@pytest.mark.parametrize(
+    "q, Y", [(3, 1), (3, 7), (3, 10), (4, 1), (5, 1), (7, 1000), (12, 1)]
+)
+def test_count_against_strike_oracle(table7, q, Y):
+    assert asymptotics.count_restricted(10**6, q, Y, table7) == strike_count(10**6, q, Y)
+
+
+def test_count_at_leaf_boundaries(table5):
+    # at X = p^2 the prime p stops being a leaf of n = 1 and becomes a node
+    for p in (7, 13, 31):
+        for X in (p * p - 1, p * p, p * p + 1):
+            assert asymptotics.count_restricted(X, 3, 1, table5) == strike_count(X, 3, 1)
+    X = table5.limit
+    assert asymptotics.count_restricted(X, 3, 1, table5) == strike_count(X, 3, 1)
+
+
+def test_count_restricted_budget(table7):
+    table7.residue_class(3, 1)  # the class index is built once per table
+    start = time.perf_counter()
+    asymptotics.count_restricted(10**7, 3, 1, table7)
+    assert time.perf_counter() - start < 0.25
 
 
 def test_count_monotone(table5):

@@ -1,25 +1,38 @@
 """The benchmark's tracer wraps congaps functions by name and reads their
-arguments by parameter name; a rename on either side would make traced
-runs fail or count nothing. This checks that contract against
-perfbench/tracing.py as it stands, without importing anything else from
-the benchmark."""
+arguments by parameter name, and its workloads run congaps with fixed
+argv; a rename on either side would make traced runs fail or count
+nothing, and a dropped flag would fail every run of a workload. This
+checks both contracts against perfbench/tracing.py and
+perfbench/workloads.py as they stand."""
 
 import importlib
 import importlib.util
 import inspect
 import os
+import sys
 from pathlib import Path
 from unittest import mock
 
 import pytest
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+from congaps import cli
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("congaps_bench_tracing", TRACING)
+def load_bench(name):
+    """perfbench/<name>.py loaded by path, with perfbench/ on sys.path while
+    it runs for its own sibling imports (workloads imports checks), and
+    registered in sys.modules, where dataclasses look up its annotations."""
+    spec = importlib.util.spec_from_file_location(
+        f"congaps_bench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    sys.modules[spec.name] = module
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(PERFBENCH))
     return module
 
 
@@ -30,7 +43,7 @@ def resolve(module: str, qualname: str):
     return owner
 
 
-TRACED = load_tracing().TRACED
+TRACED = load_bench("tracing").TRACED
 
 
 @pytest.mark.parametrize("entry", TRACED, ids=[f"{m}.{q}" for m, q, *_ in TRACED])
@@ -49,3 +62,14 @@ def test_counter_reads_only_real_parameters(entry, monkeypatch):
     bound = {name: mock.MagicMock() for name in params}
     monkeypatch.setattr(os.path, "getsize", lambda path: 0)
     assert isinstance(counter(bound, mock.MagicMock()), dict)
+
+
+WORKLOADS = load_bench("workloads")
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS.WORKLOADS))
+@pytest.mark.parametrize("seed", range(1, 11))
+def test_workload_argv_parses(name, seed):
+    parser = cli.build_parser()
+    for op in WORKLOADS.build(name, seed).ops:
+        parser.parse_args(list(op.argv))  # exits with 2 on an unknown flag

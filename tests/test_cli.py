@@ -89,6 +89,30 @@ def test_census_list_pairs(capsys):
     assert len(lines) == 7
 
 
+def test_census_list_pairs_out_file(tmp_path, capsys):
+    path = tmp_path / "pairs.csv"
+    rc, out, _ = run(capsys, "census", "--q", "3", "--a", "2", "--x", "600",
+                     "--epsilon", "1", "--list-pairs", "--out", str(path))
+    assert rc == 0
+    assert out == ""
+    lines = path.read_text().strip().split("\n")
+    assert lines[0] == "p_r,p_next,gap,log_p,q,a"
+    assert len(lines) == 7
+
+
+@pytest.mark.parametrize("argv", [
+    ["constants", "--q", "4", "--format", "csv"],
+    ["contour", "--mode", "gamma", "--cache-dir", "D"],
+])
+def test_flags_a_subcommand_ignores_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "unrecognized arguments" in err
+
+
 def test_contour_gamma(capsys):
     rc, out, _ = run(capsys, "contour", "--mode", "gamma", "--theta", "0.25")
     assert rc == 0
@@ -208,7 +232,7 @@ def test_truncated_cache_exit_code(tmp_path, capsys, cut):
 
 @pytest.mark.parametrize("entry, argv", [
     ("scale = huge", ["suite"]),
-    ("format = xml", ["constants", "--q", "3"]),
+    ("format = xml", ["mertens", "--q", "3", "--x", "100"]),
 ])
 def test_config_values_checked_like_flags(tmp_path, capsys, entry, argv):
     cfg = tmp_path / "run.cfg"
