@@ -17,6 +17,9 @@ from .errors import DomainError, OutOfRangeError
 from .primes import PrimeTable
 
 
+SAMPLE_PAIRS = 100  # pairs a census report carries
+
+
 @dataclass(frozen=True)
 class CensusResult:
     X: int
@@ -27,13 +30,11 @@ class CensusResult:
     bound_thm11: float | None  # None where the bound is undefined at X
     bound_shiu: float | None
     wall_time_ms: float
-    pairs: tuple[tuple[int, int], ...] | None = None
+    pairs: tuple[tuple[int, int], ...] | None = None  # all of them, if kept
     bound_reasons: dict = field(default_factory=dict)  # why a bound is None
+    sample_pairs: tuple[tuple[int, int], ...] = ()  # the first SAMPLE_PAIRS pairs
 
-    def to_dict(self, sample_cap: int = 100) -> dict:
-        sample = []
-        if self.pairs is not None:
-            sample = [list(p) for p in self.pairs[:sample_cap]]
+    def to_dict(self) -> dict:
         return {
             "X": self.X,
             "q": self.q,
@@ -43,7 +44,7 @@ class CensusResult:
             "bound_thm11": self.bound_thm11,
             "bound_shiu": self.bound_shiu,
             "bound_reasons": self.bound_reasons,
-            "sample_pairs": sample,
+            "sample_pairs": [list(p) for p in self.sample_pairs],
             "wall_time_ms": self.wall_time_ms,
         }
 
@@ -59,6 +60,10 @@ def find_congruent_pairs(
     shiu_C: float = 1.0,
 ) -> CensusResult:
     """Single pass over consecutive prime pairs with p_r <= X.
+
+    The first SAMPLE_PAIRS pairs are always kept; all of them only with
+    keep_pairs, as building that many Python tuples costs several times the
+    pass itself at X = 10^8.
 
     The successor of the last prime <= X must be in the table, so the table
     has to hold a prime above X. Both reference bounds are informational;
@@ -91,9 +96,8 @@ def find_congruent_pairs(
     )
     idx = np.flatnonzero(mask)
     pair_count = int(idx.size)
-    pairs = None
-    if keep_pairs:
-        pairs = tuple((int(lo[i]), int(hi[i])) for i in idx)
+    kept = idx if keep_pairs else idx[:SAMPLE_PAIRS]
+    listed = tuple(zip(lo[kept].tolist(), hi[kept].tolist()))
 
     reasons: dict[str, str] = {}
     b11 = _bound_or_reason(reasons, "bound_thm11", theorem11_bound, X, thm11_c)
@@ -108,7 +112,8 @@ def find_congruent_pairs(
         bound_thm11=b11,
         bound_shiu=bsh,
         wall_time_ms=elapsed,
-        pairs=pairs,
+        sample_pairs=listed[:SAMPLE_PAIRS],
+        pairs=listed if keep_pairs else None,
         bound_reasons=reasons,
     )
 

@@ -15,7 +15,7 @@ import sys
 import time
 
 from . import asymptotics, census, characters, constants, contour, primes, shiu, suite
-from .errors import CongapsError, NumericsError
+from .errors import CongapsError, DomainError, NumericsError
 
 
 def _config_flags(path: str) -> list[str]:
@@ -100,6 +100,8 @@ def cmd_mertens(args) -> int:
 
 
 def cmd_count(args) -> int:
+    if not math.isfinite(args.y):
+        raise DomainError(f"Y must be finite, got {args.y}")
     # the prediction's Euler product runs over the primes up to Y
     table = primes.get_prime_table(max(args.x, math.ceil(args.y)), args.cache_dir)
     bundle = constants.constants_bundle(args.q)
@@ -147,7 +149,7 @@ def cmd_census(args) -> int:
     table = primes.get_prime_table(args.x + 10_000, args.cache_dir)
     result = census.find_congruent_pairs(
         args.x, args.q, args.a, args.epsilon, table,
-        thm11_c=args.c, shiu_C=args.big_c,
+        keep_pairs=args.list_pairs, thm11_c=args.c, shiu_C=args.big_c,
     )
     if args.list_pairs:
         with _output(args) as fh:

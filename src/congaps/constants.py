@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import digamma
 
 from .characters import (
     Character, build_character_table, element_orders, totient, unit_group,
@@ -26,6 +25,8 @@ def _digamma_partials(q: int, tol: float) -> np.ndarray:
     """f(r) = sum_{n <= N, n = r mod q} 1/n for r = 0..q-1 (f(0) = 0), with
     N the l_one truncation for (q, tol), through the digamma identity
     sum_{k<K} 1/(r+kq) = (digamma(r/q+K) - digamma(r/q))/q."""
+    from scipy.special import digamma  # deferred: census and shiu never load scipy
+
     tail_bound = 2.0 * math.sqrt(q) * math.log(q)
     n_terms = max(q, int(math.ceil(tail_bound / tol)))
     r = np.arange(1, q)
@@ -51,6 +52,14 @@ def l_one(chi: Character, tol: float = 1e-8) -> complex:
     return complex(np.cumsum(terms)[-1])  # left to right, as a loop over r rounds
 
 
+@functools.lru_cache(maxsize=4)
+def _primes_below(cutoff: int) -> np.ndarray:
+    """The primes <= cutoff, sieved once per cutoff (read-only)."""
+    primes = sieve_primes(cutoff).primes
+    primes.flags.writeable = False
+    return primes
+
+
 def theta_at_one(q: int, tol: float = 1e-6) -> float:
     """Theta(1): exp of minus the double sum over primes p not dividing q
     with p not congruent to 1 mod q, and exponents m >= 2 with p^m
@@ -66,7 +75,7 @@ def theta_at_one(q: int, tol: float = 1e-6) -> float:
         raise DomainError(f"Theta(1) needs q >= 3, got {q}")
     orders, dlog, _ = unit_group(q)
     cutoff = max(100, int(math.ceil(2.0 / tol)))
-    primes = sieve_primes(cutoff).primes
+    primes = _primes_below(cutoff)
     d = element_orders(dlog[primes % q], orders)  # 1 for p = 1 mod q and for p | q
     p, d = primes[d > 1].astype(float), d[d > 1]
     terms = np.log1p(-(p ** -d)) / d

@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DomainError, NumericsError
 
@@ -63,6 +62,8 @@ def default_params(
 
 
 def _quad(f, a, b, **kw):
+    from scipy.integrate import quad  # deferred: most subcommands never integrate
+
     val, err = quad(f, a, b, epsabs=0.0, epsrel=1e-12, limit=400, **kw)
     if not math.isfinite(val) or (val != 0 and err / abs(val) > 1e-6):
         raise NumericsError(
@@ -148,6 +149,8 @@ def incomplete_gamma_check(beta: float, u_max: float) -> tuple[float, float]:
         raise DomainError(f"beta must lie in (0, 1), got {beta}")
     if u_max <= 1:
         raise DomainError(f"u_max must exceed 1, got {u_max}")
+    from scipy.integrate import quad
+
     # algebraic endpoint singularity on [0, 1], smooth tail beyond
     head, _ = quad(
         lambda u: math.exp(-u), 0.0, 1.0, weight="alg", wvar=(-beta, 0.0),

@@ -15,7 +15,7 @@ from unittest import mock
 
 import pytest
 
-from congaps import cli
+from congaps import census, cli
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -43,7 +43,8 @@ def resolve(module: str, qualname: str):
     return owner
 
 
-TRACED = load_bench("tracing").TRACED
+TRACING = load_bench("tracing")
+TRACED = TRACING.TRACED
 
 
 @pytest.mark.parametrize("entry", TRACED, ids=[f"{m}.{q}" for m, q, *_ in TRACED])
@@ -62,6 +63,15 @@ def test_counter_reads_only_real_parameters(entry, monkeypatch):
     bound = {name: mock.MagicMock() for name in params}
     monkeypatch.setattr(os.path, "getsize", lambda path: 0)
     assert isinstance(counter(bound, mock.MagicMock()), dict)
+
+
+def test_pair_counters_read_a_census_without_pairs(table5):
+    # the CLI's census keeps only the sample pairs; a traced run counts it
+    res = census.find_congruent_pairs(10**5, 3, 2, 2.0, table5, keep_pairs=False)
+    assert TRACING._pairs_seen({}, res) == {
+        "census.pairs_found": 1710, "census.pairs_materialised": 0}
+    (to_dict_counter,) = [e[4] for e in TRACED if e[:2] == ("census", "CensusResult.to_dict")]
+    assert to_dict_counter({}, res.to_dict()) == {"census.pairs_emitted": 100}
 
 
 WORKLOADS = load_bench("workloads")

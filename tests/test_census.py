@@ -82,6 +82,20 @@ def test_census_result_dict(table5):
     assert d["X"] == 10**5 and d["q"] == 3 and d["a"] == 2
 
 
+def test_census_sample_without_pairs(table5):
+    # keep_pairs=False builds only the report's sample: the same first
+    # pairs, as Python ints, that the full listing starts with
+    full = census.find_congruent_pairs(10**5, 3, 2, 2.0, table5)
+    lean = census.find_congruent_pairs(10**5, 3, 2, 2.0, table5, keep_pairs=False)
+    assert lean.pairs is None
+    assert len(lean.sample_pairs) == census.SAMPLE_PAIRS == 100
+    assert lean.sample_pairs == full.sample_pairs == full.pairs[:100]
+    assert all(type(p) is int for pair in full.pairs for p in pair)
+    assert lean.to_dict() | {"wall_time_ms": 0} == full.to_dict() | {"wall_time_ms": 0}
+    few = census.find_congruent_pairs(600, 3, 2, 1.0, table5, keep_pairs=False)
+    assert few.sample_pairs == tuple(trial_pairs(600, 3, 2, 1.0))
+
+
 def test_theorem11_bound():
     X = 10**5
     b = census.theorem11_bound(X, 1.0)

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from congaps import cli
+from congaps import census, cli, primes
 
 
 def strict_json(text):
@@ -89,6 +89,23 @@ def test_census_list_pairs(capsys):
     assert len(lines) == 7
 
 
+def test_census_json_equals_full_report(capsys, table5):
+    # the CLI builds only the sample pairs; its report is unchanged
+    rc, out, _ = run(capsys, "census", "--q", "3", "--a", "2", "--x", "100000",
+                     "--epsilon", "2")
+    assert rc == 0
+    full = census.find_congruent_pairs(10**5, 3, 2, 2.0, table5, keep_pairs=True)
+    payload, expect = json.loads(out), full.to_dict()
+    del payload["wall_time_ms"], expect["wall_time_ms"]
+    assert payload == expect
+    assert payload["sample_pairs"] == [list(p) for p in full.pairs[:100]]
+    rc, out, _ = run(capsys, "census", "--q", "3", "--a", "2", "--x", "100000",
+                     "--epsilon", "2", "--list-pairs")
+    rows = out.strip().split("\n")[1:]
+    assert len(rows) == full.pair_count == 1710
+    assert [tuple(map(int, r.split(",")[:2])) for r in rows] == list(full.pairs)
+
+
 def test_census_list_pairs_out_file(tmp_path, capsys):
     path = tmp_path / "pairs.csv"
     rc, out, _ = run(capsys, "census", "--q", "3", "--a", "2", "--x", "600",
@@ -124,6 +141,18 @@ def test_domain_violation_exit_code(capsys):
     rc, _, err = run(capsys, "shiu", "--h", "10", "--q", "3", "--a", "2")
     assert rc == 2
     assert "congaps:" in err
+
+
+@pytest.mark.parametrize("y", ["nan", "inf", "-inf"])
+def test_count_rejects_non_finite_y(capsys, monkeypatch, y):
+    def no_table(*args):
+        raise AssertionError("a prime table was sized for a non-finite Y")
+
+    monkeypatch.setattr(primes, "get_prime_table", no_table)
+    rc, out, err = run(capsys, "count", "--q", "3", "--x", "1000", f"--y={y}")
+    assert rc == 2
+    assert out == ""
+    assert "Y must be finite" in err
 
 
 def test_out_file(tmp_path, capsys):

@@ -110,6 +110,22 @@ def test_theta_frozen_values():
     assert constants.theta_at_one(4) == pytest.approx(0.9252615822432513, abs=1e-5)
 
 
+def test_theta_sieves_once_per_cutoff(monkeypatch):
+    limits = []
+
+    def counting_sieve(limit):
+        limits.append(limit)
+        return primes.sieve_primes(limit)
+
+    monkeypatch.setattr(constants, "sieve_primes", counting_sieve)
+    constants._primes_below.cache_clear()
+    first = [constants.theta_at_one(q, tol=1e-4) for q in (3, 4, 5)]
+    again = [constants.theta_at_one(q, tol=1e-4) for q in (3, 4, 5)]
+    assert limits == [20000]
+    assert first == again
+    assert not constants._primes_below(20000).flags.writeable
+
+
 def test_theta_range_and_domain():
     for q in range(3, 31):
         th = constants.theta_at_one(q, tol=1e-4)
