@@ -15,7 +15,6 @@ from .characters import (
     Character,
     CharacterTable,
     build_character_table,
-    evaluate,
     orthogonality_sum,
     totient,
 )
@@ -34,7 +33,6 @@ from .contour import (
     gamma_reflection_check,
     hankel_closed_form,
     hankel_main,
-    incomplete_gamma_check,
     perron_check,
     residue_circle,
 )
@@ -44,7 +42,6 @@ from .primes import (
     build_spf,
     get_prime_table,
     load_cache,
-    prime_count_ap,
     save_cache,
     sieve_primes,
 )

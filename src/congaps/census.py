@@ -84,20 +84,16 @@ def find_congruent_pairs(
         )
 
     start = time.perf_counter()
-    primes = table.primes
-    lo = primes[:-1]
-    hi = primes[1:]
-    a_mod = a % q
-    mask = (
-        (lo <= X)
-        & (lo % q == a_mod)
-        & (hi % q == a_mod)
-        & ((hi - lo) < epsilon * np.log(lo.astype(float)))
-    )
-    idx = np.flatnonzero(mask)
+    # the primes <= X and the successor of the last one
+    primes = table.primes[: np.searchsorted(table.primes, X, side="right") + 1]
+    in_class = primes % q == a % q
+    # pairs with both primes in the class; only these take the gap test
+    idx = np.flatnonzero(in_class[:-1] & in_class[1:])
+    gaps = primes[idx + 1] - primes[idx]
+    idx = idx[gaps < epsilon * np.log(primes[idx].astype(float))]
     pair_count = int(idx.size)
     kept = idx if keep_pairs else idx[:SAMPLE_PAIRS]
-    listed = tuple(zip(lo[kept].tolist(), hi[kept].tolist()))
+    listed = tuple(zip(primes[kept].tolist(), primes[kept + 1].tolist()))
 
     reasons: dict[str, str] = {}
     b11 = _bound_or_reason(reasons, "bound_thm11", theorem11_bound, X, thm11_c)

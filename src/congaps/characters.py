@@ -151,7 +151,13 @@ class Character:
         return np.where(table.units, np.exp(2j * np.pi * phase), 0)
 
     def __call__(self, n: int) -> complex:
-        return evaluate(self, n)
+        """chi(n) as a unit complex number, or exactly 0 off the coprime residues."""
+        if n < 0:
+            raise DomainError(f"n must be >= 0, got {n}")
+        t = self.turn(n)
+        if t is None:
+            return 0j
+        return cmath.exp(2j * cmath.pi * t)
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,16 +200,6 @@ class CharacterTable:
 def build_character_table(q: int) -> CharacterTable:
     """Construct all phi(q) Dirichlet characters mod q."""
     return CharacterTable(q, *unit_group(q))
-
-
-def evaluate(chi: Character, n: int) -> complex:
-    """chi(n) as a unit complex number, or exactly 0 off the coprime residues."""
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n}")
-    t = chi.turn(n)
-    if t is None:
-        return 0j
-    return cmath.exp(2j * cmath.pi * t)
 
 
 def orthogonality_sum(table: CharacterTable, n: int) -> complex:

@@ -1,7 +1,7 @@
 """Numerical validation of the contour-integral machinery: the truncated
-Hankel main term, the incomplete-Gamma approximation behind it, the Gamma
-reflection identity, and the truncated Perron integral on finite Dirichlet
-polynomials.
+Hankel main term (its slit as a regularized incomplete Gamma, its circle by
+quadrature), the Gamma reflection identity, and the truncated Perron
+integral on finite Dirichlet polynomials (in closed form through E1).
 """
 
 from __future__ import annotations
@@ -73,11 +73,16 @@ def _quad(f, a, b, **kw):
 
 
 def _slit_integral(X: float, beta: float, r: float, eta: float) -> float:
-    """(sin(pi beta)/pi) * int_r^eta X^(1-sigma) sigma^(-beta) dsigma,
-    evaluated after u = sigma log X."""
+    """(sin(pi beta)/pi) * int_r^eta X^(1-sigma) sigma^(-beta) dsigma.
+
+    After u = sigma log X the integral is Gamma(1-beta) times the difference
+    of the regularized lower incomplete Gamma P(1-beta, .) at eta log X and
+    r log X."""
+    from scipy.special import gammainc  # deferred: most subcommands never integrate
+
     log_x = math.log(X)
-    u1, u2 = r * log_x, eta * log_x
-    core = _quad(lambda u: math.exp(-u) * u ** (-beta), u1, u2)
+    a = 1.0 - beta
+    core = math.gamma(a) * (gammainc(a, eta * log_x) - gammainc(a, r * log_x))
     return math.sin(math.pi * beta) / math.pi * X * log_x ** (beta - 1.0) * core
 
 
@@ -100,20 +105,9 @@ def _circle_integral(X: float, beta: float, r: float) -> float:
 
 def hankel_main(p: HankelParams) -> float:
     """(1/(2 pi i)) int over the truncated Hankel contour of
-    X^s (s-1)^(-beta) ds.
-
-    Slit plus circle are evaluated at radii r and r/2 and Richardson
-    extrapolated to r -> 0 (the leading r^(1-beta) pieces of the two
-    contributions cancel; the residual scales like r^(2-beta))."""
-    def total(r):
-        return _slit_integral(p.X, p.beta, r, p.eta) + _circle_integral(
-            p.X, p.beta, r
-        )
-
-    t_full = total(p.r)
-    t_half = total(p.r / 2.0)
-    theta = 0.5 ** (2.0 - p.beta)
-    return (t_half - theta * t_full) / (1.0 - theta)
+    X^s (s-1)^(-beta) ds: the slit from 1 - eta to the circle of radius r,
+    plus the circle.  By Cauchy's theorem the sum does not depend on r."""
+    return _slit_integral(p.X, p.beta, p.r, p.eta) + _circle_integral(p.X, p.beta, p.r)
 
 
 def hankel_closed_form(X: float, beta: float) -> float:
@@ -122,42 +116,14 @@ def hankel_closed_form(X: float, beta: float) -> float:
 
 
 def residue_circle(X: float, r: float = 1e-6) -> float:
-    """Circle-only integral of X^s/(s-1) around s = 1: the Cauchy residue X.
-
-    Evaluated at r and r/2 and Richardson extrapolated (error is
-    O((r log X)^2))."""
+    """Circle-only integral of X^s/(s-1) around s = 1, by quadrature at
+    radius r: the Cauchy residue X, whatever r."""
     if X <= 1:
         raise DomainError(f"X must exceed 1, got {X}")
     log_x = math.log(X)
-
-    def one(rad):
-        return (
-            _quad(lambda t: math.exp(rad * math.cos(t) * log_x)
-                  * math.cos(rad * math.sin(t) * log_x), -math.pi, math.pi)
-            * X
-            / (2.0 * math.pi)
-        )
-
-    t_full, t_half = one(r), one(r / 2.0)
-    return (4.0 * t_half - t_full) / 3.0
-
-
-def incomplete_gamma_check(beta: float, u_max: float) -> tuple[float, float]:
-    """(int_0^{u_max} e^-u u^-beta du, Gamma(1 - beta)); the caller holds
-    the difference against the e^{-u_max} u_max^{1-beta} tail envelope."""
-    if not 0 < beta < 1:
-        raise DomainError(f"beta must lie in (0, 1), got {beta}")
-    if u_max <= 1:
-        raise DomainError(f"u_max must exceed 1, got {u_max}")
-    from scipy.integrate import quad
-
-    # algebraic endpoint singularity on [0, 1], smooth tail beyond
-    head, _ = quad(
-        lambda u: math.exp(-u), 0.0, 1.0, weight="alg", wvar=(-beta, 0.0),
-        epsabs=0.0, epsrel=1e-13, limit=400,
-    )
-    tail = _quad(lambda u: math.exp(-u) * u ** (-beta), 1.0, u_max)
-    return head + tail, math.gamma(1.0 - beta)
+    core = _quad(lambda t: math.exp(r * math.cos(t) * log_x)
+                 * math.cos(r * math.sin(t) * log_x), -math.pi, math.pi)
+    return core * X / (2.0 * math.pi)
 
 
 def gamma_reflection_check(theta: float) -> float:
@@ -176,47 +142,33 @@ def perron_check(
     """Truncated Perron integral of the finite Dirichlet polynomial with
     coefficients a_1..a_N against the exact partial sum over n <= X.
 
-    Returns (integral_value, partial_sum, integral - partial).  The
-    vertical-line integrand is reduced to [0, T] by conjugate symmetry and
-    integrated by composite Gauss-Legendre panels short enough to resolve
-    the fastest oscillation |log(X/n)|."""
+    Returns (integral_value, partial_sum, integral - partial).  With
+    lambda = log(X/n), each term is in closed form:
+    (1/(2 pi i)) int_{kappa-iT}^{kappa+iT} (X/n)^s/s ds
+    = (E1(-(kappa-iT) lambda) - E1(-(kappa+iT) lambda))/(2 pi i) + [lambda > 0],
+    the last term from the branch cut of E1, which the path crosses when
+    lambda > 0.  By conjugate symmetry the difference is
+    2i Im E1(-(kappa-iT) lambda)."""
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.ndim != 1 or coeffs.size == 0:
         raise DomainError("coeffs must be a nonempty 1-d real sequence")
+    for name, value in (("X", X), ("T", T), ("kappa", kappa)):
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
     if kappa <= 1:
         raise DomainError(f"kappa must exceed 1, got {kappa}")
     if T < 1:
         raise DomainError(f"T must be >= 1, got {T}")
     if X <= 0 or float(X).is_integer():
         raise DomainError(f"X must be positive and non-integer, got {X}")
+    from scipy.special import exp1  # deferred: most subcommands never integrate
 
     n_vals = np.arange(1, coeffs.size + 1, dtype=float)
     partial = float(np.sum(coeffs[n_vals <= X]))
 
-    log_ratios = np.log(X / n_vals)  # oscillation frequencies
-    max_freq = float(np.max(np.abs(log_ratios)))
-    panel = min(1.0, (2.0 * math.pi / max_freq) / 6.0) if max_freq > 0 else 1.0
-    n_panels = max(1, int(math.ceil(T / panel)))
-    edges = np.linspace(0.0, T, n_panels + 1)
-    nodes, weights = np.polynomial.legendre.leggauss(12)
-
-    amp = coeffs * (X / n_vals) ** kappa  # a_n (X/n)^kappa
-    total = 0.0
-    chunk = 20000  # panels per block, bounds memory
-    for i0 in range(0, n_panels, chunk):
-        lo = edges[i0 : min(i0 + chunk, n_panels)]
-        hi = edges[i0 + 1 : min(i0 + chunk, n_panels) + 1]
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        tau = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-        w = (half[:, None] * weights[None, :]).ravel()
-        s_inv = 1.0 / (kappa + 1j * tau)
-        acc = np.zeros(tau.size, dtype=complex)
-        for a_amp, lr in zip(amp, log_ratios):
-            if a_amp != 0.0:
-                acc += a_amp * np.exp(1j * tau * lr)
-        total += float(np.sum(w * (acc * s_inv).real))
-    integral = total / math.pi
+    lam = np.log(X / n_vals)
+    terms = exp1(-(kappa - 1j * T) * lam).imag / math.pi + (lam > 0)
+    integral = float(np.sum(coeffs * terms))
     if not math.isfinite(integral):
         raise NumericsError("Perron integral did not evaluate to a finite value")
     return integral, partial, integral - partial

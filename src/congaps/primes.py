@@ -1,4 +1,4 @@
-"""Segmented prime sieve, residue-class prime counts, smallest-prime-factor
+"""Segmented prime sieve, residue-class subsequences, smallest-prime-factor
 tables, and an optional binary on-disk prime cache.
 
 The sieve is odd-only and processes fixed-size segments, so memory stays
@@ -30,12 +30,6 @@ class PrimeTable:
     limit: int
     primes: np.ndarray  # int64, strictly increasing
     _residue_index: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def count_upto(self, t: int) -> int:
-        """Number of primes <= t."""
-        if t > self.limit:
-            raise OutOfRangeError(f"t={t} exceeds table limit {self.limit}")
-        return int(np.searchsorted(self.primes, t, side="right"))
 
     def residue_class(self, q: int, a: int) -> np.ndarray:
         """Subsequence of primes congruent to a mod q (built lazily, cached)."""
@@ -93,16 +87,6 @@ def sieve_primes(
         low = high if high % 2 == 1 else high + 1
 
     return PrimeTable(limit, np.concatenate(chunks))
-
-
-def prime_count_ap(table: PrimeTable, t: int, q: int, a: int) -> int:
-    """Count primes p <= t with p congruent to a mod q."""
-    if t > table.limit:
-        raise OutOfRangeError(f"t={t} exceeds table limit {table.limit}")
-    if q < 1 or not 0 <= a < q:
-        raise DomainError(f"need q >= 1 and 0 <= a < q, got q={q}, a={a}")
-    cls = table.residue_class(q, a)
-    return int(np.searchsorted(cls, t, side="right"))
 
 
 @dataclass

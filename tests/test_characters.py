@@ -46,7 +46,7 @@ def test_evaluate_values():
     assert chi(2) == 0
     assert chi(7) == pytest.approx(-1)  # periodicity
     with pytest.raises(DomainError):
-        characters.evaluate(chi, -1)
+        chi(-1)
 
 
 def test_complete_multiplicativity_exact():

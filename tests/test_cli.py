@@ -155,6 +155,16 @@ def test_count_rejects_non_finite_y(capsys, monkeypatch, y):
     assert "Y must be finite" in err
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--t-height", "nan"), ("--t-height", "inf"), ("--x", "inf"), ("--kappa", "nan"),
+])
+def test_perron_rejects_non_finite_inputs(capsys, flag, value):
+    rc, out, err = run(capsys, "contour", "--mode", "perron", f"{flag}={value}")
+    assert rc == 2
+    assert out == ""
+    assert "must be finite" in err
+
+
 def test_out_file(tmp_path, capsys):
     path = tmp_path / "report.json"
     rc, out, _ = run(capsys, "constants", "--q", "3", "--out", str(path))

@@ -1,12 +1,62 @@
 import math
+import time
 
+import mpmath
+import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from congaps import contour
 from congaps.errors import DomainError
 
 
 X20 = math.exp(20)
+
+
+def incomplete_gamma_quad(beta, u):
+    """int_0^u e^-t t^-beta dt by quadrature: the algebraic endpoint
+    singularity is weighted out on [0, min(u, 1)], the smooth rest
+    integrated plainly."""
+    head, _ = quad(lambda t: math.exp(-t), 0.0, min(u, 1.0), weight="alg",
+                   wvar=(-beta, 0.0), epsabs=0.0, epsrel=1e-13, limit=400)
+    if u <= 1.0:
+        return head
+    tail, _ = quad(lambda t: math.exp(-t) * t ** (-beta), 1.0, u,
+                   epsabs=0.0, epsrel=1e-13, limit=400)
+    return head + tail
+
+
+def perron_gauss_legendre(coeffs, X, T, kappa):
+    """(1/pi) int_0^T Re sum_n a_n (X/n)^(kappa+i tau)/(kappa+i tau) dtau,
+    one term at a time, by 12-node Gauss-Legendre panels no longer than
+    1 and a sixth of the term's wavelength 2 pi/|log(X/n)|."""
+    nodes, weights = np.polynomial.legendre.leggauss(12)
+    total = 0.0
+    for n, a in enumerate(coeffs, 1):
+        lam = math.log(X / n)
+        panel = min(1.0, (2.0 * math.pi / abs(lam)) / 6.0)
+        edges = np.linspace(0.0, T, math.ceil(T / panel) + 1)
+        mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+        tau = (mid[:, None] + half[:, None] * nodes).ravel()
+        w = (half[:, None] * weights).ravel()
+        s = kappa + 1j * tau
+        total += a * float(np.sum(w * (np.exp(s * lam) / s).real))
+    return total / math.pi
+
+
+def perron_mpmath(coeffs, X, T, kappa):
+    """The same integral by mpmath's tanh-sinh quadrature, term by term,
+    over one wavelength per subinterval."""
+    total = mpmath.mpf(0)
+    with mpmath.workdps(15):
+        for n, a in enumerate(coeffs, 1):
+            if not a:
+                continue
+            lam = mpmath.log(mpmath.mpf(X) / n)
+            f = lambda t: mpmath.re(mpmath.exp(lam * (kappa + 1j * t)) / (kappa + 1j * t))
+            pieces = int(mpmath.ceil(T * abs(lam) / (2 * mpmath.pi)))
+            total += a * mpmath.quad(f, mpmath.linspace(0, T, pieces + 1))
+        return float(total / mpmath.pi)
 
 
 def test_default_params():
@@ -68,15 +118,36 @@ def test_residue_circle():
 
 
 def test_incomplete_gamma_check():
+    # the slit's quadrature oracle, against Gamma(1 - beta) within the
+    # e^{-u} u^{1-beta} tail it leaves out
     for beta, u_max in ((0.5, 20.0), (0.25, 30.0), (2.0 / 3.0, 25.0)):
-        got, expect = contour.incomplete_gamma_check(beta, u_max)
+        got = incomplete_gamma_quad(beta, u_max)
         tail = math.exp(-u_max) * u_max ** (1.0 - beta)
-        assert expect == math.gamma(1.0 - beta)
-        assert abs(got - expect) <= tail + 1e-10
-    with pytest.raises(DomainError):
-        contour.incomplete_gamma_check(1.5, 20.0)
-    with pytest.raises(DomainError):
-        contour.incomplete_gamma_check(0.5, 0.5)
+        assert abs(got - math.gamma(1.0 - beta)) <= tail + 1e-10
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0 / 3.0, 0.25, 2.0 / 3.0])
+@pytest.mark.parametrize("r, eta", [(0.005, 0.1767), (1e-4, 0.6), (0.05, 1.5)])
+def test_slit_against_quadrature(beta, r, eta):
+    # (0.005, 0.1767) is about the default geometry at X = e^20
+    log_x = math.log(X20)
+    core = incomplete_gamma_quad(beta, eta * log_x) - incomplete_gamma_quad(beta, r * log_x)
+    expect = math.sin(math.pi * beta) / math.pi * X20 * log_x ** (beta - 1.0) * core
+    got = contour._slit_integral(X20, beta, r, eta)
+    assert got == pytest.approx(expect, rel=1e-12)
+
+
+@pytest.mark.parametrize("eta", [None, 0.6])
+@pytest.mark.parametrize("beta", [0.5, 1.0 / 3.0, 0.25])
+def test_hankel_against_mpmath(beta, eta):
+    # slit plus circle is the whole contour from 1 - eta: the closed form
+    # times the regularized incomplete Gamma P(1 - beta, eta log X)
+    p = contour.default_params(X20, beta, eta=eta)
+    with mpmath.workdps(30):
+        expect = mpmath.mpf(contour.hankel_closed_form(X20, beta)) * mpmath.gammainc(
+            1 - mpmath.mpf(beta), 0, p.eta * mpmath.log(X20), regularized=True)
+        rel = abs((contour.hankel_main(p) - expect) / expect)
+    assert rel <= 1e-13
 
 
 def test_gamma_reflection():
@@ -120,3 +191,30 @@ def test_perron_domain():
         contour.perron_check([1.0], 10.5, 0.5, 1.1)
     with pytest.raises(DomainError):
         contour.perron_check([], 10.5, 1e3, 1.1)
+    for X, T, kappa in ((math.nan, 1e3, 1.1), (math.inf, 1e3, 1.1),
+                        (10.5, math.nan, 1.1), (10.5, math.inf, 1.1),
+                        (10.5, 1e3, math.nan), (10.5, 1e3, math.inf)):
+        with pytest.raises(DomainError, match="must be finite"):
+            contour.perron_check([1.0], X, T, kappa)
+
+
+@pytest.mark.parametrize("T", [1e2, 1e3, 1e4])
+@pytest.mark.parametrize("coeffs, X", [
+    ([1.0] * 20, 10.5), ([0.0, 2.0, 0.0, -1.0], 4.5), ([1.0] * 200, 57.3),
+], ids=["ones20", "weighted", "ones200"])
+def test_perron_against_gauss_legendre(coeffs, X, T):
+    got = contour.perron_check(coeffs, X, T, 1.1)[0]
+    assert abs(got - perron_gauss_legendre(coeffs, X, T, 1.1)) <= 1e-12
+
+
+def test_perron_against_mpmath():
+    coeffs = [0.0, 2.0, 0.0, -1.0]
+    got = contour.perron_check(coeffs, 4.5, 1e3, 1.2)[0]
+    assert abs(got - perron_mpmath(coeffs, 4.5, 1e3, mpmath.mpf(1.2))) <= 1e-12
+
+
+def test_perron_time_budget():
+    contour.perron_check([1.0], 10.5, 1e2, 1.1)  # pay scipy's import first
+    start = time.perf_counter()
+    contour.perron_check([1.0] * 20, 10.5, 1e5, 1.1)
+    assert time.perf_counter() - start < 0.1

@@ -1,8 +1,8 @@
 """Each subcommand loads only the part of scipy it calls: importing the
 CLI loads none, census and shiu load none, the constants-based
-subcommands load scipy.special, and only the contour integrals load
-scipy.integrate. Checked by the modules loaded in a fresh interpreter,
-not by timings."""
+subcommands and the closed-form Perron check load scipy.special, and only
+the Hankel circle's quadrature loads scipy.integrate. Checked by the
+modules loaded in a fresh interpreter, not by timings."""
 
 import json
 import os
@@ -44,9 +44,11 @@ def loaded_after(argv):
     (["census", "--q", "3", "--a", "2", "--x", "1000"], []),
     (["shiu", "--h", "1000", "--q", "3", "--a", "2"], []),
     (["contour", "--mode", "gamma"], []),
+    (["contour", "--mode", "perron"], ["scipy.special"]),
     (["constants", "--q", "7"], ["scipy.special"]),
     (["count", "--q", "3", "--x", "1000"], ["scipy.special"]),
-], ids=["import", "census", "shiu", "contour-gamma", "constants", "count"])
+], ids=["import", "census", "shiu", "contour-gamma", "contour-perron", "constants",
+        "count"])
 def test_scipy_loaded_only_where_called(argv, loaded):
     assert loaded_after(argv) == {"rc": 0, "loaded": loaded}
 

@@ -54,43 +54,47 @@ def test_sieve_domain_and_capacity():
         primes.sieve_primes(10**6, max_limit=10**5)
 
 
+def count_ap(table, t, q, a):
+    """pi(t; q, a) read from the residue-class subsequence."""
+    return int(np.searchsorted(table.residue_class(q, a), t, side="right"))
+
+
 def test_count_upto(table5):
-    assert table5.count_upto(100) == 25
-    assert table5.count_upto(2) == 1
-    assert table5.count_upto(1) == 0
-    with pytest.raises(OutOfRangeError):
-        table5.count_upto(table5.limit + 1)
+    pi = table5.primes
+    assert np.searchsorted(pi, 100, side="right") == 25
+    assert np.searchsorted(pi, 2, side="right") == 1
+    assert np.searchsorted(pi, 1, side="right") == 0
 
 
 def test_prime_count_ap_examples(table5):
-    assert primes.prime_count_ap(table5, 100, 3, 1) == 11
-    assert primes.prime_count_ap(table5, 100, 3, 2) == 13
-    assert primes.prime_count_ap(table5, 2, 3, 1) == 0
-    assert primes.prime_count_ap(table5, 10, 4, 1) == 1  # just 5
+    assert count_ap(table5, 100, 3, 1) == 11
+    assert count_ap(table5, 100, 3, 2) == 13
+    assert count_ap(table5, 2, 3, 1) == 0
+    assert count_ap(table5, 10, 4, 1) == 1  # just 5
 
 
 def test_prime_count_ap_partition(table5):
     # residue classes partition the primes not dividing q
     for q in (3, 4, 5, 12):
         t = 50_000
-        total = sum(
-            primes.prime_count_ap(table5, t, q, a) for a in range(q)
-        )
-        assert total == table5.count_upto(t)
+        total = sum(count_ap(table5, t, q, a) for a in range(q))
+        assert total == np.searchsorted(table5.primes, t, side="right")
+        classes = np.concatenate([table5.residue_class(q, a) for a in range(q)])
+        assert np.array_equal(np.sort(classes), table5.primes)
 
 
 def test_prime_count_ap_monotone(table5):
-    counts = [primes.prime_count_ap(table5, t, 3, 2) for t in (10, 100, 1000, 10000)]
+    counts = [count_ap(table5, t, 3, 2) for t in (10, 100, 1000, 10000)]
     assert counts == sorted(counts)
 
 
 def test_prime_count_ap_errors(table5):
-    with pytest.raises(OutOfRangeError):
-        primes.prime_count_ap(table5, table5.limit + 1, 3, 1)
     with pytest.raises(DomainError):
-        primes.prime_count_ap(table5, 10, 3, 3)
+        table5.residue_class(3, 3)
     with pytest.raises(DomainError):
-        primes.prime_count_ap(table5, 10, 0, 0)
+        table5.residue_class(0, 0)
+    with pytest.raises(DomainError):
+        table5.residue_class(3, -1)
 
 
 def test_spf_values(spf5):
