@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .characters import totient
 from .constants import ConstantsBundle, gamma_function
 from .errors import DegenerateComparisonError, DomainError, OutOfRangeError
 from .primes import PrimeTable, SpfTable
@@ -106,8 +107,6 @@ def mertens_prediction(q: int, X: float, bundle: ConstantsBundle) -> float:
     """Main term e^(gamma/phi(q)) * c(q) * (log X)^(1/phi(q))."""
     if X <= 1:
         raise DomainError(f"X must be > 1, got {X}")
-    from .characters import totient
-
     phi_q = totient(q)
     return (
         math.exp(bundle.gamma_euler / phi_q)
@@ -168,8 +167,6 @@ def lemma33_prediction(
     times prod_{p <= Y, p = 1 mod q} (1 - 1/p)."""
     if X < 3:
         raise DomainError(f"X must be >= 3, got {X}")
-    from .characters import totient
-
     phi_q = totient(q)
     log_x = math.log(X)
     main = bundle.c_q / gamma_function(1.0 / phi_q) * X * log_x ** (1.0 / phi_q - 1.0)

@@ -90,7 +90,8 @@ def find_congruent_pairs(
     # pairs with both primes in the class; only these take the gap test
     idx = np.flatnonzero(in_class[:-1] & in_class[1:])
     gaps = primes[idx + 1] - primes[idx]
-    idx = idx[gaps < epsilon * np.log(primes[idx].astype(float))]
+    with np.errstate(over="ignore"):  # a huge epsilon overflows to inf: every gap passes
+        idx = idx[gaps < epsilon * np.log(primes[idx].astype(float))]
     pair_count = int(idx.size)
     kept = idx if keep_pairs else idx[:SAMPLE_PAIRS]
     listed = tuple(zip(primes[kept].tolist(), primes[kept + 1].tolist()))

@@ -71,7 +71,7 @@ def _complex_pair(z: complex) -> list[float]:
 
 
 def cmd_constants(args) -> int:
-    bundle = constants.constants_bundle(args.q, l_tol=args.tol)
+    bundle = constants.constants_bundle(args.q)
     payload = {
         "q": bundle.q,
         "gamma_euler": bundle.gamma_euler,
@@ -243,7 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("constants", help="constants bundle for one modulus")
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-8)
     common(p)
     p.set_defaults(func=cmd_constants)
 

@@ -11,45 +11,31 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .characters import (
-    Character, build_character_table, element_orders, totient, unit_group,
-)
+from .characters import element_orders, totient, unit_group
 from .errors import DomainError
 from .primes import sieve_primes
 
 EULER_GAMMA = 0.5772156649015329
+L_TOL = 1e-12  # bound on the rounding error of each L(1, chi) from l_one
 
 
-@functools.lru_cache(maxsize=4)
-def _digamma_partials(q: int, tol: float) -> np.ndarray:
-    """f(r) = sum_{n <= N, n = r mod q} 1/n for r = 0..q-1 (f(0) = 0), with
-    N the l_one truncation for (q, tol), through the digamma identity
-    sum_{k<K} 1/(r+kq) = (digamma(r/q+K) - digamma(r/q))/q."""
+def l_one(q: int) -> np.ndarray:
+    """L(1, chi) for every non-principal chi mod q, in table order.
+
+    Exact up to rounding (within L_TOL), from the identity
+    L(1, chi) = -(1/q) sum_r chi(r) psi(r/q): F[x(r)] = -psi(r/q)/q on the
+    d_1 x ... x d_k discrete-log grid, and phi(q) * ifftn(F)[e] is the sum
+    for the character with exponent vector e, every e at once.
+    """
+    if q < 3:
+        raise DomainError(f"every character mod {q} is principal; L(1, chi) needs q >= 3")
     from scipy.special import digamma  # deferred: census and shiu never load scipy
 
-    tail_bound = 2.0 * math.sqrt(q) * math.log(q)
-    n_terms = max(q, int(math.ceil(tail_bound / tol)))
-    r = np.arange(1, q)
-    f = np.zeros(q)
-    f[1:] = (digamma(r / q + ((n_terms - r) // q + 1)) - digamma(r / q)) / q
-    f.flags.writeable = False
-    return f
-
-
-def l_one(chi: Character, tol: float = 1e-8) -> complex:
-    """L(1, chi) for non-principal chi, within tol.
-
-    Computed as the partial sum of chi(n)/n up to N, with N chosen so the
-    Abel-summation tail bound 2*sqrt(q)*log(q)/N (from Polya-Vinogradov)
-    is at most tol: sum_r chi(r) f(r) over the residue-class partial sums
-    f, which depend only on (q, tol) and are formed once for all chi.
-    """
-    if chi.is_principal:
-        raise DomainError("L(1, chi) diverges for the principal character")
-    if not 1e-12 < tol < 1e-2:
-        raise DomainError(f"tol must lie in (1e-12, 1e-2), got {tol}")
-    terms = chi.values() * _digamma_partials(chi.modulus, tol)
-    return complex(np.cumsum(terms)[-1])  # left to right, as a loop over r rounds
+    orders, dlog, units = unit_group(q)
+    r = np.flatnonzero(units)
+    grid = np.zeros(orders)
+    grid[tuple(dlog[r].T)] = -digamma(r / q) / q
+    return len(r) * np.fft.ifftn(grid).ravel()[1:]
 
 
 @functools.lru_cache(maxsize=4)
@@ -82,10 +68,10 @@ def theta_at_one(q: int, tol: float = 1e-6) -> float:
     return math.exp(np.cumsum(terms)[-1])  # left to right, as a loop over p rounds
 
 
-def c_of_q(q: int, tol: float = 1e-6, l_tol: float = 1e-8) -> float:
+def c_of_q(q: int, theta_tol: float = 1e-6) -> float:
     """The Mertens-in-progression constant c(q), as constants_bundle forms
-    it with Theta(1) to tol and each L(1, chi) to l_tol."""
-    return constants_bundle(q, l_tol, tol).c_q
+    it with Theta(1) to theta_tol."""
+    return constants_bundle(q, theta_tol).c_q
 
 
 def gamma_function(x: float) -> float:
@@ -110,37 +96,36 @@ class ConstantsBundle:
     tolerances: dict = field(default_factory=dict)
 
 
-def constants_bundle(
-    q: int, l_tol: float = 1e-8, theta_tol: float = 1e-6
-) -> ConstantsBundle:
+def constants_bundle(q: int, theta_tol: float = 1e-6) -> ConstantsBundle:
     """Build the constants for modulus q.
 
     c(1) = 1 and c(2) = 1/2 are fixed; for q >= 3,
     c(q) = Theta(1) * ((phi(q)/q) * prod_{chi != chi0} L(1, chi))^(1/phi(q)),
-    taking the real positive phi(q)-th root.
+    taking the real positive phi(q)-th root, formed in log space (the
+    product of 10^5 values overflows).
     """
     if q < 1:
         raise DomainError(f"q must be >= 1, got {q}")
     phi_q = totient(q)
-    l_values: tuple[complex, ...] = ()
+    l_values = np.empty(0, dtype=complex)
     theta1 = None
     c_q = 1.0 if q == 1 else 0.5
     if q >= 3:
-        table = build_character_table(q)
-        l_values = tuple(l_one(chi, l_tol) for chi in table.non_principal())
-        prod = math.prod(l_values, start=1 + 0j)
-        if abs(prod.imag) > 1e-9 or prod.real <= 0:
+        l_values = l_one(q)
+        phase = math.remainder(float(np.angle(l_values).sum()), 2 * math.pi)
+        if abs(phase) > 1e-9:
             raise DomainError(
-                f"L(1, chi) product for q={q} is not real positive: {prod}"
+                f"L(1, chi) product for q={q} is not real positive: argument {phase}"
             )
         theta1 = theta_at_one(q, theta_tol)
-        c_q = theta1 * ((phi_q / q) * prod.real) ** (1.0 / phi_q)
+        log_prod = float(np.log(np.abs(l_values)).sum())
+        c_q = theta1 * math.exp((math.log(phi_q / q) + log_prod) / phi_q)
     return ConstantsBundle(
         q=q,
         gamma_euler=EULER_GAMMA,
-        l_values=l_values,
+        l_values=tuple(l_values.tolist()),
         theta1=theta1,
         c_q=c_q,
         gamma_recip=1.0 / gamma_function(1.0 / phi_q),
-        tolerances={"l_tol": l_tol, "theta_tol": theta_tol},
+        tolerances={"l_tol": L_TOL, "theta_tol": theta_tol},
     )

@@ -167,8 +167,9 @@ def perron_check(
     partial = float(np.sum(coeffs[n_vals <= X]))
 
     lam = np.log(X / n_vals)
-    terms = exp1(-(kappa - 1j * T) * lam).imag / math.pi + (lam > 0)
-    integral = float(np.sum(coeffs * terms))
+    with np.errstate(all="ignore"):  # a huge kappa overflows; caught just below
+        terms = exp1(-(kappa - 1j * T) * lam).imag / math.pi + (lam > 0)
+        integral = float(np.sum(coeffs * terms))
     if not math.isfinite(integral):
         raise NumericsError("Perron integral did not evaluate to a finite value")
     return integral, partial, integral - partial

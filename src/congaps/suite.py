@@ -34,12 +34,9 @@ def _check_orthogonality() -> dict:
 
 
 def _check_l_closed_forms() -> dict:
-    chi3 = characters.build_character_table(3).characters[1]
-    chi4 = [c for c in characters.build_character_table(4).characters
-            if not c.is_principal][0]
-    d3 = abs(constants.l_one(chi3, 1e-8) - math.pi / (3 * math.sqrt(3)))
-    d4 = abs(constants.l_one(chi4, 1e-8) - math.pi / 4)
-    return {"name": "l_one_closed_forms", "ok": bool(d3 <= 1e-8 and d4 <= 1e-8),
+    d3 = abs(constants.l_one(3)[0] - math.pi / (3 * math.sqrt(3)))
+    d4 = abs(constants.l_one(4)[0] - math.pi / 4)
+    return {"name": "l_one_closed_forms", "ok": bool(max(d3, d4) <= constants.L_TOL),
             "dev_q3": d3, "dev_q4": d4}
 
 

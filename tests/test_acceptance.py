@@ -35,10 +35,10 @@ def test_criterion_01_character_orthogonality():
 
 def test_criterion_02_l_one_closed_forms():
     start = time.perf_counter()
-    (chi3,) = characters.build_character_table(3).non_principal()
-    (chi4,) = characters.build_character_table(4).non_principal()
-    assert abs(constants.l_one(chi3, 1e-8) - math.pi / (3 * math.sqrt(3))) <= 1e-8
-    assert abs(constants.l_one(chi4, 1e-8) - math.pi / 4) <= 1e-8
+    (l3,) = constants.l_one(3)
+    (l4,) = constants.l_one(4)
+    assert abs(l3 - math.pi / (3 * math.sqrt(3))) <= 1e-8
+    assert abs(l4 - math.pi / 4) <= 1e-8
     assert time.perf_counter() - start < 5.0
 
 
@@ -46,7 +46,7 @@ def test_criterion_03_c_of_q_anchors():
     assert constants.c_of_q(1) == 1.0
     assert constants.c_of_q(2) == 0.5
     for q in range(3, 31):
-        assert constants.c_of_q(q, tol=1e-4) > 0, q
+        assert constants.c_of_q(q, theta_tol=1e-4) > 0, q
         assert 0 < constants.theta_at_one(q, tol=1e-4) <= 1, q
 
 

@@ -37,6 +37,13 @@ def test_small_census_against_trial_division(table5):
     assert (557, 563) in res.pairs
 
 
+@pytest.mark.filterwarnings("error")
+def test_census_huge_epsilon_admits_every_pair_without_warnings(table5):
+    # epsilon * log p overflows to inf, so every pair in the class passes
+    res = census.find_congruent_pairs(1000, 3, 2, 1e308, table5)
+    assert res.pair_count == len(trial_pairs(1000, 3, 2, math.inf)) == 29
+
+
 def test_census_pair_properties(table5):
     res = census.find_congruent_pairs(10**5, 3, 2, 2.0, table5)
     assert res.pair_count == 1710

@@ -15,33 +15,50 @@ def nonprincipal(q):
 
 
 def test_l_one_closed_forms():
-    (chi3,) = nonprincipal(3)
-    (chi4,) = nonprincipal(4)
-    assert abs(constants.l_one(chi3, 1e-8) - math.pi / (3 * math.sqrt(3))) <= 1e-8
-    assert abs(constants.l_one(chi4, 1e-8) - math.pi / 4) <= 1e-8
+    assert abs(constants.l_one(3)[0] - math.pi / (3 * math.sqrt(3))) <= constants.L_TOL
+    assert abs(constants.l_one(4)[0] - math.pi / 4) <= constants.L_TOL
 
 
-def test_l_one_tolerance_scales():
-    (chi3,) = nonprincipal(3)
-    exact = math.pi / (3 * math.sqrt(3))
-    for tol in (1e-4, 1e-6, 1e-10):
-        assert abs(constants.l_one(chi3, tol) - exact) <= tol
-
-
-@pytest.mark.parametrize("q", [*range(3, 61), 720, 1009])
+@pytest.mark.parametrize("q", [*range(3, 61), 720, 840, 1009, 1024])
 def test_l_one_against_digamma_identity(q):
     # L(1, chi) = -(1/q) sum_r chi(r) psi(r/q) for non-principal chi, with
-    # psi from mpmath at 25 digits: no truncation, no partial sums
+    # psi from mpmath at 25 digits and chi from the character table: no FFT
     with mpmath.workdps(25):
         psi = np.array([float(mpmath.digamma(mpmath.mpf(r) / q)) for r in range(1, q)])
-    for chi in nonprincipal(q):
-        want = -(chi.values()[1:] @ psi) / q
-        assert abs(constants.l_one(chi, 1e-10) - want) <= 1e-9
+    want = np.array([-(chi.values()[1:] @ psi) / q for chi in nonprincipal(q)])
+    assert np.abs(constants.l_one(q) - want).max() <= constants.L_TOL
+
+
+def class_number(q):
+    """h(-q) for a prime q = 3 mod 4 (q > 3): the reduced forms (a, b, c) of
+    discriminant b^2 - 4ac = -q, |b| <= a <= c, counted in integers
+    (Cohen, A Course in Computational Algebraic Number Theory, Alg. 5.3.5)."""
+    h, b = 0, 1
+    while 3 * b * b <= q:
+        m = (b * b + q) // 4  # = ac
+        a = b
+        while a * a <= m:
+            if m % a == 0:
+                h += 1 if a == b or a * a == m else 2  # (a, +-b, c) distinct
+            a += 1
+        b += 2
+    return h
+
+
+@pytest.mark.parametrize("q", [7, 11, 23, 1019, 10007, 100003])
+def test_l_one_class_number_formula(q):
+    # L(1, (./q)) = pi h(-q) / sqrt(q); the Legendre symbol has exponent
+    # (q - 1)/2 over a primitive root, so index (q - 1)/2 - 1 past chi_0
+    got = constants.l_one(q)[(q - 1) // 2 - 1]
+    assert abs(got - math.pi * class_number(q) / math.sqrt(q)) <= 1e-13
+
+
+def test_class_number_known_values():
+    assert [class_number(q) for q in (7, 11, 23, 47, 10007, 100003)] == [1, 1, 3, 5, 77, 39]
 
 
 def test_l_one_conjugate_pair():
-    chars = nonprincipal(5)
-    vals = [constants.l_one(chi) for chi in chars]
+    vals = constants.l_one(5)
     # complex characters come in conjugate pairs, so the product is real
     prod = math.prod(vals, start=1 + 0j)
     assert abs(prod.imag) <= 1e-9
@@ -49,14 +66,10 @@ def test_l_one_conjugate_pair():
 
 
 def test_l_one_domain():
-    chi0 = build_character_table(3).characters[0]
-    with pytest.raises(DomainError):
-        constants.l_one(chi0)
-    (chi3,) = nonprincipal(3)
-    with pytest.raises(DomainError):
-        constants.l_one(chi3, tol=0.5)
-    with pytest.raises(DomainError):
-        constants.l_one(chi3, tol=1e-13)
+    # moduli with only the principal character, and moduli out of range
+    for q in (-3, 0, 1, 2, 10**6 + 1):
+        with pytest.raises(DomainError):
+            constants.l_one(q)
 
 
 def theta_oracle(q, table):
@@ -155,7 +168,7 @@ def test_c_of_q_composition():
 
 def test_c_of_q_positive_small_moduli():
     for q in range(3, 31):
-        assert constants.c_of_q(q, tol=1e-4) > 0
+        assert constants.c_of_q(q, theta_tol=1e-4) > 0
 
 
 def test_c_of_q_domain():
@@ -216,6 +229,15 @@ def test_c_anchors_compute_theta_once_per_q(monkeypatch):
     assert record["c_values"]["3"] == pytest.approx(
         0.5 * math.sqrt((2.0 / 3.0) * math.pi / (3 * math.sqrt(3))), abs=1e-8
     )
+
+
+def test_bundle_q100003_time_budget():
+    # 100,002 characters: one transform, and c(q) in log space
+    start = time.perf_counter()
+    b = constants.constants_bundle(100003)
+    assert time.perf_counter() - start < 2.0
+    assert len(b.l_values) == totient(100003) - 1
+    assert math.isfinite(b.c_q) and b.c_q > 0
 
 
 def test_q1009_time_budget():

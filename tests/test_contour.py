@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from congaps import contour
-from congaps.errors import DomainError
+from congaps.errors import DomainError, NumericsError
 
 
 X20 = math.exp(20)
@@ -196,6 +196,14 @@ def test_perron_domain():
                         (10.5, 1e3, math.nan), (10.5, 1e3, math.inf)):
         with pytest.raises(DomainError, match="must be finite"):
             contour.perron_check([1.0], X, T, kappa)
+
+
+@pytest.mark.filterwarnings("error")
+def test_perron_huge_kappa_fails_without_warnings():
+    # the E1 terms overflow: the NumericsError is the only signal, with no
+    # numpy RuntimeWarning on the way
+    with pytest.raises(NumericsError, match="finite"):
+        contour.perron_check([1.0] * 20, math.exp(20), 1e4, 1e300)
 
 
 @pytest.mark.parametrize("T", [1e2, 1e3, 1e4])
