@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .characters import totient
-from .constants import ConstantsBundle, gamma_function
+from .constants import ConstantsBundle
 from .errors import DegenerateComparisonError, DomainError, OutOfRangeError
-from .primes import PrimeTable, SpfTable
+from .primes import PrimeTable
 
 
 @dataclass(frozen=True)
@@ -169,5 +169,5 @@ def lemma33_prediction(
         raise DomainError(f"X must be >= 3, got {X}")
     phi_q = totient(q)
     log_x = math.log(X)
-    main = bundle.c_q / gamma_function(1.0 / phi_q) * X * log_x ** (1.0 / phi_q - 1.0)
+    main = bundle.c_q * bundle.gamma_recip * X * log_x ** (1.0 / phi_q - 1.0)
     return main / mertens_ap_product(q, Y, table)

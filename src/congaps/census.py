@@ -14,7 +14,7 @@ import numpy as np
 
 from .characters import totient
 from .errors import DomainError, OutOfRangeError
-from .primes import PrimeTable
+from .primes import PrimeTable, next_prime
 
 
 SAMPLE_PAIRS = 100  # pairs a census report carries
@@ -65,10 +65,10 @@ def find_congruent_pairs(
     keep_pairs, as building that many Python tuples costs several times the
     pass itself at X = 10^8.
 
-    The successor of the last prime <= X must be in the table, so the table
-    has to hold a prime above X. Both reference bounds are informational;
-    each is attached when it is defined at X, else reported as None with
-    the reason in bound_reasons.
+    The successor of the last prime <= X is next_prime(X), so the table
+    need only reach X. Both reference bounds are informational; each is
+    attached when it is defined at X, else reported as None with the reason
+    in bound_reasons.
     """
     if math.gcd(a, q) != 1:
         raise DomainError(f"a={a} and q={q} must be coprime")
@@ -77,24 +77,27 @@ def find_congruent_pairs(
     for name, value in (("epsilon", epsilon), ("c", thm11_c), ("C", shiu_C)):
         if value <= 0:
             raise DomainError(f"{name} must be > 0, got {value}")
-    if table.primes.size == 0 or table.primes[-1] <= X:
-        raise OutOfRangeError(
-            f"the table to {table.limit} holds no prime above X={X}, so the "
-            "successor of the last prime <= X is unknown"
-        )
+    if X > table.limit:
+        raise OutOfRangeError(f"X={X} exceeds table limit {table.limit}")
 
     start = time.perf_counter()
-    # the primes <= X and the successor of the last one
-    primes = table.primes[: np.searchsorted(table.primes, X, side="right") + 1]
+    # the primes <= X
+    primes = table.primes[: np.searchsorted(table.primes, X, side="right")]
     in_class = primes % q == a % q
     # pairs with both primes in the class; only these take the gap test
     idx = np.flatnonzero(in_class[:-1] & in_class[1:])
     gaps = primes[idx + 1] - primes[idx]
     with np.errstate(over="ignore"):  # a huge epsilon overflows to inf: every gap passes
         idx = idx[gaps < epsilon * np.log(primes[idx].astype(float))]
-    pair_count = int(idx.size)
     kept = idx if keep_pairs else idx[:SAMPLE_PAIRS]
     listed = tuple(zip(primes[kept].tolist(), primes[kept + 1].tolist()))
+    pair_count = int(idx.size)
+    # the last prime <= X pairs with next_prime(X), which the table need not hold
+    if primes.size and in_class[-1]:
+        p, successor = int(primes[-1]), next_prime(X)
+        if successor % q == a % q and successor - p < epsilon * math.log(p):
+            listed += ((p, successor),)
+            pair_count += 1
 
     reasons: dict[str, str] = {}
     b11 = _bound_or_reason(reasons, "bound_thm11", theorem11_bound, X, thm11_c)

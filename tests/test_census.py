@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from congaps import census, primes
 from congaps.errors import DomainError, OutOfRangeError
@@ -138,11 +140,24 @@ def test_census_reports_null_bound_when_undefined(table5):
 
 
 def test_census_needs_successor_of_last_prime():
-    # 131 = 2 mod 3 and its successor 137 = 2 mod 3 make the fifth pair
+    # 131 = 2 mod 3 and its successor 137 = 2 mod 3 make the fifth pair,
+    # whether or not the table reaches 137
+    expect = trial_pairs(131, 3, 2, 10.0)
+    assert len(expect) == 5 and expect[-1] == (131, 137)
+    for limit in (131, 136, 137):
+        res = census.find_congruent_pairs(131, 3, 2, 10.0, primes.sieve_primes(limit))
+        assert res.pairs == tuple(expect)
     with pytest.raises(OutOfRangeError):
-        census.find_congruent_pairs(131, 3, 2, 10.0, primes.sieve_primes(131))
-    with pytest.raises(OutOfRangeError):
-        census.find_congruent_pairs(132, 3, 2, 10.0, primes.sieve_primes(136))
-    res = census.find_congruent_pairs(131, 3, 2, 10.0, primes.sieve_primes(137))
-    assert res.pair_count == len(trial_pairs(131, 3, 2, 10.0)) == 5
-    assert res.pairs[-1] == (131, 137)
+        census.find_congruent_pairs(132, 3, 2, 10.0, primes.sieve_primes(131))
+
+
+@settings(max_examples=60, deadline=None)
+@given(X=st.integers(0, 3000), q=st.sampled_from((3, 4, 5)), a=st.integers(1, 4),
+       epsilon=st.sampled_from((0.5, 1.0, 2.0, 10.0)))
+def test_census_on_table_at_x_equals_larger_table(table5, X, q, a, epsilon):
+    a %= q
+    assume(math.gcd(a, q) == 1)
+    expect = tuple(trial_pairs(X, q, a, epsilon))
+    at_x = census.find_congruent_pairs(X, q, a, epsilon, primes.sieve_primes(X))
+    larger = census.find_congruent_pairs(X, q, a, epsilon, table5)
+    assert at_x.pairs == larger.pairs == expect

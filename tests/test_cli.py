@@ -268,6 +268,36 @@ def test_census_rejects_nonpositive_bound_constants(capsys, flag, value):
     assert "must be > 0" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["census", "--q", "3", "--a", "2", "--x", "1000000001"],
+    ["mertens", "--q", "3", "--x", "1000000001"],
+], ids=["census", "mertens"])
+def test_x_above_sieve_capacity_exits_before_sieving(capsys, monkeypatch, argv):
+    def no_sieve(limit):
+        raise AssertionError(f"sieved to {limit} past the capacity")
+
+    monkeypatch.setattr(primes, "_simple_sieve", no_sieve)
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert "exceeds configured maximum" in err
+
+
+def test_mertens_and_census_share_one_cache_file(tmp_path, capsys, monkeypatch):
+    cache = ("--cache-dir", str(tmp_path))
+    rc, _, _ = run(capsys, "mertens", "--q", "3", "--x", "10000", *cache)
+    assert rc == 0
+
+    def no_sieve(limit):
+        raise AssertionError("the census sieved a table the cache holds")
+
+    monkeypatch.setattr(primes, "sieve_primes", no_sieve)
+    rc, out, _ = run(capsys, "census", "--q", "3", "--a", "2", "--x", "10000", *cache)
+    assert rc == 0
+    assert strict_json(out)["pair_count"] > 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["primes_10000.bin"]
+
+
 @pytest.mark.parametrize("cut", [8 * 600, 8 * 600 + 3])
 def test_truncated_cache_exit_code(tmp_path, capsys, cut):
     argv = ("mertens", "--q", "3", "--x", "10000", "--cache-dir", str(tmp_path))

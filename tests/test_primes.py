@@ -1,3 +1,4 @@
+import bisect
 import math
 import os
 
@@ -38,20 +39,38 @@ def test_sieve_prefix_property():
     assert big[: small.size].tolist() == small.tolist()
 
 
-def test_sieve_segment_boundaries():
+def test_sieve_segment_boundaries(monkeypatch):
     # odd segment size forces awkward segment edges
     ref = primes.sieve_primes(50_000).primes
-    got = primes.sieve_primes(50_000, segment_size=101).primes
+    monkeypatch.setattr(primes, "SEGMENT_SIZE", 101)
+    got = primes.sieve_primes(50_000).primes
     assert got.tolist() == ref.tolist()
 
 
-def test_sieve_domain_and_capacity():
+def test_sieve_domain_and_capacity(monkeypatch):
     with pytest.raises(DomainError):
         primes.sieve_primes(-1)
     with pytest.raises(CapacityError):
         primes.sieve_primes(2**40)
+    monkeypatch.setattr(primes, "MAX_SIEVE_LIMIT", 10**5)
     with pytest.raises(CapacityError):
-        primes.sieve_primes(10**6, max_limit=10**5)
+        primes.sieve_primes(10**6)
+
+
+def test_next_prime_against_trial_division():
+    table = trial_primes(10_100)
+    for n in range(-2, 10_001):
+        assert primes.next_prime(n) == table[bisect.bisect_right(table, n)]
+
+
+@pytest.mark.parametrize("n, expect", [
+    (31397, 31469),  # record gaps, wider than the first window
+    (370261, 370373),
+    (10**9, 10**9 + 7),
+])
+def test_next_prime_across_wide_gaps(n, expect):
+    assert primes.next_prime(n) == expect
+    assert primes.next_prime(expect - 1) == expect
 
 
 def count_ap(table, t, q, a):
