@@ -23,7 +23,6 @@ from .constants import (
     EULER_GAMMA,
     c_of_q,
     constants_bundle,
-    gamma_function,
     l_one,
     theta_at_one,
 )

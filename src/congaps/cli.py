@@ -14,6 +14,8 @@ import math
 import sys
 import time
 
+import numpy as np
+
 from . import asymptotics, census, characters, constants, contour, primes, shiu, suite
 from .errors import CongapsError, DomainError, NumericsError
 
@@ -66,16 +68,13 @@ def _emit(payload, args) -> None:
         fh.write(text)
 
 
-def _complex_pair(z: complex) -> list[float]:
-    return [z.real, z.imag]
-
-
 def cmd_constants(args) -> int:
     bundle = constants.constants_bundle(args.q)
+    l_values = bundle.l_values
     payload = {
         "q": bundle.q,
         "gamma_euler": bundle.gamma_euler,
-        "l_values": [_complex_pair(z) for z in bundle.l_values],
+        "l_values": np.column_stack((l_values.real, l_values.imag)).tolist(),
         "theta1": bundle.theta1,
         "c_q": bundle.c_q,
         "gamma_recip": bundle.gamma_recip,
@@ -163,7 +162,7 @@ def cmd_census(args) -> int:
 
 def cmd_contour(args) -> int:
     if args.mode == "hankel":
-        params = contour.default_params(args.x, args.beta, eta=args.eta, r=args.r)
+        params = contour.default_params(args.x, args.beta, eta=args.eta)
         value = contour.hankel_main(params)
         closed = contour.hankel_closed_form(args.x, args.beta)
         payload = {
@@ -171,7 +170,6 @@ def cmd_contour(args) -> int:
             "X": args.x,
             "beta": args.beta,
             "eta": params.eta,
-            "r": params.r,
             "kappa": params.kappa,
             "T": params.T,
             "value": value,
@@ -287,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=float, default=math.exp(20))
     p.add_argument("--beta", type=float, default=0.5)
     p.add_argument("--eta", type=float, default=None)
-    p.add_argument("--r", type=float, default=None)
     p.add_argument("--n", type=int, default=20)
     p.add_argument("--t-height", dest="t_height", type=float, default=1e4)
     p.add_argument("--kappa", type=float, default=1.1)

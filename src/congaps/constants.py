@@ -1,6 +1,6 @@
 """Numerical constants attached to a modulus q: L(1, chi) for the
 non-principal characters, the prime-power correction factor Theta(1), the
-Mertens-in-progression constant c(q), and the Gamma function on (0, 2].
+Mertens-in-progression constant c(q), and 1/Gamma(1/phi(q)).
 """
 
 from __future__ import annotations
@@ -74,22 +74,13 @@ def c_of_q(q: int, theta_tol: float = 1e-6) -> float:
     return constants_bundle(q, theta_tol).c_q
 
 
-def gamma_function(x: float) -> float:
-    """Gamma(x) on (0, 2] (relative error well below 1e-10)."""
-    if x <= 0:
-        raise DomainError(f"Gamma requires x > 0, got {x}")
-    if x > 2:
-        raise DomainError(f"Gamma is only exposed on (0, 2], got {x}")
-    return math.gamma(x)
-
-
 @dataclass(frozen=True)
 class ConstantsBundle:
     """Everything the asymptotic predictions for one modulus need."""
 
     q: int
     gamma_euler: float
-    l_values: tuple[complex, ...]  # one per non-principal character, table order
+    l_values: np.ndarray  # read-only complex, one per non-principal chi, table order
     theta1: float | None  # None for q < 3
     c_q: float
     gamma_recip: float  # 1 / Gamma(1/phi(q))
@@ -120,12 +111,13 @@ def constants_bundle(q: int, theta_tol: float = 1e-6) -> ConstantsBundle:
         theta1 = theta_at_one(q, theta_tol)
         log_prod = float(np.log(np.abs(l_values)).sum())
         c_q = theta1 * math.exp((math.log(phi_q / q) + log_prod) / phi_q)
+    l_values.flags.writeable = False
     return ConstantsBundle(
         q=q,
         gamma_euler=EULER_GAMMA,
-        l_values=tuple(l_values.tolist()),
+        l_values=l_values,
         theta1=theta1,
         c_q=c_q,
-        gamma_recip=1.0 / gamma_function(1.0 / phi_q),
+        gamma_recip=1.0 / math.gamma(1.0 / phi_q),
         tolerances={"l_tol": L_TOL, "theta_tol": theta_tol},
     )

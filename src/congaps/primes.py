@@ -178,9 +178,11 @@ def load_cache(path: str, expected_limit: int | None = None) -> PrimeTable:
             f"cache {path!r} is truncated: header promises {count} primes, "
             f"body holds {len(body)} bytes"
         )
-    primes = np.frombuffer(body, dtype="<u8").astype(np.int64)
-    if primes.size and (np.any(np.diff(primes) <= 0) or primes[-1] > limit):
-        raise CacheError(f"cache {path!r} body is not ascending primes <= limit")
+    primes = np.frombuffer(body, dtype="<i8")  # a read-only view, not a copy
+    # a word >= 2^63 reads as negative: ascending from at least 2 rules it out
+    if primes.size and (primes[0] < 2 or np.any(np.diff(primes) <= 0)
+                        or primes[-1] > limit):
+        raise CacheError(f"cache {path!r} body is not ascending primes in [2, limit]")
     return PrimeTable(int(limit), primes)
 
 

@@ -121,6 +121,7 @@ def test_census_list_pairs_out_file(tmp_path, capsys):
     ["constants", "--q", "4", "--format", "csv"],
     ["constants", "--q", "4", "--tol", "1e-8"],
     ["contour", "--mode", "gamma", "--cache-dir", "D"],
+    ["contour", "--mode", "hankel", "--r", "0.1"],
 ])
 def test_flags_a_subcommand_ignores_are_rejected(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -170,11 +171,14 @@ def test_perron_rejects_non_finite_inputs(capsys, flag, value):
 @pytest.mark.parametrize("argv, code", [
     (["contour", "--mode", "perron", "--kappa", "1e300"], 2),
     (["census", "--q", "3", "--a", "2", "--x", "1000", "--epsilon", "1e308"], 0),
-], ids=["perron-kappa", "census-epsilon"])
+    (["contour", "--mode", "hankel", "--x", "1e308"], 0),
+], ids=["perron-kappa", "census-epsilon", "hankel-x"])
 def test_extreme_finite_inputs_raise_no_warnings(capsys, argv, code):
     rc, _, err = run(capsys, *argv)
     assert rc == code
     assert "Warning" not in err
+    if code == 0:
+        assert err == ""
 
 
 def test_out_file(tmp_path, capsys):

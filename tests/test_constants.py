@@ -179,22 +179,11 @@ def test_c_of_q_domain():
             constants.constants_bundle(q)
 
 
-def test_gamma_function():
-    assert constants.gamma_function(1.0) == 1.0
-    assert constants.gamma_function(2.0) == 1.0
-    assert constants.gamma_function(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-12)
-    assert constants.gamma_function(0.25) == pytest.approx(3.625609908221908, rel=1e-10)
-    with pytest.raises(DomainError):
-        constants.gamma_function(0.0)
-    with pytest.raises(DomainError):
-        constants.gamma_function(2.5)
-
-
-def test_gamma_functional_equation():
-    for x in (0.1, 0.3, 0.5, 0.9):
-        lhs = constants.gamma_function(x + 1.0)
-        rhs = x * constants.gamma_function(x)
-        assert lhs == pytest.approx(rhs, rel=1e-12)
+def test_gamma_recip_against_mpmath():
+    for q in (3, 5, 7, 720, 1009):
+        got = constants.constants_bundle(q).gamma_recip
+        expect = mpmath.rgamma(mpmath.mpf(1) / totient(q))
+        assert got == pytest.approx(float(expect), rel=1e-14), q
 
 
 def test_bundle_contents():
@@ -202,6 +191,7 @@ def test_bundle_contents():
     assert b.q == 4
     assert len(b.l_values) == totient(4) - 1
     assert b.l_values[0] == pytest.approx(math.pi / 4, abs=1e-8)
+    assert b.l_values.dtype == complex and not b.l_values.flags.writeable
     assert b.theta1 == pytest.approx(constants.theta_at_one(4), abs=1e-9)
     assert b.c_q == pytest.approx(constants.c_of_q(4), abs=1e-6)
     assert b.gamma_recip == pytest.approx(1.0 / math.gamma(0.5), rel=1e-12)
@@ -213,7 +203,7 @@ def test_bundle_small_moduli():
     b2 = constants.constants_bundle(2)
     assert b2.c_q == 0.5
     assert b2.theta1 is None
-    assert b2.l_values == ()
+    assert b2.l_values.size == 0
 
 
 def test_c_anchors_compute_theta_once_per_q(monkeypatch):

@@ -26,6 +26,23 @@ def incomplete_gamma_quad(beta, u):
     return head + tail
 
 
+def hankel_quad(X, beta, r, eta):
+    """The truncated Hankel contour split at radius r: the slit from
+    1 - eta to the circle of radius r about s = 1, through
+    incomplete_gamma_quad, plus that circle by quadrature (real by
+    conjugate symmetry)."""
+    log_x = math.log(X)
+    core = incomplete_gamma_quad(beta, eta * log_x) - incomplete_gamma_quad(beta, r * log_x)
+    slit = math.sin(math.pi * beta) / math.pi * X * log_x ** (beta - 1.0) * core
+
+    def integrand(theta):
+        z = r * complex(math.cos(theta), math.sin(theta))
+        return (X ** (1.0 + z) * z ** (1.0 - beta) / r).real
+
+    circle, _ = quad(integrand, -math.pi, math.pi, epsabs=0.0, epsrel=1e-12, limit=400)
+    return slit + circle * r / (2.0 * math.pi)
+
+
 def perron_gauss_legendre(coeffs, X, T, kappa):
     """(1/pi) int_0^T Re sum_n a_n (X/n)^(kappa+i tau)/(kappa+i tau) dtau,
     one term at a time, by 12-node Gauss-Legendre panels no longer than
@@ -64,18 +81,27 @@ def test_default_params():
     assert p.kappa == pytest.approx(1.0 + 1.0 / 20.0)
     assert p.T == pytest.approx(math.exp(0.25 * math.sqrt(20.0 / 6.41)))
     assert p.eta == pytest.approx(contour.CBAR_DEFAULT / (2.0 * math.log(p.T)))
-    assert 0 < p.r < p.eta
+    assert contour.default_params(X20, 0.5, eta=0.6).eta == 0.6
+
+
+PARAMS = dict(X=X20, beta=0.5, eta=0.1, kappa=1.1, T=10.0)
 
 
 def test_params_validation():
-    with pytest.raises(DomainError):
-        contour.HankelParams(X=2.0, beta=0.5, eta=0.1, r=0.01, kappa=1.1, T=10.0)
-    with pytest.raises(DomainError):
-        contour.HankelParams(X=X20, beta=1.5, eta=0.1, r=0.01, kappa=1.1, T=10.0)
-    with pytest.raises(DomainError):
-        contour.HankelParams(X=X20, beta=0.5, eta=0.1, r=0.2, kappa=1.1, T=10.0)
-    with pytest.raises(DomainError):
-        contour.HankelParams(X=X20, beta=0.5, eta=0.1, r=0.01, kappa=0.9, T=10.0)
+    for field, value in (("X", 2.0), ("beta", 1.5), ("eta", 0.0), ("eta", -0.1),
+                         ("kappa", 0.9)):
+        with pytest.raises(DomainError):
+            contour.HankelParams(**{**PARAMS, field: value})
+    for X in (-5.0, 0.5, 1.0, 2.0):  # X <= 1 was a math error inside default_params
+        with pytest.raises(DomainError, match="exceed e"):
+            contour.default_params(X, 0.5)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["X", "beta", "eta"])
+def test_params_reject_non_finite(field, value):
+    with pytest.raises(DomainError, match=f"{field} must be finite, got {value}"):
+        contour.HankelParams(**{**PARAMS, field: value})
 
 
 def test_hankel_vs_closed_form():
@@ -83,15 +109,6 @@ def test_hankel_vs_closed_form():
         p = contour.default_params(X20, beta, eta=0.6)
         closed = contour.hankel_closed_form(X20, beta)
         assert abs(contour.hankel_main(p) - closed) / closed <= 1e-4
-
-
-def test_hankel_r_independence():
-    closedish = []
-    for r in (1e-3, 5e-4, 1e-4):
-        p = contour.default_params(X20, 0.5, eta=0.6, r=r)
-        closedish.append(contour.hankel_main(p))
-    for v in closedish[1:]:
-        assert abs(v - closedish[0]) / abs(closedish[0]) <= 1e-6
 
 
 def test_hankel_truncation_envelope():
@@ -111,10 +128,11 @@ def test_closed_form_values():
 
 
 def test_residue_circle():
-    assert abs(contour.residue_circle(X20) - X20) / X20 <= 1e-8
-    assert abs(contour.residue_circle(1000.0) - 1000.0) / 1000.0 <= 1e-8
-    with pytest.raises(DomainError):
-        contour.residue_circle(0.5)
+    for X in (1.5, 1000.0, X20, 1e308):  # r log X up to 0.71 at the largest X
+        assert abs(contour.residue_circle(X) - X) / X <= 1e-15
+    for X in (0.5, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            contour.residue_circle(X)
 
 
 def test_incomplete_gamma_check():
@@ -127,27 +145,28 @@ def test_incomplete_gamma_check():
 
 
 @pytest.mark.parametrize("beta", [0.5, 1.0 / 3.0, 0.25, 2.0 / 3.0])
-@pytest.mark.parametrize("r, eta", [(0.005, 0.1767), (1e-4, 0.6), (0.05, 1.5)])
-def test_slit_against_quadrature(beta, r, eta):
-    # (0.005, 0.1767) is about the default geometry at X = e^20
-    log_x = math.log(X20)
-    core = incomplete_gamma_quad(beta, eta * log_x) - incomplete_gamma_quad(beta, r * log_x)
-    expect = math.sin(math.pi * beta) / math.pi * X20 * log_x ** (beta - 1.0) * core
-    got = contour._slit_integral(X20, beta, r, eta)
-    assert got == pytest.approx(expect, rel=1e-12)
+@pytest.mark.parametrize("eta", [0.1767, 0.6, 1.5])
+@pytest.mark.parametrize("r", [1e-4, 1e-3, 0.005, 0.05])
+def test_slit_against_quadrature(r, eta, beta):
+    # the slit-and-circle quadrature at every radius r gives the one closed
+    # form (Cauchy); eta = 0.1767 is about the default at X = e^20
+    got = contour.hankel_main(contour.default_params(X20, beta, eta=eta))
+    assert got == pytest.approx(hankel_quad(X20, beta, r, eta), rel=1e-10)
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("eta", [None, 0.6])
-@pytest.mark.parametrize("beta", [0.5, 1.0 / 3.0, 0.25])
+@pytest.mark.parametrize("beta", [0.5, 1.0 / 3.0, 0.25, 0.01, 0.99])
 def test_hankel_against_mpmath(beta, eta):
-    # slit plus circle is the whole contour from 1 - eta: the closed form
-    # times the regularized incomplete Gamma P(1 - beta, eta log X)
-    p = contour.default_params(X20, beta, eta=eta)
-    with mpmath.workdps(30):
-        expect = mpmath.mpf(contour.hankel_closed_form(X20, beta)) * mpmath.gammainc(
-            1 - mpmath.mpf(beta), 0, p.eta * mpmath.log(X20), regularized=True)
-        rel = abs((contour.hankel_main(p) - expect) / expect)
-    assert rel <= 1e-13
+    # the whole contour from 1 - eta: the closed form times the regularized
+    # incomplete Gamma P(1 - beta, eta log X)
+    for X in (X20, 1e12, 1e30, 1e308):
+        p = contour.default_params(X, beta, eta=eta)
+        with mpmath.workdps(30):
+            expect = mpmath.mpf(contour.hankel_closed_form(X, beta)) * mpmath.gammainc(
+                1 - mpmath.mpf(beta), 0, p.eta * mpmath.log(X), regularized=True)
+            rel = abs((contour.hankel_main(p) - expect) / expect)
+        assert rel <= 1e-13, X
 
 
 def test_gamma_reflection():

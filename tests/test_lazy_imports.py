@@ -1,8 +1,8 @@
 """Each subcommand loads only the part of scipy it calls: importing the
-CLI loads none, census and shiu load none, the constants-based
-subcommands and the closed-form Perron check load scipy.special, and only
-the Hankel circle's quadrature loads scipy.integrate. Checked by the
-modules loaded in a fresh interpreter, not by timings."""
+CLI loads none, census and shiu load none, and the constants-based
+subcommands, the closed-form Perron and Hankel checks and the suite load
+scipy.special; none loads scipy.integrate. Checked by the modules loaded
+in a fresh interpreter, not by timings."""
 
 import json
 import os
@@ -47,13 +47,9 @@ def loaded_after(argv):
     (["contour", "--mode", "perron"], ["scipy.special"]),
     (["constants", "--q", "7"], ["scipy.special"]),
     (["count", "--q", "3", "--x", "1000"], ["scipy.special"]),
+    (["contour", "--mode", "hankel"], ["scipy.special"]),
+    (["suite", "--scale", "small"], ["scipy.special"]),
 ], ids=["import", "census", "shiu", "contour-gamma", "contour-perron", "constants",
-        "count"])
+        "count", "contour-hankel", "suite"])
 def test_scipy_loaded_only_where_called(argv, loaded):
     assert loaded_after(argv) == {"rc": 0, "loaded": loaded}
-
-
-def test_contour_integrals_load_scipy_integrate():
-    out = loaded_after(["contour", "--mode", "hankel"])
-    assert out["rc"] == 0
-    assert "scipy.integrate" in out["loaded"]

@@ -154,6 +154,7 @@ def test_cache_roundtrip(tmp_path):
     loaded = primes.load_cache(path, expected_limit=5000)
     assert loaded.limit == table.limit
     assert np.array_equal(loaded.primes, table.primes)
+    assert not loaded.primes.flags.writeable  # a view of the bytes read
 
 
 def test_cache_bad_magic(tmp_path):
@@ -171,13 +172,13 @@ def test_cache_limit_mismatch(tmp_path):
 
 
 def test_cache_rejects_garbled_body(tmp_path):
-    table = primes.sieve_primes(100)
-    path = primes.save_cache(table, str(tmp_path / "p.bin"))
-    raw = bytearray(open(path, "rb").read())
-    raw[-8:] = (0).to_bytes(8, "little")  # no longer ascending
-    open(path, "wb").write(bytes(raw))
-    with pytest.raises(CacheError):
-        primes.load_cache(path)
+    path = tmp_path / "p.bin"
+    # not ascending; below 2; a first word of 2^64 - 5, which reads as -5
+    for body in ([2, 3, 5, 0], [0, 2, 3], [1, 3], [2**64 - 5, 3], [2**64 - 5, 3, 5]):
+        header = primes._CACHE_HEADER.pack(primes.CACHE_MAGIC, 100, len(body))
+        path.write_bytes(header + np.array(body, dtype="<u8").tobytes())
+        with pytest.raises(CacheError, match="not ascending primes"):
+            primes.load_cache(str(path))
 
 
 def _cut_cache(tmp_path, cut_bytes):
