@@ -37,8 +37,6 @@ from .contour import (
 )
 from .primes import (
     PrimeTable,
-    SpfTable,
-    build_spf,
     get_prime_table,
     load_cache,
     save_cache,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .characters import totient
-from .constants import ConstantsBundle
+from .constants import EULER_GAMMA, ConstantsBundle
 from .errors import DegenerateComparisonError, DomainError, OutOfRangeError
 from .primes import PrimeTable
 
@@ -28,7 +28,6 @@ class ComparisonReport:
     predicted: float
     ratio: float
     params: dict = field(default_factory=dict)
-    tol: float | None = None
     passed: bool | None = None
 
     def to_dict(self) -> dict:
@@ -44,28 +43,13 @@ class ComparisonReport:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), allow_nan=False)
 
-    @staticmethod
-    def csv_header() -> list[str]:
-        return ["label", "actual", "predicted", "ratio", "params", "pass"]
-
-    def to_csv_row(self) -> list:
-        return [
-            self.label,
-            repr(self.actual),
-            repr(self.predicted),
-            repr(self.ratio),
-            json.dumps(self.params, sort_keys=True),
-            self.passed,
-        ]
-
-
-def reports_to_csv(reports: list[ComparisonReport]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(ComparisonReport.csv_header())
-    for rep in reports:
-        writer.writerow(rep.to_csv_row())
-    return buf.getvalue()
+    def to_csv(self) -> str:
+        """to_dict as a CSV header and one row: floats as repr, params as sorted JSON."""
+        row = {k: repr(v) if isinstance(v, float) else v for k, v in self.to_dict().items()}
+        row["params"] = json.dumps(self.params, sort_keys=True)
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows([list(row), list(row.values())])
+        return buf.getvalue()
 
 
 def compare(
@@ -85,7 +69,6 @@ def compare(
         predicted=predicted,
         ratio=ratio,
         params=dict(params or {}),
-        tol=tol,
         passed=bool(1.0 - tol <= ratio <= 1.0 + tol),
     )
 
@@ -109,7 +92,7 @@ def mertens_prediction(q: int, X: float, bundle: ConstantsBundle) -> float:
         raise DomainError(f"X must be > 1, got {X}")
     phi_q = totient(q)
     return (
-        math.exp(bundle.gamma_euler / phi_q)
+        math.exp(EULER_GAMMA / phi_q)
         * bundle.c_q
         * math.log(X) ** (1.0 / phi_q)
     )

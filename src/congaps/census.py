@@ -75,8 +75,8 @@ def find_congruent_pairs(
     if q < 3:
         raise DomainError(f"q must be >= 3, got {q}")
     for name, value in (("epsilon", epsilon), ("c", thm11_c), ("C", shiu_C)):
-        if value <= 0:
-            raise DomainError(f"{name} must be > 0, got {value}")
+        if not 0 < value < math.inf:
+            raise DomainError(f"{name} must be > 0 and finite, got {value}")
     if X > table.limit:
         raise OutOfRangeError(f"X={X} exceeds table limit {table.limit}")
 

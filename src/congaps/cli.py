@@ -16,8 +16,8 @@ import time
 
 import numpy as np
 
-from . import asymptotics, census, characters, constants, contour, primes, shiu, suite
-from .errors import CongapsError, DomainError, NumericsError
+from . import asymptotics, census, constants, contour, primes, shiu, suite
+from .errors import CapacityError, CongapsError, DomainError, NumericsError
 
 
 def _config_flags(path: str) -> list[str]:
@@ -57,7 +57,7 @@ def _emit(payload, args) -> None:
     is_report = isinstance(payload, asymptotics.ComparisonReport)
     # only the subcommands that emit a report (mertens, count) take --format
     if is_report and args.format == "csv":
-        text = asymptotics.reports_to_csv([payload])
+        text = payload.to_csv()
     else:
         try:
             text = (payload.to_json() if is_report
@@ -73,12 +73,12 @@ def cmd_constants(args) -> int:
     l_values = bundle.l_values
     payload = {
         "q": bundle.q,
-        "gamma_euler": bundle.gamma_euler,
+        "gamma_euler": constants.EULER_GAMMA,
         "l_values": np.column_stack((l_values.real, l_values.imag)).tolist(),
         "theta1": bundle.theta1,
         "c_q": bundle.c_q,
         "gamma_recip": bundle.gamma_recip,
-        "tolerances": bundle.tolerances,
+        "tolerances": {"l_tol": constants.L_TOL, "theta_tol": constants.THETA_TOL},
     }
     _emit(payload, args)
     return 0
@@ -170,13 +170,15 @@ def cmd_contour(args) -> int:
             "X": args.x,
             "beta": args.beta,
             "eta": params.eta,
-            "kappa": params.kappa,
-            "T": params.T,
             "value": value,
             "closed_form": closed,
             "rel_dev": abs(value - closed) / closed,
         }
     elif args.mode == "perron":
+        if args.n > contour.MAX_PERRON_TERMS:
+            raise CapacityError(
+                f"N={args.n} exceeds configured maximum {contour.MAX_PERRON_TERMS}"
+            )
         coeffs = [1.0] * args.n
         integral, partial, err = contour.perron_check(
             coeffs, args.x, args.t_height, args.kappa
@@ -219,6 +221,14 @@ def cmd_suite(args) -> int:
     return 1 if hard_fail else 0
 
 
+def _tolerance(text: str) -> float:
+    """--tol: finite and >= 0, as NaN or a negative tolerance fails every ratio."""
+    value = float(text)
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="congaps",
@@ -246,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mertens", help="Mertens product vs its prediction")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--x", type=int, required=True)
-    p.add_argument("--tol", type=float, default=0.05)
+    p.add_argument("--tol", type=_tolerance, default=0.05)
     common(p, report=True, cache=True)
     p.set_defaults(func=cmd_mertens)
 
@@ -254,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--y", type=float, default=1.0)
-    p.add_argument("--tol", type=float, default=0.2)
+    p.add_argument("--tol", type=_tolerance, default=0.2)
     common(p, report=True, cache=True)
     p.set_defaults(func=cmd_count)
 

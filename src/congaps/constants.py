@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,6 +17,7 @@ from .primes import sieve_primes
 
 EULER_GAMMA = 0.5772156649015329
 L_TOL = 1e-12  # bound on the rounding error of each L(1, chi) from l_one
+THETA_TOL = 1e-6  # bound on the truncation error of Theta(1)
 
 
 def l_one(q: int) -> np.ndarray:
@@ -46,7 +47,7 @@ def _primes_below(cutoff: int) -> np.ndarray:
     return primes
 
 
-def theta_at_one(q: int, tol: float = 1e-6) -> float:
+def theta_at_one(q: int) -> float:
     """Theta(1): exp of minus the double sum over primes p not dividing q
     with p not congruent to 1 mod q, and exponents m >= 2 with p^m
     congruent to 1 mod q.
@@ -54,13 +55,13 @@ def theta_at_one(q: int, tol: float = 1e-6) -> float:
     For such p with multiplicative order d (necessarily >= 2), the inner
     sum collapses to -(1/d) * log(1 - p^-d), so
     log Theta(1) = sum_p (1/d) * log(1 - p^-d), truncated at a prime
-    cutoff P with tail below 2/P <= tol.  The order of p depends only on
+    cutoff P with tail below 2/P <= THETA_TOL.  The order of p depends only on
     p mod q and is read from the discrete-log table.
     """
     if q < 3:
         raise DomainError(f"Theta(1) needs q >= 3, got {q}")
     orders, dlog, _ = unit_group(q)
-    cutoff = max(100, int(math.ceil(2.0 / tol)))
+    cutoff = max(100, int(math.ceil(2.0 / THETA_TOL)))
     primes = _primes_below(cutoff)
     d = element_orders(dlog[primes % q], orders)  # 1 for p = 1 mod q and for p | q
     p, d = primes[d > 1].astype(float), d[d > 1]
@@ -68,10 +69,9 @@ def theta_at_one(q: int, tol: float = 1e-6) -> float:
     return math.exp(np.cumsum(terms)[-1])  # left to right, as a loop over p rounds
 
 
-def c_of_q(q: int, theta_tol: float = 1e-6) -> float:
-    """The Mertens-in-progression constant c(q), as constants_bundle forms
-    it with Theta(1) to theta_tol."""
-    return constants_bundle(q, theta_tol).c_q
+def c_of_q(q: int) -> float:
+    """The Mertens-in-progression constant c(q), as constants_bundle forms it."""
+    return constants_bundle(q).c_q
 
 
 @dataclass(frozen=True)
@@ -79,15 +79,13 @@ class ConstantsBundle:
     """Everything the asymptotic predictions for one modulus need."""
 
     q: int
-    gamma_euler: float
     l_values: np.ndarray  # read-only complex, one per non-principal chi, table order
     theta1: float | None  # None for q < 3
     c_q: float
     gamma_recip: float  # 1 / Gamma(1/phi(q))
-    tolerances: dict = field(default_factory=dict)
 
 
-def constants_bundle(q: int, theta_tol: float = 1e-6) -> ConstantsBundle:
+def constants_bundle(q: int) -> ConstantsBundle:
     """Build the constants for modulus q.
 
     c(1) = 1 and c(2) = 1/2 are fixed; for q >= 3,
@@ -108,16 +106,14 @@ def constants_bundle(q: int, theta_tol: float = 1e-6) -> ConstantsBundle:
             raise DomainError(
                 f"L(1, chi) product for q={q} is not real positive: argument {phase}"
             )
-        theta1 = theta_at_one(q, theta_tol)
+        theta1 = theta_at_one(q)
         log_prod = float(np.log(np.abs(l_values)).sum())
         c_q = theta1 * math.exp((math.log(phi_q / q) + log_prod) / phi_q)
     l_values.flags.writeable = False
     return ConstantsBundle(
         q=q,
-        gamma_euler=EULER_GAMMA,
         l_values=l_values,
         theta1=theta1,
         c_q=c_q,
         gamma_recip=1.0 / math.gamma(1.0 / phi_q),
-        tolerances={"l_tol": L_TOL, "theta_tol": theta_tol},
     )

@@ -19,22 +19,18 @@ CBAR_DEFAULT = 1.0 / 6.41
 # stays below 3e-16 X for every double X at this radius r and node count M
 RESIDUE_RADIUS = 1e-3
 RESIDUE_NODES = 16
+# coefficients of the cli's perron mode: N = 10^7 takes 18 s and 588 MB (2 vCPUs)
+MAX_PERRON_TERMS = 10**7
 
 
 @dataclass(frozen=True)
 class HankelParams:
-    """Geometry of the truncated Hankel contour around s = 1.
-
-    Defaults follow kappa = 1 + 1/log X, T = exp((1/4)(cbar log X)^(1/2)),
-    eta = cbar/(2 log T) with cbar = CBAR_DEFAULT; the contour runs along
-    the slit from 1 - eta to s = 1 and back.
-    """
+    """The truncated Hankel contour around s = 1: along the slit from
+    1 - eta to s = 1 and back."""
 
     X: float
     beta: float  # the branch exponent 1/phi(q), in (0, 1)
     eta: float
-    kappa: float
-    T: float
 
     def __post_init__(self):
         for name, value in (("X", self.X), ("beta", self.beta), ("eta", self.eta)):
@@ -46,18 +42,17 @@ class HankelParams:
             raise DomainError(f"beta must lie in (0, 1), got {self.beta}")
         if self.eta <= 0:
             raise DomainError(f"eta must be positive, got {self.eta}")
-        if self.kappa <= 1:
-            raise DomainError(f"kappa must exceed 1, got {self.kappa}")
 
 
 def default_params(X: float, beta: float, eta: float | None = None) -> HankelParams:
+    """The contour for X and beta; eta defaults to cbar/(2 log T), with
+    T = exp((1/4)(cbar log X)^(1/2)) and cbar = CBAR_DEFAULT."""
     if X <= math.e:  # log X must be positive below; HankelParams checks the rest
         raise DomainError(f"X must exceed e, got {X}")
-    log_x = math.log(X)
-    T = math.exp(0.25 * math.sqrt(CBAR_DEFAULT * log_x))
     if eta is None:
+        T = math.exp(0.25 * math.sqrt(CBAR_DEFAULT * math.log(X)))
         eta = CBAR_DEFAULT / (2.0 * math.log(T))
-    return HankelParams(X=X, beta=beta, eta=eta, kappa=1.0 + 1.0 / log_x, T=T)
+    return HankelParams(X=X, beta=beta, eta=eta)
 
 
 def hankel_main(p: HankelParams) -> float:

@@ -1,5 +1,5 @@
 """Segmented prime sieve, residue-class subsequences, smallest-prime-factor
-tables, and an optional binary on-disk prime cache.
+tables (a test oracle), and an optional binary on-disk prime cache.
 
 The sieve is odd-only and processes fixed-size segments, so memory stays
 O(segment) + O(primes up to sqrt(limit)) during construction.
@@ -41,15 +41,20 @@ class PrimeTable:
         return self._residue_index[key]
 
 
-def _simple_sieve(limit: int) -> np.ndarray:
-    if limit < 2:
-        return np.empty(0, dtype=np.int64)
-    mask = np.ones(limit + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if mask[p]:
-            mask[p * p :: p] = False
-    return np.flatnonzero(mask).astype(np.int64)
+def _odd_primes(low: int, high: int, base: np.ndarray | None = None) -> np.ndarray:
+    """The odd primes in [low, high), for low >= 3, struck by `base`: the odd
+    primes up to sqrt(high - 1), found by this same kernel when not given."""
+    if base is None:
+        root = math.isqrt(high - 1)
+        base = _odd_primes(3, root + 1) if root >= 3 else np.empty(0, dtype=np.int64)
+    first = low | 1
+    mask = np.ones(max(0, (high - first + 1) // 2), dtype=bool)  # first, first + 2, ...
+    for p in base.tolist():
+        start = max(p * p, -(-first // p) * p)
+        if start % 2 == 0:
+            start += p
+        mask[(start - first) // 2 :: p] = False
+    return first + 2 * np.flatnonzero(mask).astype(np.int64)
 
 
 def sieve_primes(limit: int) -> PrimeTable:
@@ -60,41 +65,23 @@ def sieve_primes(limit: int) -> PrimeTable:
         raise CapacityError(f"limit {limit} exceeds configured maximum {MAX_SIEVE_LIMIT}")
     if limit < 2:
         return PrimeTable(limit, np.empty(0, dtype=np.int64))
-
-    base = _simple_sieve(math.isqrt(limit))
-    odd_base = base[base > 2]
+    base = _odd_primes(3, math.isqrt(limit) + 1)
     chunks = [np.array([2], dtype=np.int64)]
-
-    # odd-only segments: segment covers integers [low, high)
-    low = 3
-    while low <= limit:
-        high = min(low + SEGMENT_SIZE, limit + 1)
-        n_odd = (high - low + 1) // 2
-        mask = np.ones(n_odd, dtype=bool)
-        for p in odd_base:
-            p = int(p)
-            start = max(p * p, ((low + p - 1) // p) * p)
-            if start % 2 == 0:
-                start += p
-            if start >= high:
-                continue
-            mask[(start - low) // 2 :: p] = False
-        chunks.append(low + 2 * np.flatnonzero(mask).astype(np.int64))
-        low = high if high % 2 == 1 else high + 1
-
+    for low in range(3, limit + 1, SEGMENT_SIZE):
+        chunks.append(_odd_primes(low, min(low + SEGMENT_SIZE, limit + 1), base))
     return PrimeTable(limit, np.concatenate(chunks))
 
 
 def next_prime(n: int) -> int:
-    """The least prime above n: a window above n is struck by the primes up
-    to the square root of its end, and widened until it holds a prime."""
-    low, width = max(n + 1, 2), 64
+    """The least prime above n: the odd primes of a window above n, the
+    window widened until it holds one."""
+    if n < 2:
+        return 2
+    width = 64
     while True:
-        mask = np.ones(width, dtype=bool)
-        for p in _simple_sieve(math.isqrt(low + width - 1)).tolist():
-            mask[max(p * p, -(-low // p) * p) - low :: p] = False
-        if mask.any():
-            return low + int(mask.argmax())
+        found = _odd_primes(n + 1, n + 1 + width)
+        if found.size:
+            return int(found[0])
         width *= 2
 
 

@@ -8,7 +8,7 @@ its integer value (a product of thousands of primes) is never materialized.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,22 +78,17 @@ def build_construction(
             raise DomainError(f"p0={p0} must exceed log H = {log_h:.4f}")
 
     cap = H / log_h**2
+    tH = None if a % q == 1 else t_of_H(H)
     primes = table.primes
-    in_range = primes[primes <= max(cap, log_h)]
+    in_range = primes[primes <= max(cap, log_h, H / tH if tH else 0.0)]
     res = in_range % q
 
-    if a % q == 1:
-        tH = None
-        small_one = (in_range <= log_h) & (res == 1)
-        big_other = (in_range <= cap) & (res != 1)
-        mask = small_one | big_other
+    s1 = (in_range <= log_h) & (res == 1)
+    if tH is None:
+        mask = s1 | ((in_range <= cap) & (res != 1))
         regime_ok = True  # no t(H) ordering enters the a = 1 case
     else:
-        tH = t_of_H(H)
         regime_ok = log_h < tH < H / tH < cap
-        in_range = primes[primes <= max(cap, H / tH, log_h)]
-        res = in_range % q
-        s1 = (in_range <= log_h) & (res == 1)
         s2 = (in_range <= cap) & (res != 1) & (res != a % q)
         s3 = (in_range > tH) & (in_range <= cap) & (res == 1)
         s4 = (in_range <= H / tH) & (res == a % q)
@@ -186,7 +181,6 @@ def lemma34_check(c: ShiuConstruction, sets: ResidueSets) -> ComparisonReport:
             "case": case,
             "regime": regime,
         },
-        tol=None,
         passed=bool(lhs >= rhs),
     )
 
@@ -208,6 +202,4 @@ def t_bound_report(c: ShiuConstruction, sets: ResidueSets) -> ComparisonReport:
             "a": c.a,
             "regime": "ok" if c.regime_ok else "asymptotic regime not reached",
         },
-        tol=None,
-        passed=None,
     )

@@ -101,7 +101,7 @@ def _check_mertens(table) -> dict:
     return {"name": "mertens_in_progression", "ok": bool(ok), "abs_dev": out}
 
 
-def _check_lemma33(table, spf_table) -> dict:
+def _check_lemma33(table) -> dict:
     ok = True
     out = {}
     for q, Y in ((3, 1), (3, 10), (4, 1)):
@@ -116,11 +116,11 @@ def _check_lemma33(table, spf_table) -> dict:
             ok = ok and devs[-1] <= 0.2 and devs[-1] < devs[0]
         else:
             ok = ok and devs[-1] <= 0.2
-    # exact agreement with the factorization oracle on a modest prefix
-    n_max = min(spf_table.limit, 2000)
+    # exact agreement with trial-division factorization on a modest prefix
+    n_max = min(table.limit, 2000)
     brute = sum(
         1 for n in range(1, n_max + 1)
-        if all(p % 3 == 1 for p in spf_table.factor(n))
+        if all(p % 3 == 1 for p, _ in characters.factorize(n))
     )
     ok = ok and brute == asymptotics.count_restricted(n_max, 3, 1, table)
     return {"name": "restricted_count", "ok": bool(ok), "abs_dev": out}
@@ -181,9 +181,8 @@ def run_suite(scale: str = "small", cache_dir: str | None = None) -> list[dict]:
         _check_perron(),
     ]
     table = primes.get_prime_table(limit, cache_dir)
-    spf_table = primes.build_spf(min(limit, 10**5))
     results.append(_check_mertens(table))
-    results.append(_check_lemma33(table, spf_table))
+    results.append(_check_lemma33(table))
     results.append(_check_shiu(table))
     results.append(_check_census(table))
     return results

@@ -42,12 +42,13 @@ def test_criterion_02_l_one_closed_forms():
     assert time.perf_counter() - start < 5.0
 
 
-def test_criterion_03_c_of_q_anchors():
+def test_criterion_03_c_of_q_anchors(monkeypatch):
     assert constants.c_of_q(1) == 1.0
     assert constants.c_of_q(2) == 0.5
+    monkeypatch.setattr(constants, "THETA_TOL", 1e-4)
     for q in range(3, 31):
-        assert constants.c_of_q(q, theta_tol=1e-4) > 0, q
-        assert 0 < constants.theta_at_one(q, tol=1e-4) <= 1, q
+        assert constants.c_of_q(q) > 0, q
+        assert 0 < constants.theta_at_one(q) <= 1, q
 
 
 def test_criterion_04_mertens_in_progression(table7):

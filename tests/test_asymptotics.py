@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 import math
 import time
 
@@ -33,7 +34,7 @@ def test_mertens_prediction():
     b = constants.constants_bundle(3)
     # at X = e the (log X)^(1/phi) factor is 1
     got = asymptotics.mertens_prediction(3, math.e, b)
-    assert got == pytest.approx(math.exp(b.gamma_euler / 2.0) * b.c_q, rel=1e-12)
+    assert got == pytest.approx(math.exp(constants.EULER_GAMMA / 2.0) * b.c_q, rel=1e-12)
     with pytest.raises(DomainError):
         asymptotics.mertens_prediction(3, 1.0, b)
 
@@ -181,13 +182,15 @@ def test_reports_to_csv_roundtrip():
         asymptotics.compare("a", 1.0, 1.0, 0.1, params={"q": 3, "X": 10}),
         asymptotics.compare("b", 0.5, 1.0, 0.1),
     ]
-    text = asymptotics.reports_to_csv(reps)
-    rows = list(csv.reader(io.StringIO(text)))
-    assert rows[0] == ["label", "actual", "predicted", "ratio", "params", "pass"]
-    assert len(rows) == 3
-    assert float(rows[1][3]) == 1.0
-    assert rows[1][5] == "True"
-    assert rows[2][5] == "False"
+    header, first = csv.reader(io.StringIO(reps[0].to_csv()))
+    assert header == ["label", "actual", "predicted", "ratio", "params", "pass"]
+    assert float(first[3]) == 1.0
+    assert json.loads(first[4]) == {"q": 3, "X": 10}
+    assert first[5] == "True"
+    header, second = csv.reader(io.StringIO(reps[1].to_csv()))
+    assert header[0] == "label"
+    assert second[:4] == ["b", "0.5", "1.0", "0.5"]
+    assert second[5] == "False"
 
 
 @settings(max_examples=100, deadline=None)

@@ -255,12 +255,19 @@ def test_census_json_is_strict_when_bounds_undefined(capsys):
     assert "loglogloglog" in payload["bound_reasons"]["bound_shiu"]
 
 
-@pytest.mark.parametrize("flag", ["--epsilon", "--c", "--big-c"])
-def test_non_finite_report_exit_code(capsys, flag):
-    rc, out, err = run(capsys, "census", "--q", "3", "--a", "2", "--x", "100", flag, "nan")
+@pytest.mark.parametrize("flag, value, name", [
+    pytest.param("--epsilon", "nan", "epsilon", id="--epsilon"),
+    pytest.param("--c", "nan", "c", id="--c"),
+    pytest.param("--big-c", "nan", "C", id="--big-c"),
+    pytest.param("--epsilon", "inf", "epsilon", id="--epsilon-inf"),
+])
+def test_non_finite_report_exit_code(capsys, flag, value, name):
+    """A non-finite census parameter is refused by name, not found in the
+    report after the pass."""
+    rc, out, err = run(capsys, "census", "--q", "3", "--a", "2", "--x", "100", flag, value)
     assert rc == 2
     assert out == ""
-    assert "non-finite" in err
+    assert f"congaps: {name} must be > 0 and finite, got {value}" in err
 
 
 @pytest.mark.parametrize("flag, value", [("--c", "0"), ("--big-c", "-1")])
@@ -277,14 +284,41 @@ def test_census_rejects_nonpositive_bound_constants(capsys, flag, value):
     ["mertens", "--q", "3", "--x", "1000000001"],
 ], ids=["census", "mertens"])
 def test_x_above_sieve_capacity_exits_before_sieving(capsys, monkeypatch, argv):
-    def no_sieve(limit):
-        raise AssertionError(f"sieved to {limit} past the capacity")
+    def no_sieve(*args):
+        raise AssertionError(f"sieved {args} past the capacity")
 
-    monkeypatch.setattr(primes, "_simple_sieve", no_sieve)
+    monkeypatch.setattr(primes, "_odd_primes", no_sieve)
     rc, out, err = run(capsys, *argv)
     assert rc == 2
     assert out == ""
     assert "exceeds configured maximum" in err
+
+
+def test_perron_term_count_capped(capsys):
+    # N = 10^12 ones would be an 8 TB list: the cap is checked before it is built
+    rc, out, err = run(capsys, "contour", "--mode", "perron", "--n", "1000000000000")
+    assert rc == 2
+    assert out == ""
+    assert "exceeds configured maximum" in err
+
+
+@pytest.mark.parametrize("entry, argv", [
+    ("", ["mertens", "--q", "3", "--x", "100000", "--tol", "nan"]),
+    ("", ["mertens", "--q", "3", "--x", "100000", "--tol", "inf"]),
+    ("", ["count", "--q", "3", "--x", "100000", "--tol", "-1"]),
+    ("tol = nan", ["count", "--q", "3", "--x", "100000"]),
+], ids=["mertens-nan", "mertens-inf", "count-negative", "config-nan"])
+def test_tol_must_be_finite_and_nonnegative(tmp_path, capsys, monkeypatch, entry, argv):
+    def no_table(*args):
+        raise AssertionError("a prime table was sized for a tolerance it cannot honour")
+
+    monkeypatch.setattr(primes, "get_prime_table", no_table)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(entry + "\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--config", str(cfg), *argv])
+    assert exc.value.code == 2
+    assert "argument --tol: must be finite and >= 0" in capsys.readouterr().err
 
 
 def test_mertens_and_census_share_one_cache_file(tmp_path, capsys, monkeypatch):

@@ -113,8 +113,9 @@ def theta_order_walk(q, tol):
 
 
 @pytest.mark.parametrize("q", [991, 1009, 1024])
-def test_theta_against_order_walk(q):
-    got = constants.theta_at_one(q, tol=1e-3)
+def test_theta_against_order_walk(q, monkeypatch):
+    monkeypatch.setattr(constants, "THETA_TOL", 1e-3)
+    got = constants.theta_at_one(q)
     assert got == pytest.approx(theta_order_walk(q, 1e-3), rel=1e-13)
 
 
@@ -131,17 +132,19 @@ def test_theta_sieves_once_per_cutoff(monkeypatch):
         return primes.sieve_primes(limit)
 
     monkeypatch.setattr(constants, "sieve_primes", counting_sieve)
+    monkeypatch.setattr(constants, "THETA_TOL", 1e-4)
     constants._primes_below.cache_clear()
-    first = [constants.theta_at_one(q, tol=1e-4) for q in (3, 4, 5)]
-    again = [constants.theta_at_one(q, tol=1e-4) for q in (3, 4, 5)]
+    first = [constants.theta_at_one(q) for q in (3, 4, 5)]
+    again = [constants.theta_at_one(q) for q in (3, 4, 5)]
     assert limits == [20000]
     assert first == again
     assert not constants._primes_below(20000).flags.writeable
 
 
-def test_theta_range_and_domain():
+def test_theta_range_and_domain(monkeypatch):
+    monkeypatch.setattr(constants, "THETA_TOL", 1e-4)
     for q in range(3, 31):
-        th = constants.theta_at_one(q, tol=1e-4)
+        th = constants.theta_at_one(q)
         assert 0 < th <= 1
     with pytest.raises(DomainError):
         constants.theta_at_one(2)
@@ -166,9 +169,10 @@ def test_c_of_q_composition():
     assert constants.c_of_q(3) == pytest.approx(expect, abs=1e-6)
 
 
-def test_c_of_q_positive_small_moduli():
+def test_c_of_q_positive_small_moduli(monkeypatch):
+    monkeypatch.setattr(constants, "THETA_TOL", 1e-4)
     for q in range(3, 31):
-        assert constants.c_of_q(q, theta_tol=1e-4) > 0
+        assert constants.c_of_q(q) > 0
 
 
 def test_c_of_q_domain():
@@ -195,7 +199,7 @@ def test_bundle_contents():
     assert b.theta1 == pytest.approx(constants.theta_at_one(4), abs=1e-9)
     assert b.c_q == pytest.approx(constants.c_of_q(4), abs=1e-6)
     assert b.gamma_recip == pytest.approx(1.0 / math.gamma(0.5), rel=1e-12)
-    assert b.gamma_euler == pytest.approx(0.5772156649015329, abs=1e-15)
+    assert constants.EULER_GAMMA == pytest.approx(0.5772156649015329, abs=1e-15)
 
 
 def test_bundle_small_moduli():
@@ -209,7 +213,7 @@ def test_bundle_small_moduli():
 def test_c_anchors_compute_theta_once_per_q(monkeypatch):
     calls = []
 
-    def counting_theta(q, tol=1e-6):
+    def counting_theta(q):
         calls.append(q)
         return 0.5
 

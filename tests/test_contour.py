@@ -78,18 +78,16 @@ def perron_mpmath(coeffs, X, T, kappa):
 
 def test_default_params():
     p = contour.default_params(X20, 0.5)
-    assert p.kappa == pytest.approx(1.0 + 1.0 / 20.0)
-    assert p.T == pytest.approx(math.exp(0.25 * math.sqrt(20.0 / 6.41)))
-    assert p.eta == pytest.approx(contour.CBAR_DEFAULT / (2.0 * math.log(p.T)))
+    T = math.exp(0.25 * math.sqrt(20.0 / 6.41))
+    assert p.eta == pytest.approx(contour.CBAR_DEFAULT / (2.0 * math.log(T)))
     assert contour.default_params(X20, 0.5, eta=0.6).eta == 0.6
 
 
-PARAMS = dict(X=X20, beta=0.5, eta=0.1, kappa=1.1, T=10.0)
+PARAMS = dict(X=X20, beta=0.5, eta=0.1)
 
 
 def test_params_validation():
-    for field, value in (("X", 2.0), ("beta", 1.5), ("eta", 0.0), ("eta", -0.1),
-                         ("kappa", 0.9)):
+    for field, value in (("X", 2.0), ("beta", 1.5), ("eta", 0.0), ("eta", -0.1)):
         with pytest.raises(DomainError):
             contour.HankelParams(**{**PARAMS, field: value})
     for X in (-5.0, 0.5, 1.0, 2.0):  # X <= 1 was a math error inside default_params

@@ -4,6 +4,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from congaps import primes
 from congaps.errors import CacheError, CapacityError, DomainError, OutOfRangeError
@@ -45,6 +47,18 @@ def test_sieve_segment_boundaries(monkeypatch):
     monkeypatch.setattr(primes, "SEGMENT_SIZE", 101)
     got = primes.sieve_primes(50_000).primes
     assert got.tolist() == ref.tolist()
+
+
+TRIAL_5000 = trial_primes(5000)
+
+
+@settings(max_examples=100, deadline=None)
+@given(limit=st.integers(0, 5000), segment=st.integers(2, 300))
+def test_sieve_any_segment_size_against_trial_division(limit, segment):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(primes, "SEGMENT_SIZE", segment)
+        got = primes.sieve_primes(limit).primes.tolist()
+    assert got == TRIAL_5000[: bisect.bisect_right(TRIAL_5000, limit)]
 
 
 def test_sieve_domain_and_capacity(monkeypatch):
