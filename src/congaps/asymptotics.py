@@ -16,7 +16,7 @@ import numpy as np
 from .characters import totient
 from .constants import EULER_GAMMA, ConstantsBundle
 from .errors import DegenerateComparisonError, DomainError, OutOfRangeError
-from .primes import PrimeTable
+from .primes import PrimeTable, log_euler
 
 
 @dataclass(frozen=True)
@@ -80,10 +80,7 @@ def mertens_ap_product(q: int, X: int, table: PrimeTable) -> float:
     if X > table.limit:
         raise OutOfRangeError(f"X={X} exceeds table limit {table.limit}")
     cls = table.residue_class(q, 1)
-    cls = cls[cls <= X].astype(float)
-    if cls.size == 0:
-        return 1.0
-    return float(np.exp(-np.sum(np.log1p(-1.0 / cls))))
+    return math.exp(-log_euler(cls[cls <= X]))
 
 
 def mertens_prediction(q: int, X: float, bundle: ConstantsBundle) -> float:

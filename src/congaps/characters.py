@@ -117,18 +117,6 @@ class Character:
     table: CharacterTable = field(repr=False)
     exponents: tuple[int, ...]
 
-    @property
-    def modulus(self) -> int:
-        return self.table.q
-
-    @property
-    def is_principal(self) -> bool:
-        return not any(self.exponents)
-
-    @property
-    def order(self) -> int:
-        return int(element_orders(np.array(self.exponents), self.table.orders))
-
     def _numerators(self, coords: np.ndarray) -> np.ndarray:
         """Turn numerators over the group exponent L of the elements with
         discrete logs coords: sum_i e_i x_i (L/d_i) mod L."""
@@ -183,18 +171,6 @@ class CharacterTable:
     def exponent(self) -> int:
         """L = lcm of the cyclic orders: every turn is a multiple of 1/L."""
         return math.lcm(*self.orders)
-
-    def non_principal(self) -> tuple[Character, ...]:
-        return self.characters[1:]
-
-    def product(self, chi1: Character, chi2: Character) -> Character:
-        """Pointwise product, indexed in the table (group closure)."""
-        if chi1.modulus != self.q or chi2.modulus != self.q:
-            raise DomainError("characters do not belong to this table")
-        index = 0
-        for e1, e2, d in zip(chi1.exponents, chi2.exponents, self.orders):
-            index = index * d + (e1 + e2) % d
-        return self.characters[index]
 
 
 def build_character_table(q: int) -> CharacterTable:

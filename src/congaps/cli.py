@@ -85,7 +85,7 @@ def cmd_constants(args) -> int:
 
 
 def cmd_mertens(args) -> int:
-    table = primes.get_prime_table(args.x, args.cache_dir)
+    table = primes.get_prime_table(args.x)
     bundle = constants.constants_bundle(args.q)
     report = asymptotics.compare(
         "mertens product vs prediction",
@@ -102,7 +102,7 @@ def cmd_count(args) -> int:
     if not math.isfinite(args.y):
         raise DomainError(f"Y must be finite, got {args.y}")
     # the prediction's Euler product runs over the primes up to Y
-    table = primes.get_prime_table(max(args.x, math.ceil(args.y)), args.cache_dir)
+    table = primes.get_prime_table(max(args.x, math.ceil(args.y)))
     bundle = constants.constants_bundle(args.q)
     report = asymptotics.compare(
         "restricted count vs prediction",
@@ -116,7 +116,7 @@ def cmd_count(args) -> int:
 
 
 def cmd_shiu(args) -> int:
-    table = primes.get_prime_table(args.h, args.cache_dir)
+    table = primes.get_prime_table(args.h)
     con = shiu.build_construction(args.h, args.q, args.a, args.p0, table)
     sets = shiu.compute_S_T(con, keep_members=args.members)
     lemma = shiu.lemma34_check(con, sets)
@@ -144,7 +144,7 @@ def cmd_shiu(args) -> int:
 
 
 def cmd_census(args) -> int:
-    table = primes.get_prime_table(args.x, args.cache_dir)
+    table = primes.get_prime_table(args.x)
     result = census.find_congruent_pairs(
         args.x, args.q, args.a, args.epsilon, table,
         keep_pairs=args.list_pairs, thm11_c=args.c, shiu_C=args.big_c,
@@ -205,7 +205,7 @@ def cmd_contour(args) -> int:
 
 def cmd_suite(args) -> int:
     start = time.perf_counter()
-    results = suite.run_suite(args.scale, args.cache_dir)
+    results = suite.run_suite(args.scale)
     hard_fail = False
     for record in results:
         status = "PASS" if record["ok"] else "FAIL"
@@ -238,15 +238,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="flat key=value config file")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, report=False, cache=False):
+    def common(p, *, report=False):
         """--out for every subcommand; --format for those emitting a
-        comparison report, --cache-dir for those reading a prime table."""
+        comparison report."""
         p.add_argument("--out", help="write the report here instead of stdout")
         if report:
             p.add_argument("--format", choices=["json", "csv"], default="json")
-        if cache:
-            p.add_argument("--cache-dir", dest="cache_dir",
-                           help="prime cache directory (default: $CONGAPS_CACHE_DIR)")
 
     p = sub.add_parser("constants", help="constants bundle for one modulus")
     p.add_argument("--q", type=int, required=True)
@@ -257,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--tol", type=_tolerance, default=0.05)
-    common(p, report=True, cache=True)
+    common(p, report=True)
     p.set_defaults(func=cmd_mertens)
 
     p = sub.add_parser("count", help="restricted-integer count vs prediction")
@@ -265,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--y", type=float, default=1.0)
     p.add_argument("--tol", type=_tolerance, default=0.2)
-    common(p, report=True, cache=True)
+    common(p, report=True)
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("shiu", help="prime-set construction and S/T split")
@@ -274,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--p0", type=int, default=1)
     p.add_argument("--members", action="store_true")
-    common(p, cache=True)
+    common(p)
     p.set_defaults(func=cmd_shiu)
 
     p = sub.add_parser("census", help="consecutive congruent prime pairs")
@@ -287,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--big-c", dest="big_c", type=float, default=1.0,
                    help="constant in the X^(1-eps(X)) reference bound")
     p.add_argument("--list-pairs", dest="list_pairs", action="store_true")
-    common(p, cache=True)
+    common(p)
     p.set_defaults(func=cmd_census)
 
     p = sub.add_parser("contour", help="Hankel/Perron/Gamma numerical checks")
@@ -304,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("suite", help="run the verification battery")
     p.add_argument("--scale", choices=["small", "full"], default="small")
-    common(p, cache=True)
+    common(p)
     p.set_defaults(func=cmd_suite)
 
     return parser

@@ -13,7 +13,7 @@ import numpy as np
 
 from .characters import element_orders, totient, unit_group
 from .errors import DomainError
-from .primes import sieve_primes
+from .primes import log_euler, sieve_primes
 
 EULER_GAMMA = 0.5772156649015329
 L_TOL = 1e-12  # bound on the rounding error of each L(1, chi) from l_one
@@ -63,10 +63,8 @@ def theta_at_one(q: int) -> float:
     orders, dlog, _ = unit_group(q)
     cutoff = max(100, int(math.ceil(2.0 / THETA_TOL)))
     primes = _primes_below(cutoff)
-    d = element_orders(dlog[primes % q], orders)  # 1 for p = 1 mod q and for p | q
-    p, d = primes[d > 1].astype(float), d[d > 1]
-    terms = np.log1p(-(p ** -d)) / d
-    return math.exp(np.cumsum(terms)[-1])  # left to right, as a loop over p rounds
+    d = element_orders(dlog, orders)[primes % q]  # 1 for p = 1 mod q and for p | q
+    return math.exp(log_euler(primes[d > 1], d[d > 1]))
 
 
 def c_of_q(q: int) -> float:

@@ -71,7 +71,15 @@ def hankel_main(p: HankelParams) -> float:
 
 def hankel_closed_form(X: float, beta: float) -> float:
     """The r -> 0, eta -> infinity limit X (log X)^(beta-1) / Gamma(beta)."""
-    return X * math.log(X) ** (beta - 1.0) / math.gamma(beta)
+    return X * math.log(X) ** (beta - 1.0) / _gamma(beta, "beta")
+
+
+def _gamma(x: float, name: str) -> float:
+    """math.gamma(x), whose overflow (below x = 5.6e-309) names the argument."""
+    try:
+        return math.gamma(x)
+    except OverflowError:
+        raise DomainError(f"Gamma({name}) overflows a double at {name} = {x}") from None
 
 
 def residue_circle(X: float) -> float:
@@ -90,7 +98,7 @@ def gamma_reflection_check(theta: float) -> float:
     if not 0 < theta < 1:
         raise DomainError(f"theta must lie in (0, 1), got {theta}")
     return abs(
-        math.gamma(theta) * math.gamma(1.0 - theta)
+        _gamma(theta, "theta") * math.gamma(1.0 - theta)
         - math.pi / math.sin(math.pi * theta)
     )
 

@@ -1,5 +1,5 @@
-"""Segmented prime sieve, residue-class subsequences, smallest-prime-factor
-tables (a test oracle), and an optional binary on-disk prime cache.
+"""Segmented prime sieve, residue-class subsequences, log Euler products,
+smallest-prime-factor tables (a test oracle), and an on-disk prime cache.
 
 The sieve is odd-only and processes fixed-size segments, so memory stays
 O(segment) + O(primes up to sqrt(limit)) during construction.
@@ -83,6 +83,15 @@ def next_prime(n: int) -> int:
         if found.size:
             return int(found[0])
         width *= 2
+
+
+def log_euler(p, d=1) -> float:
+    """sum_p log(1 - p^-d) / d over the primes p, pairwise summed: the log
+    of prod_p (1 - p^-d)^(1/d). d is 1 or an array of one exponent per p."""
+    p = np.asarray(p, dtype=float)
+    if np.ndim(d) == 0 and d == 1:  # no pass dividing by d: the Mertens product's case
+        return float(np.sum(np.log1p(-1.0 / p)))
+    return float(np.sum(np.log1p(-(p ** -d)) / d))
 
 
 @dataclass
@@ -173,10 +182,10 @@ def load_cache(path: str, expected_limit: int | None = None) -> PrimeTable:
     return PrimeTable(int(limit), primes)
 
 
-def get_prime_table(limit: int, directory: str | None = None) -> PrimeTable:
-    """Load the cache for `limit` if present, else sieve (and cache if a
-    cache directory is given, or else named by $CONGAPS_CACHE_DIR)."""
-    directory = directory or os.environ.get(CACHE_ENV)
+def get_prime_table(limit: int) -> PrimeTable:
+    """Load the cache for `limit` from the directory $CONGAPS_CACHE_DIR names,
+    if present, else sieve (and cache there when the variable is set)."""
+    directory = os.environ.get(CACHE_ENV)
     if directory:
         path = cache_path(limit, directory)
         if os.path.exists(path):

@@ -15,7 +15,7 @@ import numpy as np
 from .asymptotics import ComparisonReport
 from .characters import factorize, totient
 from .errors import DomainError
-from .primes import PrimeTable
+from .primes import PrimeTable, log_euler
 
 # t_of_H needs log log log H > 0, i.e. H > e^e.
 T_OF_H_THRESHOLD = math.exp(math.e)
@@ -52,7 +52,7 @@ class ShiuConstruction:
 
 
 def build_construction(
-    H: int, q: int, a: int, p0: int = 1, table: PrimeTable | None = None
+    H: int, q: int, a: int, p0: int, table: PrimeTable
 ) -> ShiuConstruction:
     """Assemble the prime set for (H, q, a), literally per its definition.
 
@@ -60,7 +60,7 @@ def build_construction(
     p <= H/(log H)^2 with p != 1 mod q.  Otherwise four ranges split by
     residue, cut at t(H) and H/t(H); the asymptotic ordering
     log H < t(H) < H/t(H) < H/(log H)^2 is recorded in regime_ok but never
-    enforced by clamping.
+    enforced by clamping. p0, struck from the set, is 1 or a prime <= H.
     """
     if math.gcd(a, q) != 1:
         raise DomainError(f"a={a} and q={q} must be coprime")
@@ -68,18 +68,18 @@ def build_construction(
         raise DomainError(f"q must be >= 3, got {q}")
     if H < 100:
         raise DomainError(f"H must be >= 100, got {H}")
-    if table is None or table.limit < H:
+    if table.limit < H:
         raise DomainError("a PrimeTable with limit >= H is required")
     log_h = math.log(H)
+    primes = table.primes
     if p0 != 1:
-        if factorize(p0) != [(p0, 1)]:
-            raise DomainError(f"p0 must be 1 or prime, got {p0}")
+        if p0 > H or primes[min(np.searchsorted(primes, p0), primes.size - 1)] != p0:
+            raise DomainError(f"p0 must be 1 or a prime <= H = {H}, got {p0}")
         if p0 <= log_h:
             raise DomainError(f"p0={p0} must exceed log H = {log_h:.4f}")
 
     cap = H / log_h**2
     tH = None if a % q == 1 else t_of_H(H)
-    primes = table.primes
     in_range = primes[primes <= max(cap, log_h, H / tH if tH else 0.0)]
     res = in_range % q
 
@@ -109,9 +109,7 @@ def build_construction(
 
 def phi_over_Q(c: ShiuConstruction) -> float:
     """prod (1 - 1/p) over the distinct primes of the modulus, in log space."""
-    return math.exp(
-        sum(math.log1p(-1.0 / p) for p in c.modulus_primes())
-    )
+    return math.exp(log_euler(sorted(c.modulus_primes())))
 
 
 @dataclass(frozen=True)

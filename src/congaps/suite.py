@@ -166,7 +166,7 @@ def _check_census(table) -> dict:
     return {"name": "census_pairs", "ok": bool(ok), "pair_count": res.pair_count}
 
 
-def run_suite(scale: str = "small", cache_dir: str | None = None) -> list[dict]:
+def run_suite(scale: str = "small") -> list[dict]:
     """Run the battery; returns one record per check (deterministic apart
     from any wall-time fields, of which there are none here)."""
     if scale not in SCALE_LIMITS:
@@ -180,7 +180,7 @@ def run_suite(scale: str = "small", cache_dir: str | None = None) -> list[dict]:
         _check_hankel(),
         _check_perron(),
     ]
-    table = primes.get_prime_table(limit, cache_dir)
+    table = primes.get_prime_table(limit)
     results.append(_check_mertens(table))
     results.append(_check_lemma33(table))
     results.append(_check_shiu(table))

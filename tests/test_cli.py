@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import pytest
 
@@ -71,6 +72,28 @@ def test_shiu_payload(capsys):
     assert payload["S_count"] + payload["T_count"] <= 1000
 
 
+def test_shiu_p0_struck(capsys):
+    # the report when p0 was tested by trial division, floats to 1e-12
+    want = {"H": 100000, "q": 3, "a": 2, "p0": 17, "tH": 8.205188184819578,
+            "regime_ok": False, "P_size": 801, "S_count": 4391, "T_count": 4723,
+            "phiQ_over_Q": 0.07515294406920563, "lemma34_lhs": -332.0,
+            "lemma34_rhs": 565.3401095572392, "lemma34_ratio": -0.5872571119357062,
+            "t_bound_ratio": 0.5437554697105439}
+    rc, out, _ = run(capsys, "shiu", "--h", "100000", "--q", "3", "--a", "2", "--p0", "17")
+    assert rc == 0
+    assert json.loads(out) == pytest.approx(want, rel=1e-12)
+
+
+def test_shiu_p0_above_h_rejected_at_once(capsys):
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "shiu", "--h", "100000", "--q", "3", "--a", "2",
+                       "--p0", "1000000000000000003")
+    assert time.perf_counter() - start < 1.0
+    assert rc == 2
+    assert out == ""
+    assert "p0 must be 1 or a prime <= H = 100000, got 1000000000000000003" in err
+
+
 def test_census_payload(capsys):
     rc, out, _ = run(capsys, "census", "--q", "3", "--a", "2", "--x", "600",
                      "--epsilon", "1")
@@ -122,6 +145,7 @@ def test_census_list_pairs_out_file(tmp_path, capsys):
     ["constants", "--q", "4", "--tol", "1e-8"],
     ["contour", "--mode", "gamma", "--cache-dir", "D"],
     ["contour", "--mode", "hankel", "--r", "0.1"],
+    ["mertens", "--q", "3", "--x", "100", "--cache-dir", "D"],
 ])
 def test_flags_a_subcommand_ignores_are_rejected(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -137,6 +161,18 @@ def test_contour_gamma(capsys):
     assert rc == 0
     payload = json.loads(out)
     assert payload["reflection_residual"] <= 1e-12
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["contour", "--mode", "gamma", "--theta", "1e-320"], "theta"),
+    (["contour", "--mode", "hankel", "--beta", "1e-320"], "beta"),
+], ids=["gamma-theta", "hankel-beta"])
+def test_gamma_overflow_exit_code(capsys, argv, name):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith(f"congaps: Gamma({name}) overflows")
+    assert "Traceback" not in err
 
 
 def test_domain_violation_exit_code(capsys):
@@ -322,23 +358,24 @@ def test_tol_must_be_finite_and_nonnegative(tmp_path, capsys, monkeypatch, entry
 
 
 def test_mertens_and_census_share_one_cache_file(tmp_path, capsys, monkeypatch):
-    cache = ("--cache-dir", str(tmp_path))
-    rc, _, _ = run(capsys, "mertens", "--q", "3", "--x", "10000", *cache)
+    monkeypatch.setenv(primes.CACHE_ENV, str(tmp_path))
+    rc, _, _ = run(capsys, "mertens", "--q", "3", "--x", "10000")
     assert rc == 0
 
     def no_sieve(limit):
         raise AssertionError("the census sieved a table the cache holds")
 
     monkeypatch.setattr(primes, "sieve_primes", no_sieve)
-    rc, out, _ = run(capsys, "census", "--q", "3", "--a", "2", "--x", "10000", *cache)
+    rc, out, _ = run(capsys, "census", "--q", "3", "--a", "2", "--x", "10000")
     assert rc == 0
     assert strict_json(out)["pair_count"] > 0
     assert sorted(p.name for p in tmp_path.iterdir()) == ["primes_10000.bin"]
 
 
 @pytest.mark.parametrize("cut", [8 * 600, 8 * 600 + 3])
-def test_truncated_cache_exit_code(tmp_path, capsys, cut):
-    argv = ("mertens", "--q", "3", "--x", "10000", "--cache-dir", str(tmp_path))
+def test_truncated_cache_exit_code(tmp_path, capsys, monkeypatch, cut):
+    monkeypatch.setenv(primes.CACHE_ENV, str(tmp_path))
+    argv = ("mertens", "--q", "3", "--x", "10000")
     rc, _, _ = run(capsys, *argv)
     assert rc == 0
     path = tmp_path / "primes_10000.bin"

@@ -6,13 +6,19 @@ A change that moves a float on purpose regenerates the goldens with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and records the largest deviation it caused.
+which prints, for each file, the largest absolute and relative deviation
+of its numbers from the committed version (or `unchanged`) before
+overwriting it; the change records those deviations.
 """
 
+import csv
+import io
 import json
+import math
 import os
 import pathlib
 import sys
+import tempfile
 
 import pytest
 
@@ -64,14 +70,58 @@ def test_report_matches_golden(name, tmp_path, monkeypatch):
     assert report(name, tmp_path / name) == want
 
 
+def leaves(value, path=""):
+    """(path, value) of every scalar in a report (parsed JSON, or CSV rows),
+    strings read as numbers where they parse as one."""
+    if isinstance(value, (dict, list)):
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        for key, item in items:
+            yield from leaves(item, f"{path}/{key}")
+        return
+    try:
+        value = float(value) if isinstance(value, str) else value
+    except ValueError:
+        pass
+    yield path, value
+
+
+def parsed(name: str, text: str):
+    return list(csv.reader(io.StringIO(text))) if name.endswith(".csv") else json.loads(text)
+
+
+def deviation(old, new) -> str:
+    """The largest absolute and relative change of a number between two
+    reports, `unchanged`, or what else changed."""
+    old, new = dict(leaves(old)), dict(leaves(new))
+    if old == new:
+        return "unchanged"
+    if old.keys() != new.keys():
+        return f"keys changed: {sorted(old.keys() ^ new.keys())}"
+    worst_abs, worst_rel = (0.0, ""), (0.0, "")
+    for path, a in old.items():
+        b = new[path]
+        if a == b:
+            continue
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b)):
+            return f"{path} changed: {a!r} -> {b!r}"
+        worst_abs = max(worst_abs, (abs(b - a), path))
+        worst_rel = max(worst_rel, (abs(b - a) / abs(a) if a else math.inf, path))
+    return (f"max abs dev {worst_abs[0]:.3g} at {worst_abs[1]}, "
+            f"max rel dev {worst_rel[0]:.3g} at {worst_rel[1]}")
+
+
 def regenerate() -> None:
     os.environ.pop(primes.CACHE_ENV, None)
     GOLDEN.mkdir(exist_ok=True)
-    for name in sorted(CASES):
-        got = report(name, GOLDEN / name)
-        if not name.endswith(".csv"):
-            (GOLDEN / name).write_text(json.dumps(got, indent=1) + "\n")
-        print(f"wrote {GOLDEN / name}", file=sys.stderr)
+    with tempfile.TemporaryDirectory() as scratch:
+        for name in sorted(CASES):
+            got = report(name, pathlib.Path(scratch) / name)
+            path = GOLDEN / name
+            text = got if name.endswith(".csv") else json.dumps(got, indent=1) + "\n"
+            if path.exists():
+                print(f"{name}: {deviation(parsed(name, path.read_text()), parsed(name, text))}",
+                      file=sys.stderr)
+            path.write_text(text)
 
 
 if __name__ == "__main__":

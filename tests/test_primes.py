@@ -130,6 +130,20 @@ def test_prime_count_ap_errors(table5):
         table5.residue_class(3, -1)
 
 
+def test_log_euler_against_fsum(table5):
+    # a loop of exactly rounded sums is the reference; pairwise summation
+    # is off by at most log2(n) roundings of the magnitude sum, and each
+    # term by one rounding of its own (log1p and the power)
+    p = table5.primes
+    eps = np.finfo(float).eps
+    for d in (1, p % 7 + 1):
+        exps = np.broadcast_to(d, p.shape).tolist()
+        terms = [math.log1p(-float(x) ** -e) / e for x, e in zip(p.tolist(), exps)]
+        bound = (math.log2(p.size) + 2) * eps * math.fsum(map(abs, terms))
+        assert abs(primes.log_euler(p, d) - math.fsum(terms)) <= bound
+    assert primes.log_euler(np.empty(0, dtype=np.int64)) == 0.0
+
+
 def test_spf_values(spf5):
     spf = spf5.spf
     assert spf[1] == 1

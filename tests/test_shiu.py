@@ -75,9 +75,11 @@ def test_construction_errors(table5):
     with pytest.raises(DomainError):
         shiu.build_construction(50, 3, 1, 1, table5)
     with pytest.raises(DomainError):
-        shiu.build_construction(10**4, 3, 1, 1, None)
-    with pytest.raises(DomainError):
         shiu.build_construction(10**4, 3, 1, 8, table5)  # p0 composite
+    with pytest.raises(DomainError):
+        shiu.build_construction(10**4, 3, 1, 13 * 17, table5)  # p0 composite, > log H
+    with pytest.raises(DomainError):
+        shiu.build_construction(10**4, 3, 1, 10007, table5)  # p0 prime, above H
     with pytest.raises(DomainError):
         shiu.build_construction(10**5, 3, 1, 7, table5)  # p0 <= log H
 
