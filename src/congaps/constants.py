@@ -1,6 +1,12 @@
 """Numerical constants attached to a modulus q: L(1, chi) for the
 non-principal characters, the prime-power correction factor Theta(1), the
 Mertens-in-progression constant c(q), and 1/Gamma(1/phi(q)).
+
+The digamma values psi(r/q) behind L(1, chi) come from Gauss's digamma
+theorem (DLMF 5.4.19), whose cosine sums are one real FFT of
+log sin(pi n/q); cot(pi r/q) is taken at min(r, q - r) with its sign
+flipped above q/2, so no argument near pi is rounded. numpy does it all:
+this module loads no scipy.
 """
 
 from __future__ import annotations
@@ -20,22 +26,43 @@ L_TOL = 1e-12  # bound on the rounding error of each L(1, chi) from l_one
 THETA_TOL = 1e-6  # bound on the truncation error of Theta(1)
 
 
+def _psi_fractions(q: int) -> np.ndarray:
+    """psi(r/q) for r = 0..q-1 (entry 0 is nan), by Gauss's digamma theorem:
+    psi(r/q) = -gamma - log 2q - (pi/2) cot(pi r/q)
+               + 2 sum_{0<n<q/2} cos(2 pi n r/q) log sin(pi n/q).
+
+    The cosine sums are the real part of one rfft, and r and q - r share
+    theirs. cot(pi r/q) = -cot(pi (q - r)/q) is used above q/2: rounding
+    pi r/q near pi would cost 1e-5 absolute at r = q - 1, q = 999983.
+    """
+    n = np.arange(1, (q + 1) // 2)  # 0 < n < q/2
+    log_sin = np.zeros(q)
+    log_sin[n] = np.log(np.sin(np.pi * n / q))
+    cos_sums = np.fft.rfft(log_sin).real
+    r = np.arange(1, q)
+    m = np.minimum(r, q - r)
+    psi = np.full(q, np.nan)
+    psi[1:] = (-EULER_GAMMA - math.log(2 * q) + 2 * cos_sums[m]
+               - (np.pi / 2) * np.sign(q - 2 * r) / np.tan(np.pi * m / q))
+    return psi
+
+
 def l_one(q: int) -> np.ndarray:
     """L(1, chi) for every non-principal chi mod q, in table order.
 
     Exact up to rounding (within L_TOL), from the identity
-    L(1, chi) = -(1/q) sum_r chi(r) psi(r/q): F[x(r)] = -psi(r/q)/q on the
-    d_1 x ... x d_k discrete-log grid, and phi(q) * ifftn(F)[e] is the sum
-    for the character with exponent vector e, every e at once.
+    L(1, chi) = -(1/q) sum_r chi(r) psi(r/q), with psi(r/q) from Gauss's
+    digamma theorem and the cot fold (_psi_fractions): F[x(r)] =
+    -psi(r/q)/q on the d_1 x ... x d_k discrete-log grid, and
+    phi(q) * ifftn(F)[e] is the sum for the character with exponent
+    vector e, every e at once.
     """
     if q < 3:
         raise DomainError(f"every character mod {q} is principal; L(1, chi) needs q >= 3")
-    from scipy.special import digamma  # deferred: census and shiu never load scipy
-
     orders, dlog, units = unit_group(q)
     r = np.flatnonzero(units)
     grid = np.zeros(orders)
-    grid[tuple(dlog[r].T)] = -digamma(r / q) / q
+    grid[tuple(dlog[r].T)] = -_psi_fractions(q)[r] / q
     return len(r) * np.fft.ifftn(grid).ravel()[1:]
 
 

@@ -37,7 +37,7 @@ class ShiuConstruction:
     H: int
     q: int
     a: int
-    p0: int  # 1, or a prime exceeding log H
+    p0: int  # 1, or a prime of script_p exceeding log H
     tH: float | None  # only defined for a not congruent to 1 mod q
     script_p: np.ndarray  # the engineered prime set, sorted
     q_primes: tuple[int, ...]  # distinct prime factors of q
@@ -60,7 +60,8 @@ def build_construction(
     p <= H/(log H)^2 with p != 1 mod q.  Otherwise four ranges split by
     residue, cut at t(H) and H/t(H); the asymptotic ordering
     log H < t(H) < H/t(H) < H/(log H)^2 is recorded in regime_ok but never
-    enforced by clamping. p0, struck from the set, is 1 or a prime <= H.
+    enforced by clamping. p0, struck from the set, is 1 or one of its
+    primes above log H.
     """
     if math.gcd(a, q) != 1:
         raise DomainError(f"a={a} and q={q} must be coprime")
@@ -73,7 +74,7 @@ def build_construction(
     log_h = math.log(H)
     primes = table.primes
     if p0 != 1:
-        if p0 > H or primes[min(np.searchsorted(primes, p0), primes.size - 1)] != p0:
+        if p0 > H:
             raise DomainError(f"p0 must be 1 or a prime <= H = {H}, got {p0}")
         if p0 <= log_h:
             raise DomainError(f"p0={p0} must exceed log H = {log_h:.4f}")
@@ -95,6 +96,9 @@ def build_construction(
         mask = s1 | s2 | s3 | s4
 
     script_p = in_range[mask]
+    if p0 != 1 and p0 not in script_p:
+        raise DomainError(f"p0={p0} is not a prime of the set P(H) for H={H}, "
+                          f"q={q}, a={a}")
     return ShiuConstruction(
         H=H,
         q=q,

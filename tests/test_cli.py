@@ -94,6 +94,16 @@ def test_shiu_p0_above_h_rejected_at_once(capsys):
     assert "p0 must be 1 or a prime <= H = 100000, got 1000000000000000003" in err
 
 
+def test_shiu_p0_outside_prime_set_rejected(capsys):
+    # 99991 is a prime <= H, but above max(H/(log H)^2, H/t(H)): striking
+    # it would leave the p0 = 1 report under "p0": 99991
+    rc, out, err = run(capsys, "shiu", "--h", "100000", "--q", "3", "--a", "2",
+                       "--p0", "99991")
+    assert rc == 2
+    assert out == ""
+    assert "p0=99991 is not a prime of the set P(H)" in err
+
+
 def test_census_payload(capsys):
     rc, out, _ = run(capsys, "census", "--q", "3", "--a", "2", "--x", "600",
                      "--epsilon", "1")

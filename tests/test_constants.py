@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from congaps import constants, primes, suite
-from congaps.characters import build_character_table, totient
+from congaps.characters import build_character_table, totient, unit_group
 from congaps.errors import DomainError
 
 
@@ -26,6 +26,51 @@ def test_l_one_against_digamma_identity(q):
     with mpmath.workdps(25):
         psi = np.array([float(mpmath.digamma(mpmath.mpf(r) / q)) for r in range(1, q)])
     want = np.array([-(chi.values()[1:] @ psi) / q for chi in nonprincipal(q)])
+    assert np.abs(constants.l_one(q) - want).max() <= constants.L_TOL
+
+
+def psi_bound(q, psi):
+    # The cosine sums are one length-q FFT of values |log sin(pi n/q)| <=
+    # log q, so their rounding grows about like eps * q (1.2e-10 measured at
+    # q = 999983, where 1e-15 * q is 1e-9); the cot term, about q/r near
+    # r = 1, carries a relative rounding of a few eps, hence max(1, |psi|).
+    return 1e-15 * q * np.maximum(1.0, np.abs(psi))
+
+
+def psi_mpmath(q, r):
+    with mpmath.workdps(30):
+        return np.array([float(mpmath.digamma(mpmath.mpf(int(k)) / q)) for k in r])
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 12, 1009, 1024])
+def test_psi_fractions_against_mpmath(q):
+    psi = constants._psi_fractions(q)
+    want = psi_mpmath(q, range(1, q))
+    assert psi.shape == (q,) and np.isnan(psi[0])
+    assert np.all(np.abs(psi[1:] - want) <= psi_bound(q, want))
+
+
+def test_psi_fractions_against_mpmath_q999983():
+    # both ends, where pi r/q is near 0 or pi and the cot fold matters,
+    # the middle, where cot(pi r/q) is 0, and a seeded sample
+    q = 999983
+    r = np.array([1, 2, q // 2, q - 2, q - 1,
+                  *np.random.default_rng(1).integers(1, q, 200)])
+    want = psi_mpmath(q, r)
+    got = constants._psi_fractions(q)[r]
+    assert np.all(np.abs(got - want) <= psi_bound(q, want))
+
+
+@pytest.mark.parametrize("q", [10007, 99991])
+def test_l_one_against_scipy_digamma_route(q):
+    # the route before Gauss's theorem: psi(r/q) from scipy.special.digamma
+    # laid on the same discrete-log grid
+    from scipy.special import digamma
+    orders, dlog, units = unit_group(q)
+    r = np.flatnonzero(units)
+    grid = np.zeros(orders)
+    grid[tuple(dlog[r].T)] = -digamma(r / q) / q
+    want = len(r) * np.fft.ifftn(grid).ravel()[1:]
     assert np.abs(constants.l_one(q) - want).max() <= constants.L_TOL
 
 

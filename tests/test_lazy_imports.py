@@ -1,8 +1,8 @@
 """Each subcommand loads only the part of scipy it calls: importing the
-CLI loads none, census and shiu load none, and the constants-based
-subcommands, the closed-form Perron and Hankel checks and the suite load
-scipy.special; none loads scipy.integrate. Checked by the modules loaded
-in a fresh interpreter, not by timings."""
+CLI loads none; constants, mertens, count, census and shiu load none, and
+run with scipy blocked; the closed-form Perron and Hankel checks and the
+suite load scipy.special; none loads scipy.integrate. Checked by the
+modules loaded in a fresh interpreter, not by timings."""
 
 import json
 import os
@@ -29,11 +29,22 @@ print(json.dumps({"rc": rc, "loaded": sorted(
 """
 
 
-def loaded_after(argv):
+NO_SCIPY = """
+import contextlib, io, json, sys
+sys.modules["scipy"] = None  # every import of scipy now raises ImportError
+from congaps import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    rcs = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps(rcs))
+"""
+
+
+def run_fresh(script, argv):
+    """The JSON that `script` prints, run in a fresh interpreter with argv."""
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     env.pop("CONGAPS_CACHE_DIR", None)
-    proc = subprocess.run([sys.executable, "-c", SCRIPT, json.dumps(argv)],
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(argv)],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
@@ -45,11 +56,23 @@ def loaded_after(argv):
     (["shiu", "--h", "1000", "--q", "3", "--a", "2"], []),
     (["contour", "--mode", "gamma"], []),
     (["contour", "--mode", "perron"], ["scipy.special"]),
-    (["constants", "--q", "7"], ["scipy.special"]),
-    (["count", "--q", "3", "--x", "1000"], ["scipy.special"]),
+    (["constants", "--q", "7"], []),
+    (["mertens", "--q", "3", "--x", "1000"], []),
+    (["count", "--q", "3", "--x", "1000"], []),
     (["contour", "--mode", "hankel"], ["scipy.special"]),
     (["suite", "--scale", "small"], ["scipy.special"]),
 ], ids=["import", "census", "shiu", "contour-gamma", "contour-perron", "constants",
-        "count", "contour-hankel", "suite"])
+        "mertens", "count", "contour-hankel", "suite"])
 def test_scipy_loaded_only_where_called(argv, loaded):
-    assert loaded_after(argv) == {"rc": 0, "loaded": loaded}
+    assert run_fresh(SCRIPT, argv) == {"rc": 0, "loaded": loaded}
+
+
+def test_runs_without_scipy():
+    argvs = [
+        ["constants", "--q", "7"],
+        ["mertens", "--q", "3", "--x", "1000"],
+        ["count", "--q", "3", "--x", "1000"],
+        ["census", "--q", "3", "--a", "2", "--x", "1000"],
+        ["shiu", "--h", "1000", "--q", "3", "--a", "2"],
+    ]
+    assert run_fresh(NO_SCIPY, argvs) == [0] * len(argvs)

@@ -82,6 +82,8 @@ def test_construction_errors(table5):
         shiu.build_construction(10**4, 3, 1, 10007, table5)  # p0 prime, above H
     with pytest.raises(DomainError):
         shiu.build_construction(10**5, 3, 1, 7, table5)  # p0 <= log H
+    with pytest.raises(DomainError):
+        shiu.build_construction(10**4, 3, 1, 9973, table5)  # p0 prime <= H, not in P(H)
 
 
 def test_p0_removed_from_modulus(table5):
