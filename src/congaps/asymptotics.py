@@ -15,8 +15,8 @@ import numpy as np
 
 from .characters import totient
 from .constants import EULER_GAMMA, ConstantsBundle
-from .errors import DegenerateComparisonError, DomainError, OutOfRangeError
-from .primes import PrimeTable, log_euler
+from .errors import DegenerateComparisonError, DomainError
+from .primes import PrimeSource, joined, log_euler, windows_upto
 
 
 @dataclass(frozen=True)
@@ -73,14 +73,13 @@ def compare(
     )
 
 
-def mertens_ap_product(q: int, X: int, table: PrimeTable) -> float:
-    """prod_{p <= X, p = 1 mod q} (1 - 1/p)^-1, accumulated in log space."""
+def mertens_ap_product(q: int, X: float, table: PrimeSource) -> float:
+    """prod_{p <= X, p = 1 mod q} (1 - 1/p)^-1, accumulated in log space:
+    one log_euler per window of table (a PrimeTable, or the windows of
+    primes.segments)."""
     if q < 3:
         raise DomainError(f"q must be >= 3, got {q}")
-    if X > table.limit:
-        raise OutOfRangeError(f"X={X} exceeds table limit {table.limit}")
-    cls = table.residue_class(q, 1)
-    return math.exp(-log_euler(cls[cls <= X]))
+    return math.exp(-sum(map(log_euler, windows_upto(table, X, q, 1))))
 
 
 def mertens_prediction(q: int, X: float, bundle: ConstantsBundle) -> float:
@@ -95,7 +94,7 @@ def mertens_prediction(q: int, X: float, bundle: ConstantsBundle) -> float:
     )
 
 
-def _restricted_walk(X: int, q: int, Y: float, table: PrimeTable):
+def _restricted_walk(X: int, q: int, Y: float, table: PrimeSource):
     """Depth-first walk over the nondecreasing products n <= X of allowed
     primes (p = 1 mod q, p > Y) that a further factor can extend, n = 1
     first. Yields (n, leaves): leaves holds the allowed p >= n's largest
@@ -106,13 +105,11 @@ def _restricted_walk(X: int, q: int, Y: float, table: PrimeTable):
         raise DomainError(f"q must be >= 3, got {q}")
     if not Y >= 1:
         raise DomainError(f"Y must be >= 1, got {Y}")
-    if X > table.limit:
-        raise OutOfRangeError(f"X={X} exceeds table limit {table.limit}")
     if X < 1:
         return
-    cls = table.residue_class(q, 1)
-    # an integer key: a float one would make searchsorted cast the whole class
-    allowed = cls[np.searchsorted(cls, math.floor(min(Y, X)), side="right"):]
+    # the allowed primes, kept whole: the walk bisects them from every node
+    allowed = joined(cls[np.searchsorted(cls, math.floor(min(Y, X)), side="right"):]
+                     for cls in windows_upto(table, X, q, 1))
     stack = [(1, 0)]  # (n, index of the least prime n may still take)
     while stack:
         n, start = stack.pop()
@@ -123,14 +120,14 @@ def _restricted_walk(X: int, q: int, Y: float, table: PrimeTable):
             stack.append((n * p, i))
 
 
-def count_restricted(X: int, q: int, Y: float, table: PrimeTable) -> int:
+def count_restricted(X: int, q: int, Y: float, table: PrimeSource) -> int:
     """Exact count of n <= X whose prime factors are all congruent to
     1 mod q and greater than Y (n = 1 counts vacuously), read off the
     restricted-product walk: each node and its leaves."""
     return sum(1 + leaves.size for _, leaves in _restricted_walk(X, q, Y, table))
 
 
-def enumerate_restricted(X: int, q: int, Y: float, table: PrimeTable) -> list[int]:
+def enumerate_restricted(X: int, q: int, Y: float, table: PrimeSource) -> list[int]:
     """Sorted members of the set counted by count_restricted, from the same
     walk; comparing this list against a per-n factorization oracle
     certifies the count for every cutoff up to X at once."""
@@ -141,7 +138,7 @@ def enumerate_restricted(X: int, q: int, Y: float, table: PrimeTable) -> list[in
 
 
 def lemma33_prediction(
-    X: int, q: int, Y: float, bundle: ConstantsBundle, table: PrimeTable
+    X: int, q: int, Y: float, bundle: ConstantsBundle, table: PrimeSource
 ) -> float:
     """Main term (c(q)/Gamma(1/phi(q))) * X (log X)^(1/phi(q)) / log X
     times prod_{p <= Y, p = 1 mod q} (1 - 1/p)."""

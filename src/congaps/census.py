@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .characters import totient
-from .errors import DomainError, OutOfRangeError
-from .primes import PrimeTable, next_prime
+from .errors import DomainError
+from .primes import PrimeSource, next_prime, windows_upto
 
 
 SAMPLE_PAIRS = 100  # pairs a census report carries
@@ -54,18 +54,22 @@ def find_congruent_pairs(
     q: int,
     a: int,
     epsilon: float,
-    table: PrimeTable,
+    table: PrimeSource,
     keep_pairs: bool = True,
     thm11_c: float = 1.0,
     shiu_C: float = 1.0,
 ) -> CensusResult:
     """Single pass over consecutive prime pairs with p_r <= X.
 
+    table is a PrimeTable reaching X, or the windows of primes.segments(X):
+    the pass folds over them window by window, carrying the last prime of
+    each into the next, so a stream is never held whole.
+
     The first SAMPLE_PAIRS pairs are always kept; all of them only with
     keep_pairs, as building that many Python tuples costs several times the
     pass itself at X = 10^8.
 
-    The successor of the last prime <= X is next_prime(X), so the table
+    The successor of the last prime <= X is next_prime(X), so the primes
     need only reach X. Both reference bounds are informational; each is
     attached when it is defined at X, else reported as None with the reason
     in bound_reasons.
@@ -77,26 +81,28 @@ def find_congruent_pairs(
     for name, value in (("epsilon", epsilon), ("c", thm11_c), ("C", shiu_C)):
         if not 0 < value < math.inf:
             raise DomainError(f"{name} must be > 0 and finite, got {value}")
-    if X > table.limit:
-        raise OutOfRangeError(f"X={X} exceeds table limit {table.limit}")
 
     start = time.perf_counter()
-    # the primes <= X
-    primes = table.primes[: np.searchsorted(table.primes, X, side="right")]
-    in_class = primes % q == a % q
-    # pairs with both primes in the class; only these take the gap test
-    idx = np.flatnonzero(in_class[:-1] & in_class[1:])
-    gaps = primes[idx + 1] - primes[idx]
-    with np.errstate(over="ignore"):  # a huge epsilon overflows to inf: every gap passes
-        idx = idx[gaps < epsilon * np.log(primes[idx].astype(float))]
-    kept = idx if keep_pairs else idx[:SAMPLE_PAIRS]
-    listed = tuple(zip(primes[kept].tolist(), primes[kept + 1].tolist()))
-    pair_count = int(idx.size)
-    # the last prime <= X pairs with next_prime(X), which the table need not hold
-    if primes.size and in_class[-1]:
-        p, successor = int(primes[-1]), next_prime(X)
+    listed: list[tuple[int, int]] = []
+    pair_count = 0
+    last = np.empty(0, dtype=np.int64)  # the last prime of the windows so far
+    for window in windows_upto(table, X):
+        primes = np.concatenate((last, window))
+        in_class = primes % q == a % q
+        # pairs with both primes in the class; only these take the gap test
+        idx = np.flatnonzero(in_class[:-1] & in_class[1:])
+        gaps = primes[idx + 1] - primes[idx]
+        with np.errstate(over="ignore"):  # a huge epsilon overflows to inf: every gap passes
+            idx = idx[gaps < epsilon * np.log(primes[idx].astype(float))]
+        pair_count += int(idx.size)
+        kept = idx if keep_pairs else idx[: SAMPLE_PAIRS - len(listed)]
+        listed += zip(primes[kept].tolist(), primes[kept + 1].tolist())
+        last = primes[-1:]
+    # the last prime <= X pairs with next_prime(X), which the windows need not hold
+    if last.size and last[0] % q == a % q:
+        p, successor = int(last[0]), next_prime(X)
         if successor % q == a % q and successor - p < epsilon * math.log(p):
-            listed += ((p, successor),)
+            listed.append((p, successor))
             pair_count += 1
 
     reasons: dict[str, str] = {}
@@ -112,8 +118,8 @@ def find_congruent_pairs(
         bound_thm11=b11,
         bound_shiu=bsh,
         wall_time_ms=elapsed,
-        sample_pairs=listed[:SAMPLE_PAIRS],
-        pairs=listed if keep_pairs else None,
+        sample_pairs=tuple(listed[:SAMPLE_PAIRS]),
+        pairs=tuple(listed) if keep_pairs else None,
         bound_reasons=reasons,
     )
 

@@ -85,15 +85,15 @@ def cmd_constants(args) -> int:
 
 
 def cmd_mertens(args) -> int:
-    table = primes.get_prime_table(args.x)
-    bundle = constants.constants_bundle(args.q)
-    report = asymptotics.compare(
-        "mertens product vs prediction",
-        asymptotics.mertens_ap_product(args.q, args.x, table),
-        asymptotics.mertens_prediction(args.q, args.x, bundle),
-        args.tol,
-        params={"q": args.q, "X": args.x},
-    )
+    with contextlib.closing(primes.segments(args.x)) as stream:
+        bundle = constants.constants_bundle(args.q)
+        report = asymptotics.compare(
+            "mertens product vs prediction",
+            asymptotics.mertens_ap_product(args.q, args.x, stream),
+            asymptotics.mertens_prediction(args.q, args.x, bundle),
+            args.tol,
+            params={"q": args.q, "X": args.x},
+        )
     _emit(report, args)
     return 0
 
@@ -101,14 +101,17 @@ def cmd_mertens(args) -> int:
 def cmd_count(args) -> int:
     if not math.isfinite(args.y):
         raise DomainError(f"Y must be finite, got {args.y}")
-    # the prediction's Euler product runs over the primes up to Y
-    table = primes.get_prime_table(max(args.x, math.ceil(args.y)))
-    bundle = constants.constants_bundle(args.q)
+    # two passes over the primes up to max(X, Y): the walk keeps the class-1
+    # primes above Y; the prediction's Euler product over the primes up to Y
+    # stops at the first window past Y
+    limit = max(args.x, math.ceil(args.y))
+    with contextlib.closing(primes.segments(limit)) as stream:
+        bundle = constants.constants_bundle(args.q)
+        actual = asymptotics.count_restricted(args.x, args.q, args.y, stream)
+    with contextlib.closing(primes.segments(limit)) as stream:
+        predicted = asymptotics.lemma33_prediction(args.x, args.q, args.y, bundle, stream)
     report = asymptotics.compare(
-        "restricted count vs prediction",
-        asymptotics.count_restricted(args.x, args.q, args.y, table),
-        asymptotics.lemma33_prediction(args.x, args.q, args.y, bundle, table),
-        args.tol,
+        "restricted count vs prediction", actual, predicted, args.tol,
         params={"q": args.q, "X": args.x, "Y": args.y},
     )
     _emit(report, args)
@@ -144,11 +147,11 @@ def cmd_shiu(args) -> int:
 
 
 def cmd_census(args) -> int:
-    table = primes.get_prime_table(args.x)
-    result = census.find_congruent_pairs(
-        args.x, args.q, args.a, args.epsilon, table,
-        keep_pairs=args.list_pairs, thm11_c=args.c, shiu_C=args.big_c,
-    )
+    with contextlib.closing(primes.segments(args.x)) as stream:
+        result = census.find_congruent_pairs(
+            args.x, args.q, args.a, args.epsilon, stream,
+            keep_pairs=args.list_pairs, thm11_c=args.c, shiu_C=args.big_c,
+        )
     if args.list_pairs:
         with _output(args) as fh:
             writer = csv.writer(fh, lineterminator="\n")

@@ -90,7 +90,11 @@ def theta_at_one(q: int) -> float:
     orders, dlog, _ = unit_group(q)
     cutoff = max(100, int(math.ceil(2.0 / THETA_TOL)))
     primes = _primes_below(cutoff)
-    d = element_orders(dlog, orders)[primes % q]  # 1 for p = 1 mod q and for p | q
+    if q > primes.size:  # fewer primes than residues: find only the orders they need
+        d = element_orders(dlog[primes % q], orders)
+    else:
+        d = element_orders(dlog, orders)[primes % q]
+    # d is 1 for p = 1 mod q and for p | q
     return math.exp(log_euler(primes[d > 1], d[d > 1]))
 
 

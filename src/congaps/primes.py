@@ -2,25 +2,32 @@
 smallest-prime-factor tables (a test oracle), and an on-disk prime cache.
 
 The sieve is odd-only and processes fixed-size segments, so memory stays
-O(segment) + O(primes up to sqrt(limit)) during construction.
+O(segment) + O(primes up to sqrt(limit)) during construction. segments()
+hands the primes on one segment's window at a time, from the sieve or the
+cache, so a fold over them never holds all the primes; a PrimeTable is the
+same windows joined.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import struct
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import CacheError, CapacityError, DomainError, OutOfRangeError
 
-MAX_SIEVE_LIMIT = 10**9  # largest measured: a census to it takes 10 s, 855 MB (2 vCPUs)
+MAX_SIEVE_LIMIT = 10**9  # shiu and suite hold whole tables; a census to it: 4.7 s, 35 MB (2 vCPUs)
 SEGMENT_SIZE = 1 << 20  # integers per segment; cache-friendly default
 CACHE_MAGIC = b"PRIMTBL2"
 _CACHE_HEADER = struct.Struct("<8sQQ")  # magic, limit, prime count
 CACHE_ENV = "CONGAPS_CACHE_DIR"
+_READ_BLOCK = 1 << 16  # primes per read from a cache file
+_TEMP_SERIAL = itertools.count()  # tells apart the temp files of one process
 
 
 @dataclass
@@ -41,6 +48,10 @@ class PrimeTable:
         return self._residue_index[key]
 
 
+# what a fold over the primes takes: a whole table, or a stream of windows
+PrimeSource = PrimeTable | Iterable[np.ndarray]
+
+
 def _odd_primes(low: int, high: int, base: np.ndarray | None = None) -> np.ndarray:
     """The odd primes in [low, high), for low >= 3, struck by `base`: the odd
     primes up to sqrt(high - 1), found by this same kernel when not given."""
@@ -57,19 +68,86 @@ def _odd_primes(low: int, high: int, base: np.ndarray | None = None) -> np.ndarr
     return first + 2 * np.flatnonzero(mask).astype(np.int64)
 
 
-def sieve_primes(limit: int) -> PrimeTable:
-    """Sieve all primes up to `limit` (inclusive) into a PrimeTable."""
+def _check_limit(limit: int) -> None:
     if limit < 0:
         raise DomainError(f"limit must be >= 0, got {limit}")
     if limit > MAX_SIEVE_LIMIT:
         raise CapacityError(f"limit {limit} exceeds configured maximum {MAX_SIEVE_LIMIT}")
-    if limit < 2:
-        return PrimeTable(limit, np.empty(0, dtype=np.int64))
-    base = _odd_primes(3, math.isqrt(limit) + 1)
-    chunks = [np.array([2], dtype=np.int64)]
+
+
+def _bounds(limit: int):
+    """[low, high) of each window of the primes <= limit: [2, 3), then the
+    sieve segments [3 + k*SEGMENT_SIZE, 3 + (k + 1)*SEGMENT_SIZE), the last
+    one cut at limit + 1."""
+    if limit >= 2:
+        yield 2, 3
     for low in range(3, limit + 1, SEGMENT_SIZE):
-        chunks.append(_odd_primes(low, min(low + SEGMENT_SIZE, limit + 1), base))
-    return PrimeTable(limit, np.concatenate(chunks))
+        yield low, min(low + SEGMENT_SIZE, limit + 1)
+
+
+def _sieved(limit: int):
+    """The primes <= limit, window by window, sieved one segment at a time."""
+    base = _odd_primes(3, math.isqrt(limit) + 1) if limit >= 2 else None
+    for low, high in _bounds(limit):
+        yield np.array([2], dtype=np.int64) if low == 2 else _odd_primes(low, high, base)
+
+
+def joined(windows) -> np.ndarray:
+    """The windows as one int64 array, grown in place as each comes, so
+    the primes are never held twice: once in windows and once joined."""
+    buf = bytearray()
+    for window in windows:
+        # through a memoryview, += appends the bytes; an ndarray would broadcast
+        buf += memoryview(np.ascontiguousarray(window, dtype=np.int64)).cast("B")
+    return np.frombuffer(buf, dtype=np.int64)
+
+
+def sieve_primes(limit: int) -> PrimeTable:
+    """Sieve all primes up to `limit` (inclusive) into a PrimeTable."""
+    _check_limit(limit)
+    return PrimeTable(limit, joined(_sieved(limit)))
+
+
+def segments(limit: int):
+    """The primes <= limit as a stream of windows: [2], then the primes of
+    each sieve segment [3 + k*SEGMENT_SIZE, 3 + (k + 1)*SEGMENT_SIZE).
+
+    The windows come from the cache file for `limit` in the directory
+    $CONGAPS_CACHE_DIR names, when it exists, read a block at a time;
+    otherwise from the sieve, written through to that file when the
+    variable is set. Both sources yield the same arrays. The limit is
+    checked here, before any window is made.
+    """
+    _check_limit(limit)
+    directory = os.environ.get(CACHE_ENV)
+    if not directory:
+        return _sieved(limit)
+    path = cache_path(limit, directory)
+    if os.path.exists(path):
+        return _cached(path, limit)
+    os.makedirs(directory, exist_ok=True)
+    return _written(_sieved(limit), limit, path)
+
+
+def windows_upto(source: PrimeSource, x: float, q: int = 1, a: int = 0):
+    """The primes = a mod q and <= x of source, window by window.
+
+    source is a PrimeTable, which must reach x and is one window (its
+    residue class index cached), or a stream of windows such as segments,
+    read no further than the first window that passes x.
+    """
+    key = math.floor(x)  # an integer key: a float one makes searchsorted cast the array
+    if isinstance(source, PrimeTable):
+        if x > source.limit:
+            raise OutOfRangeError(f"X={x} exceeds table limit {source.limit}")
+        chosen = source.primes if q == 1 else source.residue_class(q, a)
+        yield chosen[: np.searchsorted(chosen, key, side="right")]
+        return
+    for window in source:
+        chosen = window if q == 1 else window[window % q == a]
+        yield chosen[: np.searchsorted(chosen, key, side="right")]
+        if window.size and window[-1] > key:
+            return
 
 
 def next_prime(n: int) -> int:
@@ -142,26 +220,40 @@ def cache_path(limit: int, directory: str) -> str:
     return os.path.join(directory, f"primes_{limit}.bin")
 
 
-def save_cache(table: PrimeTable, path: str) -> str:
-    """Write the table to path atomically: a reader sees the old file or
-    the complete new one, never a partial write."""
-    tmp = f"{path}.{os.getpid()}.tmp"
+def _written(windows, limit: int, path: str):
+    """The windows, each passed on once it is written to path. The file
+    appears, complete, only after the last window: a stream closed or
+    dropped before then, or whose writing fails, leaves neither it nor its
+    temp file."""
+    tmp = f"{path}.{os.getpid()}.{next(_TEMP_SERIAL)}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(_CACHE_HEADER.pack(CACHE_MAGIC, table.limit, table.primes.size))
-            fh.write(table.primes.astype("<u8").tobytes())
+            fh.write(_CACHE_HEADER.pack(CACHE_MAGIC, limit, 0))
+            count = 0
+            for window in windows:
+                fh.write(window.astype("<u8").tobytes())
+                count += window.size
+                yield window
+            fh.seek(0)
+            fh.write(_CACHE_HEADER.pack(CACHE_MAGIC, limit, count))
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
+
+
+def save_cache(table: PrimeTable, path: str) -> str:
+    """Write the table to path atomically: a reader sees the old file or
+    the complete new one, never a partial write."""
+    for _ in _written((table.primes,), table.limit, path):
+        pass
     return path
 
 
-def load_cache(path: str, expected_limit: int | None = None) -> PrimeTable:
-    """Load a prime cache file; header limit must match any expected limit."""
-    with open(path, "rb") as fh:
-        header = fh.read(_CACHE_HEADER.size)
-        body = fh.read()
+def _read_header(fh, path: str, expected_limit: int | None) -> tuple[int, int]:
+    """(limit, prime count) from the header of an open cache file, whose
+    body must hold exactly that many primes."""
+    header = fh.read(_CACHE_HEADER.size)
     if len(header) < _CACHE_HEADER.size or header[:8] != CACHE_MAGIC:
         raise CacheError(f"bad header in {path!r}: {header[:8]!r}")
     _, limit, count = _CACHE_HEADER.unpack(header)
@@ -169,29 +261,53 @@ def load_cache(path: str, expected_limit: int | None = None) -> PrimeTable:
         raise CacheError(
             f"cache {path!r} holds limit {limit}, requested {expected_limit}"
         )
-    if len(body) != 8 * count:
+    body = os.fstat(fh.fileno()).st_size - _CACHE_HEADER.size
+    if body != 8 * count:
         raise CacheError(
             f"cache {path!r} is truncated: header promises {count} primes, "
-            f"body holds {len(body)} bytes"
+            f"body holds {body} bytes"
         )
-    primes = np.frombuffer(body, dtype="<i8")  # a read-only view, not a copy
-    # a word >= 2^63 reads as negative: ascending from at least 2 rules it out
-    if primes.size and (primes[0] < 2 or np.any(np.diff(primes) <= 0)
-                        or primes[-1] > limit):
+    return limit, count
+
+
+def _read_windows(fh, path: str, limit: int, count: int):
+    """The count primes after the header, read _READ_BLOCK at a time,
+    checked as they are read, and split into the windows of segments(limit)."""
+    held, last = np.empty(0, dtype=np.int64), 1
+    for _, high in _bounds(limit):
+        while count and (not held.size or held[-1] < high):
+            block = np.frombuffer(fh.read(8 * min(count, _READ_BLOCK)), dtype="<i8")
+            count -= block.size
+            # a word >= 2^63 reads as negative: ascending from at least 2 rules it out
+            if block[0] <= last or block[-1] > limit or np.any(np.diff(block) <= 0):
+                raise CacheError(f"cache {path!r} body is not ascending primes in [2, limit]")
+            last = block[-1]
+            held = np.concatenate((held, block))
+        cut = np.searchsorted(held, high)
+        yield held[:cut]
+        held = held[cut:]
+    if count:
         raise CacheError(f"cache {path!r} body is not ascending primes in [2, limit]")
+
+
+def _cached(path: str, limit: int):
+    """The windows of segments(limit), read from the cache file at path."""
+    with open(path, "rb") as fh:
+        _, count = _read_header(fh, path, limit)
+        yield from _read_windows(fh, path, limit, count)
+
+
+def load_cache(path: str, expected_limit: int | None = None) -> PrimeTable:
+    """Load a prime cache file; header limit must match any expected limit."""
+    with open(path, "rb") as fh:
+        limit, count = _read_header(fh, path, expected_limit)
+        primes = joined(_read_windows(fh, path, limit, count))
+    primes.flags.writeable = False
     return PrimeTable(int(limit), primes)
 
 
 def get_prime_table(limit: int) -> PrimeTable:
-    """Load the cache for `limit` from the directory $CONGAPS_CACHE_DIR names,
-    if present, else sieve (and cache there when the variable is set)."""
-    directory = os.environ.get(CACHE_ENV)
-    if directory:
-        path = cache_path(limit, directory)
-        if os.path.exists(path):
-            return load_cache(path, expected_limit=limit)
-    table = sieve_primes(limit)
-    if directory:
-        os.makedirs(directory, exist_ok=True)
-        save_cache(table, cache_path(limit, directory))
-    return table
+    """All the primes of segments(limit) in one table: from the cache in
+    $CONGAPS_CACHE_DIR if present, else sieved (and cached there when the
+    variable is set)."""
+    return PrimeTable(limit, joined(segments(limit)))

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from congaps import asymptotics, constants
+from congaps import asymptotics, constants, primes
 from congaps.errors import DegenerateComparisonError, DomainError, OutOfRangeError
 
 
@@ -203,3 +203,35 @@ def test_compare_invariants(actual, predicted, tol):
     rep = asymptotics.compare("h", actual, predicted, tol)
     assert rep.ratio == actual / predicted
     assert rep.passed == (1.0 - tol <= rep.ratio <= 1.0 + tol)
+
+
+def test_mertens_fold_same_from_sieve_and_cache(tmp_path, monkeypatch):
+    # [2] and three sieve segments below 3 * 10^6: the sum of one log_euler
+    # per window over its primes = 1 mod 7 is bitwise the same from either
+    # source. Against exactly rounded sums of the same terms, each window's
+    # pairwise sum is off by at most (log2(n) + 2) roundings of its magnitude
+    # sum, the four windows' sum by four more, and the exp and log by a few
+    X = 3 * 10**6
+    table = primes.sieve_primes(X)
+    sieved = asymptotics.mertens_ap_product(7, X, primes.segments(X))
+    monkeypatch.setenv(primes.CACHE_ENV, str(tmp_path))
+    written = asymptotics.mertens_ap_product(7, X, primes.segments(X))
+    monkeypatch.setattr(primes, "_sieved", None)  # the next pass reads the file
+    cached = asymptotics.mertens_ap_product(7, X, primes.segments(X))
+    assert sieved == written == cached
+    terms = [math.log1p(-1.0 / p) for p in table.residue_class(7, 1).tolist()]
+    eps = np.finfo(float).eps
+    bound = (math.log2(len(terms)) + 6) * eps * math.fsum(map(abs, terms)) + 4 * eps
+    for product in (sieved, asymptotics.mertens_ap_product(7, X, table)):
+        assert abs(math.log(product) + math.fsum(terms)) <= bound
+
+
+@pytest.mark.parametrize("q, Y", [(3, 1), (3, 10.0), (4, 7.5), (5, 1000)])
+def test_count_and_prediction_from_a_stream(table7, q, Y, monkeypatch):
+    X = 2 * 10**6
+    monkeypatch.setattr(primes, "SEGMENT_SIZE", 1 << 16)  # 31 windows
+    b = constants.constants_bundle(q)
+    assert asymptotics.count_restricted(X, q, Y, primes.segments(X)) == \
+        asymptotics.count_restricted(X, q, Y, table7)
+    assert asymptotics.lemma33_prediction(X, q, Y, b, primes.segments(X)) == \
+        asymptotics.lemma33_prediction(X, q, Y, b, table7)

@@ -161,3 +161,61 @@ def test_census_on_table_at_x_equals_larger_table(table5, X, q, a, epsilon):
     at_x = census.find_congruent_pairs(X, q, a, epsilon, primes.sieve_primes(X))
     larger = census.find_congruent_pairs(X, q, a, epsilon, table5)
     assert at_x.pairs == larger.pairs == expect
+
+
+# 1048573 and 1048583 are consecutive primes, both 3 mod 5, on either side
+# of the first segment boundary, 3 + SEGMENT_SIZE = 1048579
+BOUNDARY_PAIR = (1048573, 1048583)
+
+
+def fold_and_whole(X, q, a, epsilon):
+    """The census folded over segments(X), and over one whole table."""
+    folded = census.find_congruent_pairs(X, q, a, epsilon, primes.segments(X))
+    whole = census.find_congruent_pairs(X, q, a, epsilon, primes.sieve_primes(X))
+    return folded, whole
+
+
+def test_boundary_pair_sits_on_a_window_edge():
+    assert 3 + primes.SEGMENT_SIZE == 1048579
+    low, high = BOUNDARY_PAIR
+    assert primes.next_prime(low) == high
+    first, second = list(primes.segments(high))[1:3]
+    assert first[-1] == low and second[0] == high
+
+
+@pytest.mark.parametrize("X", [BOUNDARY_PAIR[1], 1048600, 3 + 2 * primes.SEGMENT_SIZE])
+def test_census_fold_carries_a_pair_across_windows(X):
+    folded, whole = fold_and_whole(X, 5, 3, 1.0)
+    assert BOUNDARY_PAIR in folded.pairs
+    assert folded.pairs == whole.pairs
+    assert folded.pair_count == whole.pair_count
+
+
+@pytest.mark.parametrize("X", [BOUNDARY_PAIR[0], 1048578, 1048579, BOUNDARY_PAIR[1] - 1])
+def test_census_fold_completes_the_last_pair_by_next_prime(X):
+    folded, whole = fold_and_whole(X, 5, 3, 1.0)
+    assert folded.pairs[-1] == BOUNDARY_PAIR
+    assert folded.pairs == whole.pairs
+
+
+def test_census_fold_keeps_only_the_sample(table5):
+    full = census.find_congruent_pairs(10**5, 3, 2, 2.0, table5)
+    lean = census.find_congruent_pairs(10**5, 3, 2, 2.0, primes.segments(10**5),
+                                       keep_pairs=False)
+    assert lean.pairs is None
+    assert lean.sample_pairs == full.pairs[: census.SAMPLE_PAIRS]
+    assert lean.pair_count == full.pair_count == 1710
+
+
+@settings(max_examples=60, deadline=None)
+@given(X=st.integers(0, 3000), q=st.sampled_from((3, 4, 5)), a=st.integers(1, 4),
+       epsilon=st.sampled_from((0.5, 1.0, 2.0, 10.0)), segment=st.integers(2, 200))
+def test_census_fold_over_any_windows_equals_whole_table(table5, X, q, a, epsilon, segment):
+    a %= q
+    assume(math.gcd(a, q) == 1)
+    whole = census.find_congruent_pairs(X, q, a, epsilon, table5)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(primes, "SEGMENT_SIZE", segment)
+        folded = census.find_congruent_pairs(X, q, a, epsilon, primes.segments(X))
+    assert folded.pairs == whole.pairs
+    assert folded.pair_count == whole.pair_count

@@ -4,7 +4,8 @@ import time
 
 import pytest
 
-from congaps import census, cli, primes
+from congaps import asymptotics, census, cli, primes
+from congaps.errors import NumericsError
 
 
 def strict_json(text):
@@ -193,10 +194,10 @@ def test_domain_violation_exit_code(capsys):
 
 @pytest.mark.parametrize("y", ["nan", "inf", "-inf"])
 def test_count_rejects_non_finite_y(capsys, monkeypatch, y):
-    def no_table(*args):
-        raise AssertionError("a prime table was sized for a non-finite Y")
+    def no_primes(*args):
+        raise AssertionError("a prime stream was sized for a non-finite Y")
 
-    monkeypatch.setattr(primes, "get_prime_table", no_table)
+    monkeypatch.setattr(primes, "segments", no_primes)
     rc, out, err = run(capsys, "count", "--q", "3", "--x", "1000", f"--y={y}")
     assert rc == 2
     assert out == ""
@@ -355,10 +356,10 @@ def test_perron_term_count_capped(capsys):
     ("tol = nan", ["count", "--q", "3", "--x", "100000"]),
 ], ids=["mertens-nan", "mertens-inf", "count-negative", "config-nan"])
 def test_tol_must_be_finite_and_nonnegative(tmp_path, capsys, monkeypatch, entry, argv):
-    def no_table(*args):
-        raise AssertionError("a prime table was sized for a tolerance it cannot honour")
+    def no_primes(*args):
+        raise AssertionError("a prime stream was sized for a tolerance it cannot honour")
 
-    monkeypatch.setattr(primes, "get_prime_table", no_table)
+    monkeypatch.setattr(primes, "segments", no_primes)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(entry + "\n")
     with pytest.raises(SystemExit) as exc:
@@ -373,27 +374,86 @@ def test_mertens_and_census_share_one_cache_file(tmp_path, capsys, monkeypatch):
     assert rc == 0
 
     def no_sieve(limit):
-        raise AssertionError("the census sieved a table the cache holds")
+        raise AssertionError("the census sieved primes the cache holds")
 
-    monkeypatch.setattr(primes, "sieve_primes", no_sieve)
+    monkeypatch.setattr(primes, "_sieved", no_sieve)
     rc, out, _ = run(capsys, "census", "--q", "3", "--a", "2", "--x", "10000")
     assert rc == 0
     assert strict_json(out)["pair_count"] > 0
     assert sorted(p.name for p in tmp_path.iterdir()) == ["primes_10000.bin"]
 
 
-@pytest.mark.parametrize("cut", [8 * 600, 8 * 600 + 3])
-def test_truncated_cache_exit_code(tmp_path, capsys, monkeypatch, cut):
+CACHED_COMMANDS = {
+    "mertens": ("mertens", "--q", "3", "--x", "10000"),
+    "count": ("count", "--q", "3", "--x", "10000"),
+    "census": ("census", "--q", "3", "--a", "2", "--x", "10000"),
+}
+
+
+def rerun_on_damaged_cache(tmp_path, capsys, monkeypatch, command, damage):
+    """Run command, writing primes_10000.bin; damage its bytes; run it again
+    from the damaged file: (exit code, stdout, stderr) of the second run."""
     monkeypatch.setenv(primes.CACHE_ENV, str(tmp_path))
-    argv = ("mertens", "--q", "3", "--x", "10000")
+    argv = CACHED_COMMANDS[command]
     rc, _, _ = run(capsys, *argv)
     assert rc == 0
     path = tmp_path / "primes_10000.bin"
-    path.write_bytes(path.read_bytes()[:-cut])
-    rc, out, err = run(capsys, *argv)
+    path.write_bytes(damage(path.read_bytes()))
+    return run(capsys, *argv)
+
+
+@pytest.mark.parametrize("cut", [8 * 600, 8 * 600 + 3])
+def test_truncated_cache_exit_code(tmp_path, capsys, monkeypatch, cut):
+    rc, out, err = rerun_on_damaged_cache(tmp_path, capsys, monkeypatch, "mertens",
+                                          lambda raw: raw[:-cut])
     assert rc == 2
     assert out == ""
     assert "truncated" in err
+
+
+@pytest.mark.parametrize("command", ["count", "census"])
+@pytest.mark.parametrize("cut", [8 * 600, 8 * 600 + 3])
+def test_truncated_cache_exit_code_of_every_fold(tmp_path, capsys, monkeypatch, cut, command):
+    rc, out, err = rerun_on_damaged_cache(tmp_path, capsys, monkeypatch, command,
+                                          lambda raw: raw[:-cut])
+    assert rc == 2
+    assert out == ""
+    assert "truncated" in err
+
+
+def out_of_order_late(raw):
+    """The body with its 600th word from the end made 7: out of order."""
+    return raw[: -8 * 600] + (7).to_bytes(8, "little") + raw[-8 * 599 :]
+
+
+@pytest.mark.parametrize("command", sorted(CACHED_COMMANDS))
+def test_garbled_cache_exit_code(tmp_path, capsys, monkeypatch, command):
+    # small windows and blocks: the bad word is read after four windows are folded
+    monkeypatch.setattr(primes, "SEGMENT_SIZE", 1000)
+    monkeypatch.setattr(primes, "_READ_BLOCK", 100)
+    rc, out, err = rerun_on_damaged_cache(tmp_path, capsys, monkeypatch, command,
+                                          out_of_order_late)
+    assert rc == 2
+    assert out == ""
+    assert "not ascending primes" in err
+
+
+def test_fold_failing_midway_leaves_no_cache_file(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv(primes.CACHE_ENV, str(tmp_path))
+    monkeypatch.setattr(primes, "SEGMENT_SIZE", 1000)
+    folded = []
+
+    def failing_log_euler(p, d=1):
+        folded.append(p)
+        if len(folded) == 5:
+            raise NumericsError("failed in the fifth window")
+        return 0.0
+
+    monkeypatch.setattr(asymptotics, "log_euler", failing_log_euler)
+    rc, out, err = run(capsys, "mertens", "--q", "3", "--x", "100000")
+    assert rc == 2
+    assert "fifth window" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("entry, argv", [

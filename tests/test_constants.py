@@ -157,7 +157,9 @@ def theta_order_walk(q, tol):
     return math.exp(log_theta)
 
 
-@pytest.mark.parametrize("q", [991, 1009, 1024])
+# 303 primes below the cutoff 2000: q = 210 takes the order of every
+# residue, the larger q only those of the primes' residues
+@pytest.mark.parametrize("q", [210, 991, 1009, 1024])
 def test_theta_against_order_walk(q, monkeypatch):
     monkeypatch.setattr(constants, "THETA_TOL", 1e-3)
     got = constants.theta_at_one(q)

@@ -1,6 +1,7 @@
 import bisect
 import math
 import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -182,7 +183,7 @@ def test_cache_roundtrip(tmp_path):
     loaded = primes.load_cache(path, expected_limit=5000)
     assert loaded.limit == table.limit
     assert np.array_equal(loaded.primes, table.primes)
-    assert not loaded.primes.flags.writeable  # a view of the bytes read
+    assert not loaded.primes.flags.writeable  # a table read from a cache is read-only
 
 
 def test_cache_bad_magic(tmp_path):
@@ -201,9 +202,12 @@ def test_cache_limit_mismatch(tmp_path):
 
 def test_cache_rejects_garbled_body(tmp_path):
     path = tmp_path / "p.bin"
-    # not ascending; below 2; a first word of 2^64 - 5, which reads as -5
-    for body in ([2, 3, 5, 0], [0, 2, 3], [1, 3], [2**64 - 5, 3], [2**64 - 5, 3, 5]):
-        header = primes._CACHE_HEADER.pack(primes.CACHE_MAGIC, 100, len(body))
+    # not ascending; below 2; a first word of 2^64 - 5, which reads as -5;
+    # above the limit; a prime under a limit below 2, which has no windows
+    for limit, body in ((100, [2, 3, 5, 0]), (100, [0, 2, 3]), (100, [1, 3]),
+                        (100, [2**64 - 5, 3]), (100, [2**64 - 5, 3, 5]),
+                        (100, [2, 3, 101]), (1, [2])):
+        header = primes._CACHE_HEADER.pack(primes.CACHE_MAGIC, limit, len(body))
         path.write_bytes(header + np.array(body, dtype="<u8").tobytes())
         with pytest.raises(CacheError, match="not ascending primes"):
             primes.load_cache(str(path))
@@ -247,3 +251,120 @@ def test_get_prime_table_caches(tmp_path, monkeypatch):
     assert os.path.exists(primes.cache_path(3000, str(tmp_path)))
     t2 = primes.get_prime_table(3000)
     assert np.array_equal(t1.primes, t2.primes)
+
+
+def forbid(*args):
+    raise AssertionError("sieved primes the cache holds")
+
+
+def sieved_and_cached(limit, directory, mp):
+    """The windows of segments(limit) sieved and written through to
+    directory, then read back from the file with the sieve disabled."""
+    mp.setenv(primes.CACHE_ENV, str(directory))
+    sieved = list(primes.segments(limit))
+    assert os.listdir(directory) == [f"primes_{limit}.bin"]
+    with pytest.MonkeyPatch.context() as no_sieve:
+        no_sieve.setattr(primes, "_sieved", forbid)
+        cached = list(primes.segments(limit))
+    return sieved, cached
+
+
+def assert_windows(sieved, cached, limit):
+    """Equal arrays window by window, each within its segment."""
+    assert len(sieved) == len(cached)
+    for s, c in zip(sieved, cached):
+        assert s.dtype == c.dtype == np.int64
+        assert np.array_equal(s, c)
+    size = primes.SEGMENT_SIZE
+    if limit >= 2:
+        assert sieved[0].tolist() == [2]
+        assert len(sieved) == 1 + -(-(limit - 2) // size)
+    else:
+        assert sieved == []
+    for k, window in enumerate(sieved[1:]):
+        assert np.all((3 + k * size <= window) & (window < 3 + (k + 1) * size))
+
+
+S = primes.SEGMENT_SIZE
+
+
+@pytest.fixture(scope="module")
+def spf_primes():
+    """The primes up to 3 + 2 * SEGMENT_SIZE + 1 from the smallest-prime-factor table."""
+    spf = primes.build_spf(3 + 2 * S + 1).spf
+    n = np.arange(spf.size)
+    return n[(spf == n) & (n >= 2)]
+
+
+@pytest.mark.parametrize("limit", [0, 1, 2, 3, *(3 + k * S + d for k in (1, 2) for d in (-1, 0, 1))])
+def test_segments_from_sieve_and_cache_agree(tmp_path, monkeypatch, spf_primes, limit):
+    sieved, cached = sieved_and_cached(limit, tmp_path, monkeypatch)
+    assert_windows(sieved, cached, limit)
+    assert np.array_equal(primes.joined(cached), spf_primes[spf_primes <= limit])
+
+
+@settings(max_examples=100, deadline=None)
+@given(limit=st.integers(0, 5000), segment=st.integers(2, 300), block=st.integers(1, 40))
+def test_segments_any_segment_and_block_size(limit, segment, block):
+    with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as directory:
+        mp.setattr(primes, "SEGMENT_SIZE", segment)
+        mp.setattr(primes, "_READ_BLOCK", block)
+        sieved, cached = sieved_and_cached(limit, directory, mp)
+        assert_windows(sieved, cached, limit)
+        assert primes.joined(cached).tolist() == TRIAL_5000[: bisect.bisect_right(TRIAL_5000, limit)]
+
+
+def test_segments_checks_limit_before_any_window(monkeypatch):
+    monkeypatch.setattr(primes, "_odd_primes", forbid)
+    with pytest.raises(DomainError):
+        primes.segments(-1)
+    with pytest.raises(CapacityError):
+        primes.segments(primes.MAX_SIEVE_LIMIT + 1)
+
+
+def test_stream_closed_early_leaves_no_file(tmp_path, monkeypatch):
+    monkeypatch.setenv(primes.CACHE_ENV, str(tmp_path))
+    monkeypatch.setattr(primes, "SEGMENT_SIZE", 1000)
+    stream = primes.segments(100_000)
+    next(stream)
+    next(stream)
+    assert len(os.listdir(tmp_path)) == 1  # the temp file being written
+    stream.close()
+    assert os.listdir(tmp_path) == []
+
+
+def test_consumer_raising_midway_leaves_no_file(tmp_path, monkeypatch):
+    monkeypatch.setenv(primes.CACHE_ENV, str(tmp_path))
+    monkeypatch.setattr(primes, "SEGMENT_SIZE", 1000)
+
+    def consume():
+        for window in primes.segments(100_000):
+            if window[-1] > 50_000:
+                raise RuntimeError("consumer failed")
+
+    with pytest.raises(RuntimeError):
+        consume()
+    assert os.listdir(tmp_path) == []
+    assert len(list(primes.segments(100_000))) == 101  # and a whole pass writes it
+    assert os.listdir(tmp_path) == ["primes_100000.bin"]
+
+
+def test_windows_upto_of_a_table_and_of_a_stream(table5):
+    for q, a, x in ((1, 0, 1000), (3, 2, 1000), (4, 1, 99_991), (7, 3, 10.5)):
+        want = [p for p in table5.primes.tolist() if p % q == a and p <= x]
+        assert primes.joined(primes.windows_upto(table5, x, q, a)).tolist() == want
+        assert primes.joined(primes.windows_upto(primes.segments(10**5), x, q, a)).tolist() == want
+    with pytest.raises(OutOfRangeError):
+        list(primes.windows_upto(table5, table5.limit + 1))
+
+
+def test_windows_upto_reads_a_stream_no_further_than_x():
+    seen = []
+
+    def stream():
+        for window in ([2], [3, 5, 7], [11, 13], [17, 19]):
+            seen.append(window)
+            yield np.array(window, dtype=np.int64)
+
+    assert primes.joined(primes.windows_upto(stream(), 12)).tolist() == [2, 3, 5, 7, 11]
+    assert len(seen) == 3
