@@ -182,7 +182,7 @@ def cmd_contour(args) -> int:
             raise CapacityError(
                 f"N={args.n} exceeds configured maximum {contour.MAX_PERRON_TERMS}"
             )
-        coeffs = [1.0] * args.n
+        coeffs = np.ones(args.n)
         integral, partial, err = contour.perron_check(
             coeffs, args.x, args.t_height, args.kappa
         )

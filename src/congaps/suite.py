@@ -21,12 +21,12 @@ def _check_orthogonality() -> dict:
     ok = True
     for q in range(3, 51):
         table = characters.build_character_table(q)
+        approx = sum(chi.values() for chi in table.characters)  # indexed by n mod q
         for n in range(1, q + 1):
             exact = characters.orthogonality_sum(table, n)
             expect = table.phi_q if n % q == 1 % q else 0
             ok &= exact == complex(expect)
-            approx = sum(chi(n) for chi in table.characters)
-            worst = max(worst, abs(approx - expect))
+            worst = max(worst, abs(approx[n % q] - expect))
     return {"name": "orthogonality", "ok": bool(ok and worst <= 1e-9),
             "max_float_residual": worst}
 
@@ -133,14 +133,12 @@ def _check_shiu(table) -> dict:
     for q, a in ((3, 1), (3, 2), (4, 3), (6, 5)):
         con = shiu.build_construction(H, q, a, 1, table)
         sets = shiu.compute_S_T(con)
-        qset = con.modulus_primes()
-        brute_s = brute_t = 0
-        for h in range(1, H + 1):
-            if all(h % p != 0 for p in qset):
-                if h % q == a % q:
-                    brute_s += 1
-                else:
-                    brute_t += 1
+        h = np.arange(1, H + 1)
+        coprime = np.ones(H, dtype=bool)
+        for p in con.modulus_primes():
+            coprime &= h % p != 0
+        brute_s = int(np.count_nonzero(coprime & (h % q == a % q)))
+        brute_t = int(np.count_nonzero(coprime)) - brute_s
         ok = ok and (brute_s, brute_t) == (sets.S_count, sets.T_count)
         rep = shiu.lemma34_check(con, sets)
         out[f"q={q},a={a}"] = {

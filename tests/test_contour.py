@@ -4,13 +4,21 @@ import time
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import exp1, gammainc
 
 from congaps import contour
 from congaps.errors import DomainError, NumericsError
 
 
 X20 = math.exp(20)
+# the kernels' bound, from the dtype: 2^5 ulps, 7.1e-15. The E1 series
+# runs only where its terms outgrow E1 by at most e^2 < 2^3; the series
+# sums, the bottom-up fraction and the prefactors (exp, log, lgamma) add a
+# few ulps each
+KERNEL_TOL = 32 * np.finfo(float).eps
 
 
 def incomplete_gamma_quad(beta, u):
@@ -239,7 +247,125 @@ def test_perron_against_mpmath():
 
 
 def test_perron_time_budget():
-    contour.perron_check([1.0], 10.5, 1e2, 1.1)  # pay scipy's import first
+    contour.perron_check([1.0], 10.5, 1e2, 1.1)  # warm up once, outside the timing
     start = time.perf_counter()
     contour.perron_check([1.0] * 20, 10.5, 1e5, 1.1)
     assert time.perf_counter() - start < 0.1
+
+
+def mp_gamma_p(a, x):
+    with mpmath.workdps(40):
+        return mpmath.gammainc(a, 0, x, regularized=True)
+
+
+def mp_e1(z):
+    with mpmath.workdps(40):
+        return complex(mpmath.e1(mpmath.mpc(z.real, z.imag)))
+
+
+# x = eta log X up to eta = 1.5 at X = 1e308, the largest the tests take
+X_TOP = 1.5 * math.log(1e308)
+
+
+@pytest.mark.parametrize("a", [2.0**-53, 0.01, 0.25, 1.0 / 3.0, 0.5, 2.0 / 3.0, 0.99, 1.0])
+def test_gamma_p_against_mpmath_and_scipy(a):
+    # both branches and their seam at x = a + 1, where the series hands over
+    # to the continued fraction for Q
+    seam = a + 1.0
+    xs = [*np.geomspace(1e-3, X_TOP, 40), math.nextafter(seam, 0.0), seam,
+          math.nextafter(seam, math.inf), seam - 0.25, seam + 0.25]
+    for x in xs:
+        got = contour._gamma_p(a, x)
+        assert abs(got - mp_gamma_p(a, x)) <= KERNEL_TOL * got, x
+        # scipy's gammainc, now a test-only oracle, within the same bound of its own
+        assert abs(got - gammainc(a, x)) <= 2 * KERNEL_TOL * got, x
+
+
+def test_gamma_p_at_infinity():
+    # eta log X overflows to inf at a finite eta: the whole slit, P = 1
+    assert contour._gamma_p(0.5, math.inf) == 1.0
+    p = contour.default_params(1e308, 0.5, eta=1e307)
+    assert contour.hankel_main(p) == contour.hankel_closed_form(1e308, 0.5)
+
+
+def perron_points(kappa, T, sizes):
+    """z = -(kappa - iT) lambda at each |z| in sizes, for lambda of both
+    signs, short of where E1 under- or overflows."""
+    lam = np.asarray(sizes, dtype=float) / abs(complex(kappa, T))
+    lam = np.concatenate([lam, -lam])
+    return -(kappa - 1j * T) * lam[kappa * np.abs(lam) < 600]
+
+
+# |z| on both sides of 5 and 40, scipy's switches between series and fraction
+SIZES = [1e-3, 0.5, 1.0, 2.0, 4.99, 5.0, 5.01, 10.0, 39.9, 40.0, 40.1, 100.0, 1e4]
+
+
+@pytest.mark.parametrize("kappa, T", [
+    (1.1, 1e4), (1.1, 1e2), (1.1, 1.0), (2.0, 1.0), (5.0, 1.0), (1e3, 1.0),
+], ids=["near-imaginary", "T=100", "T=1", "wedge-edge", "wedge", "near-negative-axis"])
+def test_e1_against_mpmath_on_perron_contours(kappa, T):
+    # with lambda > 0, kappa = 2T puts z on the edge Re z = -2|Im z| of the
+    # wedge where scipy sums the series out to |z| = 40; kappa > 2T inside it
+    z = perron_points(kappa, T, SIZES)
+    got = contour._e1(z)
+    for zi, gi in zip(z, got):
+        want = mp_e1(zi)
+        assert abs(gi - want) <= KERNEL_TOL * abs(want), zi
+
+
+def test_e1_across_its_series_boundary():
+    # |z| + Re z = 2 (and |z| = 40 near the negative axis), where the kernel
+    # hands the series over to the continued fraction
+    z = [r * complex(math.cos(t), math.sin(t)) * s
+         for t in (0.0, 1.0, math.pi / 2, 2.5, 3.0)
+         for r in (2.0 / (1.0 + math.cos(t)),)
+         for s in (1 - 1e-12, 1 + 1e-12) if r * s < 60]
+    z += [40.0 * s * complex(math.cos(t), math.sin(t))
+          for t in (3.1, math.pi - 1e-6) for s in (1 - 1e-12, 1 + 1e-12)]
+    z = np.array(z)
+    for zi, gi in zip(z, contour._e1(z)):
+        want = mp_e1(zi)
+        assert abs(gi - want) <= KERNEL_TOL * abs(want), zi
+
+
+def test_e1_against_scipy_where_scipy_uses_its_fraction():
+    # scipy's exp1 sums its series out to |z| = 5, where the terms cancel
+    # to about 1e-13 in the right half-plane; beyond it (and outside its
+    # wedge) it takes the continued fraction, and serves as a second oracle
+    z = np.concatenate([perron_points(kappa, T, np.geomspace(5.01, 1e5, 30))
+                        for kappa, T in ((1.1, 1e4), (1.1, 1.0), (1.9, 1.0))])
+    scipy_fraction = ~((z.real < -2 * np.abs(z.imag)) & (np.abs(z) < 40))
+    z = z[scipy_fraction]
+    got, want = contour._e1(z), exp1(z)
+    assert np.all(np.abs(got - want) <= 2 * KERNEL_TOL * np.abs(want))
+
+
+@settings(max_examples=150, deadline=None)
+@given(kappa=st.floats(1.0, 50.0, exclude_min=True), T=st.floats(1.0, 1e5),
+       lam=st.floats(-50.0, 50.0))
+def test_e1_property_on_perron_contours(kappa, T, lam):
+    assume(lam != 0.0 and kappa * abs(lam) < 600)
+    z = -(kappa - 1j * T) * lam
+    got = contour._e1(np.array([z]))[0]
+    want = mp_e1(z)
+    assert abs(got - want) <= KERNEL_TOL * abs(want)
+
+
+@pytest.mark.parametrize("block", [1, 7, None])
+def test_perron_fold_over_blocks(block, monkeypatch):
+    # the blocked fold against one block holding every term: the sums
+    # differ only in order, by at most (log2 N + blocks) ulps of sum |a_n t_n|
+    N = 3 * contour._PERRON_BLOCK + 5 if block is None else 50
+    coeffs = np.cos(np.arange(N))
+    X = N // 2 + 0.5  # lambda of both signs
+    if block is not None:
+        monkeypatch.setattr(contour, "_PERRON_BLOCK", block)
+    got = contour.perron_check(coeffs, X, 1e3, 1.1)
+    monkeypatch.setattr(contour, "_PERRON_BLOCK", N)
+    whole = contour.perron_check(coeffs, X, 1e3, 1.1)
+    lam = np.log(X / np.arange(1, N + 1))
+    terms = contour._e1(-(1.1 - 1e3j) * lam).imag / math.pi + (lam > 0)
+    blocks = math.ceil(N / contour._PERRON_BLOCK) if block is None else math.ceil(N / block)
+    bound = (math.log2(N) + blocks) * np.finfo(float).eps * np.sum(np.abs(coeffs * terms))
+    assert abs(got[0] - whole[0]) <= bound
+    assert got[1] == whole[1]  # the partial sum is one sum either way
