@@ -78,7 +78,7 @@ def cmd_constants(args) -> int:
         "theta1": bundle.theta1,
         "c_q": bundle.c_q,
         "gamma_recip": bundle.gamma_recip,
-        "tolerances": {"l_tol": constants.L_TOL, "theta_tol": constants.THETA_TOL},
+        "tolerances": {"l_tol": constants.L_TOL, "theta_tol": constants.theta_tol(args.q)},
     }
     _emit(payload, args)
     return 0
@@ -182,7 +182,7 @@ def cmd_contour(args) -> int:
             raise CapacityError(
                 f"N={args.n} exceeds configured maximum {contour.MAX_PERRON_TERMS}"
             )
-        coeffs = np.ones(args.n)
+        coeffs = np.broadcast_to(1.0, args.n)  # all ones, held as one value
         integral, partial, err = contour.perron_check(
             coeffs, args.x, args.t_height, args.kappa
         )

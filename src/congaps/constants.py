@@ -2,11 +2,22 @@
 non-principal characters, the prime-power correction factor Theta(1), the
 Mertens-in-progression constant c(q), and 1/Gamma(1/phi(q)).
 
+Both L-value families go through one discrete-log grid transform: a
+function of the units r mod q laid out at their exponent vectors, and one
+inverse FFT gives its character sums sum_r chi(r) f(r) for every chi.
+
 The digamma values psi(r/q) behind L(1, chi) come from Gauss's digamma
 theorem (DLMF 5.4.19), whose cosine sums are one real FFT of
 log sin(pi n/q); cot(pi r/q) is taken at min(r, q - r) with its sign
-flipped above q/2, so no argument near pi is rounded. numpy does it all:
-this module loads no scipy.
+flipped above q/2, so no argument near pi is rounded.
+
+Theta(1) sums its Euler factors at the primes p < THETA_SPLIT one by one,
+and gets the rest from log L(t, chi) at t = 2..9 (Languasco and
+Zaccagnini, arXiv:0906.2132; Ettahri, Ramare and Surel, Math. Comp. 90,
+2021), with q^-t zeta(t, r/q) from an Euler-Maclaurin kernel on the same
+grid. Above THETA_MAX_PHI characters that costs more than the prime sum
+to THETA_CUTOFF, which is used there instead. numpy does it all: this
+module loads no scipy.
 """
 
 from __future__ import annotations
@@ -17,13 +28,37 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characters import element_orders, totient, unit_group
+from .characters import element_orders, factorize, totient, unit_group
 from .errors import DomainError
 from .primes import log_euler, sieve_primes
 
 EULER_GAMMA = 0.5772156649015329
 L_TOL = 1e-12  # bound on the rounding error of each L(1, chi) from l_one
-THETA_TOL = 1e-6  # bound on the truncation error of Theta(1)
+THETA_SPLIT = 100  # M: Theta(1) takes its Euler factors at p < M one by one
+THETA_MAX_PHI = 16384  # above this phi(q) Theta(1) is the prime sum to THETA_CUTOFF
+THETA_CUTOFF = 2 * 10**6  # P: that sum's prime cutoff
+THETA_TOL = 1e-13  # bound on the relative error of Theta(1) for phi(q) <= THETA_MAX_PHI
+
+_SMALL_PRIMES = np.array([p for p in range(2, THETA_SPLIT)
+                          if all(p % k for k in range(2, math.isqrt(p) + 1))])
+_TAIL_T = range(2, 10)  # THETA_SPLIT^-t >= 1e-18; the terms past t = 9 sum below 1e-19
+_MOBIUS = (0, 1, -1, -1, 0)  # mu(k) for the k <= 9/2 that divide some t
+_EM_DIRECT = 9  # Hurwitz zeta terms summed directly before Euler-Maclaurin
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510)
+
+
+def _character_sums(group, values, lead=()) -> np.ndarray:
+    """sum_r chi(r) f(r) over the units r of the unit group (orders, dlog,
+    units), for every chi, where values(r) is f at the units r, ascending,
+    with leading axes lead batched: F[x(r)] = f(r) on the d_1 x ... x d_k
+    discrete-log grid, and phi(q) * ifftn(F)[e] is the sum for the
+    character with exponent vector e, every e at once. The result has
+    shape (*lead, d_1..d_k)."""
+    orders, dlog, units = group
+    r = np.flatnonzero(units)
+    grid = np.zeros(lead + orders)
+    grid[(slice(None),) * len(lead) + tuple(dlog[r].T)] = values(r)
+    return r.size * np.fft.ifftn(grid, axes=range(-len(orders), 0))
 
 
 def _psi_fractions(q: int) -> np.ndarray:
@@ -51,19 +86,46 @@ def l_one(q: int) -> np.ndarray:
     """L(1, chi) for every non-principal chi mod q, in table order.
 
     Exact up to rounding (within L_TOL), from the identity
-    L(1, chi) = -(1/q) sum_r chi(r) psi(r/q), with psi(r/q) from Gauss's
-    digamma theorem and the cot fold (_psi_fractions): F[x(r)] =
-    -psi(r/q)/q on the d_1 x ... x d_k discrete-log grid, and
-    phi(q) * ifftn(F)[e] is the sum for the character with exponent
-    vector e, every e at once.
+    L(1, chi) = -(1/q) sum_r chi(r) psi(r/q): one grid transform
+    (_character_sums) of -psi(r/q)/q, with psi(r/q) from Gauss's digamma
+    theorem and the cot fold (_psi_fractions).
     """
     if q < 3:
         raise DomainError(f"every character mod {q} is principal; L(1, chi) needs q >= 3")
-    orders, dlog, units = unit_group(q)
-    r = np.flatnonzero(units)
-    grid = np.zeros(orders)
-    grid[tuple(dlog[r].T)] = -_psi_fractions(q)[r] / q
-    return len(r) * np.fft.ifftn(grid).ravel()[1:]
+    group = unit_group(q)
+    return _character_sums(group, lambda r: -_psi_fractions(q)[r] / q).ravel()[1:]
+
+
+def _hurwitz_zeta(s, r, q: int) -> np.ndarray:
+    """q^-s zeta(s, r/q) = sum_{n>=0} (nq + r)^-s, elementwise over the
+    broadcast of s (integers >= 2) and r (integers in [1, q]).
+
+    The terms n < N = _EM_DIRECT are summed directly, smallest first; each
+    nq + r is an exact integer, so each term is one pow. The rest is
+    Euler-Maclaurin at b = N + r/q, scaled by q^-s:
+    (Nq + r)^-s (b/(s-1) + 1/2 + sum_{j=1}^{8} B_2j/(2j)! (s)_(2j-1) b^(1-2j)).
+    (Nq + r)^-s is completely monotone in b, so the remainder is below the
+    first omitted term, B_18/18! (s)_17 b^(-s-17), which is 0.2 ulp of the
+    sum at s = 2 and less for larger s. With one pow per term (< 1 ulp)
+    and nine additions of positive terms (<= 4.5 ulps), the result is
+    within 6 ulps.
+    """
+    s = np.asarray(s, dtype=float)
+    r = np.asarray(r, dtype=float)
+    b = _EM_DIRECT + r / q
+    w = b**-2
+    terms, rising, fact = [], s, 2.0  # (s)_(2j-1) and (2j)! at j = 1
+    for j, bernoulli in enumerate(_BERNOULLI, start=1):
+        terms.append(bernoulli / fact * rising)
+        rising = rising * (s + 2 * j - 1) * (s + 2 * j)
+        fact *= (2 * j + 1) * (2 * j + 2)
+    poly = 0.0
+    for c in reversed(terms):  # Horner in b^-2
+        poly = poly * w + c
+    total = (_EM_DIRECT * q + r) ** -s * (b / (s - 1) + 0.5 + poly / b)
+    for n in range(_EM_DIRECT - 1, -1, -1):
+        total = total + (n * q + r) ** -s
+    return total
 
 
 @functools.lru_cache(maxsize=4)
@@ -81,21 +143,97 @@ def theta_at_one(q: int) -> float:
 
     For such p with multiplicative order d (necessarily >= 2), the inner
     sum collapses to -(1/d) * log(1 - p^-d), so
-    log Theta(1) = sum_p (1/d) * log(1 - p^-d), truncated at a prime
-    cutoff P with tail below 2/P <= THETA_TOL.  The order of p depends only on
-    p mod q and is read from the discrete-log table.
+    log Theta(1) = sum_p (1/d) * log(1 - p^-d); the order of p depends only
+    on p mod q and is read from the discrete-log table. The sum is taken
+    over p < THETA_SPLIT, and the primes above come from L-values
+    (_theta_tail). Above THETA_MAX_PHI characters the sum runs instead to
+    THETA_CUTOFF, with nothing added for the primes above: theta_tol bounds
+    the error either way.
     """
     if q < 3:
         raise DomainError(f"Theta(1) needs q >= 3, got {q}")
-    orders, dlog, _ = unit_group(q)
-    cutoff = max(100, int(math.ceil(2.0 / THETA_TOL)))
-    primes = _primes_below(cutoff)
+    group = unit_group(q)
+    orders, dlog, units = group
+    accelerated = math.prod(orders) <= THETA_MAX_PHI
+    primes = _SMALL_PRIMES if accelerated else _primes_below(THETA_CUTOFF)
     if q > primes.size:  # fewer primes than residues: find only the orders they need
         d = element_orders(dlog[primes % q], orders)
     else:
         d = element_orders(dlog, orders)[primes % q]
     # d is 1 for p = 1 mod q and for p | q
-    return math.exp(log_euler(primes[d > 1], d[d > 1]))
+    log_theta = log_euler(primes[d > 1], d[d > 1])
+    if accelerated:
+        coprime = units[primes % q]
+        log_theta += _theta_tail(q, group, primes[coprime], d[coprime])
+    return math.exp(log_theta)
+
+
+def _theta_tail(q: int, group, p: np.ndarray, d: np.ndarray) -> float:
+    """log Theta(1)'s sum over the primes >= M = THETA_SPLIT, given the
+    primes p < M prime to q and their orders d.
+
+    With 1[p^m = 1] = (1/phi) sum_chi chi^m(p), the sum is
+    -sum_{m>=2} (1/(m phi)) sum_chi [P_M(m, chi^m) - P_M(m, chi)], where
+    P_M(s, psi) = sum_{p>=M} psi(p) p^-s = sum_k mu(k)/k log L_M(ks, psi^k)
+    and L_M is L with its Euler factors at p < M divided out. Put t = km:
+    -sum_t (1/t) sum_{k | t, k <= t/2} mu(k) [A_t(t) - A_t(k)], with
+    A_t(j) the mean over chi of log L_M(t, chi^j), of size M^-t.
+
+    log L(t, chi) for every chi comes from one grid transform of
+    q^-t zeta(t, r/q) (_hurwitz_zeta) per t. chi -> chi^j maps the exponent
+    vectors onto the multiples of gcd(j, d_i) on each axis, evenly, so the
+    mean over chi of log L(t, chi^j) is the mean over that strided
+    subgrid. The Euler factor at p takes the values chi^j(p), which run
+    evenly over the roots of unity of order d_j = d / gcd(d, j), so its
+    mean over chi is log(1 - p^(-t d_j)) / d_j: one term per prime, read
+    from d.
+    """
+    orders = group[0]
+    ts = np.array(_TAIL_T)
+    sums = _character_sums(group, lambda r: _hurwitz_zeta(ts[:, None], r, q), (ts.size,))
+    log_l = np.log(np.abs(sums))  # the real part of log L: the means are real
+    p = p.astype(float)
+
+    def mean_log_lm(t: int, j: int) -> float:
+        sub = log_l[t - _TAIL_T[0]][tuple(slice(None, None, math.gcd(j, n)) for n in orders)]
+        dj = d // np.gcd(d, j)
+        return float(sub.mean()) + t * log_euler(p, t * dj)
+
+    total = 0.0
+    for t in _TAIL_T:
+        top = mean_log_lm(t, t)
+        total += sum(_MOBIUS[k] * (top - mean_log_lm(t, k))
+                     for k in range(1, t // 2 + 1) if t % k == 0 and _MOBIUS[k]) / t
+    return -total
+
+
+def theta_tol(q: int) -> float:
+    """A bound on the relative error of theta_at_one(q), for q >= 3.
+
+    Up to THETA_MAX_PHI characters it is THETA_TOL, a rounding bound: the
+    tail's truncation at t = 9 costs below 1e-19. Each _hurwitz_zeta value
+    is within 6 ulps, and each character sum of the transform within
+    3 log2(phi) ulps of the L(t, chi0) <= zeta(t) its terms sum to, while
+    |L(t, chi)| >= zeta(2t)/zeta(t); so each A_t(j) is off by at most
+    (zeta(t)^2/zeta(2t)) (7 + 3 log2 phi) ulps, counting the log. The
+    coefficients 2/t summed over the (t, k) of _theta_tail, weighted by
+    zeta(t)^2/zeta(2t), come to 7.4, so log Theta(1) is off by at most
+    7.4 (7 + 3 log2 phi) + 2 ulps (the 2 for the sum over p < M and exp):
+    8.0e-14 at phi = THETA_MAX_PHI = 2^14.
+
+    Above it, the error is the prime sum's tail past P = THETA_CUTOFF.
+    The primes of order 2 lie in the n2 - 1 classes of units x != 1 with
+    x^2 = 1, and those in one class above P give at most
+    (1/2)(1/P^2 + 1/(qP)) (1 + 2/P^2); the primes of order >= 3 give at
+    most 1/(6 P^2) + 1/(3 P^3). Their sum, the rounding of the 148,933
+    terms and the exp stay below (n2 - 1)(1/(qP) + 1/P^2)/2 + 1/P^2.
+    """
+    if totient(q) <= THETA_MAX_PHI:
+        return THETA_TOL
+    # x^2 = 1 has 2 roots mod an odd prime power, 1, 2 and 4 mod 2, 4 and 2^e (e >= 3)
+    n2 = math.prod(2 if p > 2 else min(2 ** (e - 1), 4) for p, e in factorize(q))
+    P = THETA_CUTOFF
+    return (n2 - 1) * (1 / (q * P) + 1 / P**2) / 2 + 1 / P**2
 
 
 def c_of_q(q: int) -> float:

@@ -26,7 +26,7 @@ CBAR_DEFAULT = 1.0 / 6.41
 # stays below 3e-16 X for every double X at this radius r and node count M
 RESIDUE_RADIUS = 1e-3
 RESIDUE_NODES = 16
-# coefficients of the cli's perron mode: N = 10^7 takes 3.1 s and 117 MB (2 vCPUs)
+# coefficients of the cli's perron mode: N = 10^7 takes 2.3 s and 41 MB (2 vCPUs)
 MAX_PERRON_TERMS = 10**7
 
 _EPS = float(np.finfo(float).eps)

@@ -42,10 +42,9 @@ def test_criterion_02_l_one_closed_forms():
     assert time.perf_counter() - start < 5.0
 
 
-def test_criterion_03_c_of_q_anchors(monkeypatch):
+def test_criterion_03_c_of_q_anchors():
     assert constants.c_of_q(1) == 1.0
     assert constants.c_of_q(2) == 0.5
-    monkeypatch.setattr(constants, "THETA_TOL", 1e-4)
     for q in range(3, 31):
         assert constants.c_of_q(q) > 0, q
         assert 0 < constants.theta_at_one(q) <= 1, q

@@ -4,6 +4,8 @@ import time
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from congaps import constants, primes, suite
 from congaps.characters import build_character_table, totient, unit_group
@@ -141,37 +143,201 @@ def test_theta_against_double_sum(table5):
         assert abs(got - theta_oracle(q, table5)) <= 1e-4
 
 
-def theta_order_walk(q, tol):
-    # log Theta(1) = sum_p log(1 - p^-d)/d, with the order d of each prime
-    # found by walking its powers mod q
-    log_theta = 0.0
-    for p in primes.sieve_primes(max(100, math.ceil(2.0 / tol))).primes:
-        p = int(p)
-        if q % p == 0 or p % q == 1:
-            continue
-        d, x = 1, p % q
+EPS = float(np.finfo(float).eps)
+# _hurwitz_zeta's stated bound: one pow per term, nine additions of positive
+# terms and the Euler-Maclaurin remainder (its docstring)
+HURWITZ_ULPS = 6
+LANDAU_RAMANUJAN = "0.764223653589220662990698731250092328116790541"
+BELOW, ABOVE = 16381, 16411  # the primes with phi(q) on either side of THETA_MAX_PHI
+
+
+def test_crossover_neighbours():
+    assert totient(BELOW) <= constants.THETA_MAX_PHI < totient(ABOVE)
+
+
+def hurwitz_cases():
+    # s = 2..9 against moduli from 1 (zeta(s) itself) to near MAX_MODULUS,
+    # at both ends of r, the middle and a seeded sample
+    rng = np.random.default_rng(5)
+    for q in (1, 2, 3, 4, 7, 30, 1009, BELOW, 999983):
+        r = np.unique([1, q, max(1, q - 1), max(1, q // 2), *rng.integers(1, q + 1, 8)])
+        for s in range(2, 10):
+            yield s, q, r
+
+
+@pytest.mark.parametrize("s, q, r", hurwitz_cases())
+def test_hurwitz_zeta_against_mpmath(s, q, r):
+    got = constants._hurwitz_zeta(s, r, q)
+    with mpmath.workdps(30):
+        want = [mpmath.zeta(s, mpmath.mpf(int(k)) / q) / mpmath.mpf(q) ** s for k in r]
+        rel = np.array([float(abs(g / w - 1)) for g, w in zip(got, want)])
+    assert np.all(rel <= HURWITZ_ULPS * EPS), rel.max() / EPS
+
+
+@pytest.mark.parametrize("q", [1, 3, 4, 30, 1009, BELOW])
+def test_hurwitz_zeta_against_scipy(q):
+    # scipy takes a = r/q rounded, which moves zeta(s, a) by up to s/2 ulps;
+    # q^-s and the product add 1.5, scipy's own evaluation 2
+    from scipy.special import zeta
+    r = np.arange(1, q + 1)
+    for s in range(2, 10):
+        want = zeta(s, r / q) * float(q) ** -s
+        rel = np.abs(constants._hurwitz_zeta(s, r, q) / want - 1)
+        assert np.all(rel <= (HURWITZ_ULPS + s / 2 + 3.5) * EPS), (s, rel.max() / EPS)
+
+
+def test_hurwitz_zeta_broadcasts_over_s():
+    s = np.arange(2, 10)[:, None]
+    r = np.arange(1, 8)
+    assert np.array_equal(constants._hurwitz_zeta(s, r, 7),
+                          np.array([constants._hurwitz_zeta(k, r, 7) for k in range(2, 10)]))
+
+
+def test_theta_q4_landau_ramanujan():
+    # Theta(1) mod 4 = prod_{p = 3 mod 4} (1 - p^-2)^(1/2) = 1/(sqrt 2 K)
+    with mpmath.workdps(30):
+        want = 1 / (mpmath.sqrt(2) * mpmath.mpf(LANDAU_RAMANUJAN))
+        assert abs(constants.theta_at_one(4) - want) <= 4 * mpmath.mpf(EPS) / 2 * want
+
+
+def theta_mpmath(q, split=50, dps=30):
+    """Theta(1) at dps digits, from its classes: log Theta(1) is the sum over
+    p < split of log(1 - p^-d)/d, minus sum_{m>=2} (1/m) sum_a S(m, a) over
+    the units a != 1 with a^m = 1, where S(s, a) = sum_{p>=split, p=a} p^-s
+    = (1/phi) sum_chi conj(chi(a)) sum_k mu(k)/k log L_split(ks, chi^k), with
+    each L(s, chi) a sum of mpmath Hurwitz zetas and chi(n) from its exact
+    turn. The orders come from walking powers; the split and the sum over
+    classes differ from the program's."""
+    table = build_character_table(q)
+    chars, orders = table.characters, table.orders
+    units = [r for r in range(1, q) if math.gcd(r, q) == 1]
+    small = [p for p in range(2, split) if q % p and all(p % k for k in range(2, p))]
+
+    def order(a):
+        d, x = 1, a % q
         while x != 1:
-            x = x * p % q
-            d += 1
-        log_theta += math.log1p(-float(p) ** (-d)) / d
-    return math.exp(log_theta)
+            x, d = x * a % q, d + 1
+        return d
+
+    with mpmath.workdps(dps):
+        def value(c, n):
+            t = c.turn(n)
+            return mpmath.expjpi(2 * mpmath.mpf(t.numerator) / t.denominator)
+
+        chi = {(i, n): value(c, n) for i, c in enumerate(chars)
+               for n in {*units, *(p % q for p in small)}}
+        tmax = int(dps / math.log10(split)) + 1  # split^-tmax < 10^-dps
+        zeta = {(t, r): mpmath.zeta(t, mpmath.mpf(r) / q) / mpmath.mpf(q) ** t
+                for t in range(2, tmax + 1) for r in units}
+        log_lm = {(t, i): mpmath.log(mpmath.fsum(chi[i, r] * zeta[t, r] for r in units))
+                  + mpmath.fsum(mpmath.log(1 - chi[i, p % q] * mpmath.mpf(p) ** -t) for p in small)
+                  for t in range(2, tmax + 1) for i in range(len(chars))}
+        index = {c.exponents: i for i, c in enumerate(chars)}
+        mobius = {1: 1, 2: -1, 3: -1, 4: 0, 5: -1, 6: 1, 7: -1, 8: 0, 9: 0}
+
+        def prime_sum(s, i):  # sum_{p >= split} chi_i(p) p^-s
+            return mpmath.fsum(
+                mpmath.mpf(mobius[k]) / k * log_lm[k * s, index[tuple(
+                    e * k % d for e, d in zip(chars[i].exponents, orders))]]
+                for k in range(1, tmax // s + 1) if mobius[k])
+
+        def class_sum(s, a):
+            return mpmath.fsum(mpmath.conj(chi[i, a]) * prime_sum(s, i)
+                               for i in range(len(chars))) / len(chars)
+
+        head = mpmath.fsum(mpmath.log(1 - mpmath.mpf(p) ** -order(p)) / order(p)
+                           for p in small if order(p) > 1)
+        tail = mpmath.fsum(class_sum(m, a) / m for m in range(2, tmax + 1)
+                           for a in units if a != 1 and pow(a, m, q) == 1)
+        return float(mpmath.exp(mpmath.re(head - tail)))
 
 
-# 303 primes below the cutoff 2000: q = 210 takes the order of every
-# residue, the larger q only those of the primes' residues
-@pytest.mark.parametrize("q", [210, 991, 1009, 1024])
-def test_theta_against_order_walk(q, monkeypatch):
-    monkeypatch.setattr(constants, "THETA_TOL", 1e-3)
-    got = constants.theta_at_one(q)
-    assert got == pytest.approx(theta_order_walk(q, 1e-3), rel=1e-13)
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 12, 30])
+def test_theta_against_mpmath_classes(q):
+    assert constants.theta_at_one(q) == pytest.approx(theta_mpmath(q), rel=constants.THETA_TOL)
+
+
+def theta_order_walk(q, cutoff):
+    """Theta(1) truncated at the primes <= cutoff: sum_p log(1 - p^-d)/d,
+    with the order d of each prime found by walking its powers mod q."""
+    p = primes.sieve_primes(cutoff).primes
+    p = p[(q % p != 0) & (p % q != 1)]
+    d, x, k = np.zeros_like(p), p % q, 1
+    while not d.all():
+        d[(d == 0) & (x == 1)] = k
+        x, k = x * p % q, k + 1
+    return math.exp(math.fsum(np.log1p(-p.astype(float) ** -d.astype(float)) / d))
+
+
+def walk_tail(q, cutoff):
+    """A bound on log(walk / Theta(1)) >= 0, the terms past the cutoff P:
+    the primes of order 2 lie in the n2 - 1 classes of the units x != 1
+    with x^2 = 1, each giving at most (1/2)(1/P^2 + 1/(qP))(1 + 2/P^2);
+    those of order >= 3 at most (1/3)(1/P^3 + 1/(2P^2))(1 + 2/P^3)."""
+    n2 = sum(1 for x in range(1, q) if math.gcd(x, q) == 1 and x * x % q == 1)
+    P = cutoff
+    return ((n2 - 1) * (1 / P**2 + 1 / (q * P)) / 2 * (1 + 2 / P**2)
+            + (1 / P**3 + 1 / (2 * P**2)) / 3 * (1 + 2 / P**3))
+
+
+def assert_within_walk(q, cutoff, got):
+    # the walk omits negative terms only: walk >= Theta(1), by at most its tail
+    dev = theta_order_walk(q, cutoff) / got - 1
+    slack = constants.theta_tol(q) + 1e-15  # got's own bound; the walk's rounding
+    assert -slack <= dev <= math.expm1(walk_tail(q, cutoff)) + slack, (q, dev)
+
+
+# the cutoff shrinks as the orders to walk grow: 78,498 primes to 10^6, 1,229 to 10^4
+@pytest.mark.parametrize("q", [3, 5, 7, 8, 12, 30, 210, 840, 991, 1009, 1024, BELOW, ABOVE])
+def test_theta_against_order_walk(q):
+    cutoff = 10**6 if q <= 840 else 10**5 if q <= 1024 else 10**4
+    assert_within_walk(q, cutoff, constants.theta_at_one(q))
 
 
 def test_theta_frozen_values():
-    assert constants.theta_at_one(3) == pytest.approx(0.8409407745122501, abs=1e-5)
-    assert constants.theta_at_one(4) == pytest.approx(0.9252615822432513, abs=1e-5)
+    # theta_mpmath(3) and theta_mpmath(4) to 20 digits
+    assert constants.theta_at_one(3) == pytest.approx(0.84094076770909818355, rel=constants.THETA_TOL)
+    assert constants.theta_at_one(4) == pytest.approx(0.92526157475704862263, rel=constants.THETA_TOL)
+
+
+@pytest.mark.parametrize("q", [3, 4, 840, 1009, BELOW])
+def test_theta_prime_sum_branch_agrees(q, monkeypatch):
+    # below the crossover, the prime sum to THETA_CUTOFF that serves above it
+    # exceeds the accelerated value by no more than its stated tail
+    accelerated = constants.theta_at_one(q)
+    monkeypatch.setattr(constants, "THETA_MAX_PHI", 0)
+    dev = constants.theta_at_one(q) / accelerated - 1
+    assert -constants.THETA_TOL <= dev <= constants.theta_tol(q) + constants.THETA_TOL, dev
+    assert constants.theta_tol(q) > constants.THETA_TOL
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(3, constants.THETA_MAX_PHI)  # phi(q) <= q: below the crossover
+       | st.integers(constants.THETA_MAX_PHI, 20000).map(primes.next_prime))  # above it
+def test_theta_property(q):
+    # on both sides of the crossover: within (0, 1) and within the order
+    # walk's tail at 10^3; above it the stated bound covers the tail past
+    # THETA_CUTOFF, with 1/P^2 to spare
+    got = constants.theta_at_one(q)
+    assert 0 < got < 1
+    assert_within_walk(q, 1000, got)
+    P = constants.THETA_CUTOFF
+    if totient(q) <= constants.THETA_MAX_PHI:
+        assert constants.theta_tol(q) == constants.THETA_TOL <= 1e-13
+    else:
+        assert walk_tail(q, P) <= constants.theta_tol(q) <= walk_tail(q, P) + 1 / P**2
+
+
+def test_theta_tol_formula():
+    P = constants.THETA_CUTOFF
+    # 999983: units x^2 = 1 are +-1; 720720 = 2^4 3^2 5 7 11 13: 4 * 2^5 of them
+    assert constants.theta_tol(999983) == pytest.approx((1 / (999983 * P) + 1 / P**2) / 2 + 1 / P**2)
+    assert constants.theta_tol(720720) == pytest.approx(127 * (1 / (720720 * P) + 1 / P**2) / 2 + 1 / P**2)
+    assert constants.theta_tol(3) == constants.THETA_TOL
 
 
 def test_theta_sieves_once_per_cutoff(monkeypatch):
+    # only above the crossover, and there once for every q
     limits = []
 
     def counting_sieve(limit):
@@ -179,17 +345,17 @@ def test_theta_sieves_once_per_cutoff(monkeypatch):
         return primes.sieve_primes(limit)
 
     monkeypatch.setattr(constants, "sieve_primes", counting_sieve)
-    monkeypatch.setattr(constants, "THETA_TOL", 1e-4)
     constants._primes_below.cache_clear()
-    first = [constants.theta_at_one(q) for q in (3, 4, 5)]
-    again = [constants.theta_at_one(q) for q in (3, 4, 5)]
-    assert limits == [20000]
-    assert first == again
-    assert not constants._primes_below(20000).flags.writeable
+    first = [constants.theta_at_one(q) for q in (3, 4, 5, BELOW)]
+    assert limits == []
+    above = [constants.theta_at_one(ABOVE) for _ in range(2)]
+    again = [constants.theta_at_one(q) for q in (3, 4, 5, BELOW)]
+    assert limits == [constants.THETA_CUTOFF]
+    assert first == again and above[0] == above[1]
+    assert not constants._primes_below(constants.THETA_CUTOFF).flags.writeable
 
 
-def test_theta_range_and_domain(monkeypatch):
-    monkeypatch.setattr(constants, "THETA_TOL", 1e-4)
+def test_theta_range_and_domain():
     for q in range(3, 31):
         th = constants.theta_at_one(q)
         assert 0 < th <= 1
@@ -216,8 +382,7 @@ def test_c_of_q_composition():
     assert constants.c_of_q(3) == pytest.approx(expect, abs=1e-6)
 
 
-def test_c_of_q_positive_small_moduli(monkeypatch):
-    monkeypatch.setattr(constants, "THETA_TOL", 1e-4)
+def test_c_of_q_positive_small_moduli():
     for q in range(3, 31):
         assert constants.c_of_q(q) > 0
 

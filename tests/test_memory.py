@@ -2,10 +2,11 @@
 the windows of primes.segments, so at X = 10^8 (5.76 M primes, 46 MB as
 one array) each holds a few windows at a time: its peak RSS stays close to
 the same command's at X = 10^4. The Perron check folds over fixed blocks
-of its terms, so at N = 10^6 it holds the coefficients (8 MB) and one
-block's work arrays: its peak RSS stays close to that at N = 20. Each
-command runs in a fresh interpreter with no prime cache, and its peak RSS
-is read from os.wait4."""
+of its terms, and the CLI's coefficients are one broadcast value, so at
+N = 10^6 it holds one block's work arrays: its peak RSS stays within
+PERRON_GROWTH_MB of that at N = 20. Each
+command runs in a fresh interpreter with no prime cache, spawned from a
+bare one that reads its peak RSS from os.wait4."""
 
 import os
 import pathlib
@@ -18,22 +19,36 @@ from congaps import primes
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 MAX_GROWTH_MB = 30
+# The blocked fold grows 10.7 MB from N = 20 to 10^6; a fold that builds n
+# and log(X/n) for all N at once grows 26 MB, as any N-length float array
+# takes 8 MB (2 vCPUs, peak RSS from os.wait4)
+PERRON_GROWTH_MB = 16
+
+
+# A process's peak RSS counts the pages of the process it was forked from,
+# so a command forked from pytest (numpy and the tests loaded, 40 MB or
+# more) would read at least that much at any size. A bare interpreter
+# spawns the command instead and prints its exit code and peak RSS (KiB).
+LAUNCHER = """
+import os, sys
+devnull = [(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]
+pid = os.posix_spawn(sys.argv[1], sys.argv[1:], os.environ, file_actions=devnull)
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
 
 
 def peak_rss_mb(*argv: str) -> float:
     env = dict(os.environ, PYTHONPATH=str(SRC))
     env.pop(primes.CACHE_ENV, None)
-    proc = subprocess.Popen([sys.executable, "-m", "congaps.cli", *argv], env=env,
-                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
-    err = proc.stderr.read()
-    proc.stderr.close()
-    _, status, usage = os.wait4(proc.pid, 0)
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    assert proc.returncode == 0, err.decode()
-    return usage.ru_maxrss / 1024  # KiB on Linux
+    proc = subprocess.run([sys.executable, "-c", LAUNCHER, sys.executable, "-m", "congaps.cli",
+                           *argv], env=env, capture_output=True, text=True, check=True)
+    code, kib = map(int, proc.stdout.split())
+    assert code == 0, proc.stderr
+    return kib / 1024  # KiB on Linux
 
 
-@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+@pytest.mark.skipif(not hasattr(os, "posix_spawn"), reason="needs os.posix_spawn")
 @pytest.mark.parametrize("argv", [
     ("census", "--q", "3", "--a", "2"),
     ("mertens", "--q", "3"),
@@ -44,8 +59,8 @@ def test_peak_rss_at_1e8_close_to_1e4(argv):
     assert large - small <= MAX_GROWTH_MB, (small, large)
 
 
-@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+@pytest.mark.skipif(not hasattr(os, "posix_spawn"), reason="needs os.posix_spawn")
 def test_perron_peak_rss_at_1e6_close_to_20():
     small = peak_rss_mb("contour", "--mode", "perron", "--n", "20")
     large = peak_rss_mb("contour", "--mode", "perron", "--n", "1000000")
-    assert large - small <= MAX_GROWTH_MB, (small, large)
+    assert large - small <= PERRON_GROWTH_MB, (small, large)
