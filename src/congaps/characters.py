@@ -105,8 +105,10 @@ def unit_group(q: int) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
 def element_orders(coords: np.ndarray, orders: tuple[int, ...]) -> np.ndarray:
     """Orders lcm_i d_i / gcd(x_i, d_i) of the elements with coordinates
     x = coords[..., :] in Z/d_1 x ... x Z/d_k."""
-    d = np.asarray(orders, dtype=np.int64)
-    return np.lcm.reduce(d // np.gcd(coords, d), axis=-1, initial=1)
+    out = np.ones(np.shape(coords)[:-1], dtype=np.int64)
+    for i, d in enumerate(orders):  # a column at a time: reduce along a short axis is slow
+        out = np.lcm(out, d // np.gcd(coords[..., i], d))
+    return out
 
 
 @dataclass(frozen=True, slots=True)

@@ -78,7 +78,7 @@ def cmd_constants(args) -> int:
         "theta1": bundle.theta1,
         "c_q": bundle.c_q,
         "gamma_recip": bundle.gamma_recip,
-        "tolerances": {"l_tol": constants.L_TOL, "theta_tol": constants.theta_tol(args.q)},
+        "tolerances": {"l_tol": constants.L_TOL, "theta_tol": constants.THETA_TOL},
     }
     _emit(payload, args)
     return 0

@@ -11,13 +11,12 @@ theorem (DLMF 5.4.19), whose cosine sums are one real FFT of
 log sin(pi n/q); cot(pi r/q) is taken at min(r, q - r) with its sign
 flipped above q/2, so no argument near pi is rounded.
 
-Theta(1) sums its Euler factors at the primes p < THETA_SPLIT one by one,
-and gets the rest from log L(t, chi) at t = 2..9 (Languasco and
-Zaccagnini, arXiv:0906.2132; Ettahri, Ramare and Surel, Math. Comp. 90,
+Theta(1) sums its Euler factors at the primes p < M = THETA_SPLIT = 2^16
+one by one, and gets the rest from log L(t, chi) at t = 2 and 3 (Languasco
+and Zaccagnini, arXiv:0906.2132; Ettahri, Ramare and Surel, Math. Comp. 90,
 2021), with q^-t zeta(t, r/q) from an Euler-Maclaurin kernel on the same
-grid. Above THETA_MAX_PHI characters that costs more than the prime sum
-to THETA_CUTOFF, which is used there instead. numpy does it all: this
-module loads no scipy.
+grid. One path serves every q <= MAX_MODULUS, within THETA_TOL. numpy does
+it all: this module loads no scipy.
 """
 
 from __future__ import annotations
@@ -28,37 +27,41 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characters import element_orders, factorize, totient, unit_group
+from .characters import element_orders, totient, unit_group
 from .errors import DomainError
 from .primes import log_euler, sieve_primes
 
 EULER_GAMMA = 0.5772156649015329
 L_TOL = 1e-12  # bound on the rounding error of each L(1, chi) from l_one
-THETA_SPLIT = 100  # M: Theta(1) takes its Euler factors at p < M one by one
-THETA_MAX_PHI = 16384  # above this phi(q) Theta(1) is the prime sum to THETA_CUTOFF
-THETA_CUTOFF = 2 * 10**6  # P: that sum's prime cutoff
-THETA_TOL = 1e-13  # bound on the relative error of Theta(1) for phi(q) <= THETA_MAX_PHI
+THETA_SPLIT = 2**16  # M: Theta(1) takes its Euler factors at p < M one by one
+THETA_TOL = 1e-13  # bound on the relative error of Theta(1), for every q <= MAX_MODULUS
 
-_SMALL_PRIMES = np.array([p for p in range(2, THETA_SPLIT)
-                          if all(p % k for k in range(2, math.isqrt(p) + 1))])
-_TAIL_T = range(2, 10)  # THETA_SPLIT^-t >= 1e-18; the terms past t = 9 sum below 1e-19
-_MOBIUS = (0, 1, -1, -1, 0)  # mu(k) for the k <= 9/2 that divide some t
+_TAIL_T = (2, 3)  # the terms past t = 3 sum below sum_{p>=M} p^-4 = 1.04e-16
 _EM_DIRECT = 9  # Hurwitz zeta terms summed directly before Euler-Maclaurin
 _BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510)
 
 
-def _character_sums(group, values, lead=()) -> np.ndarray:
+def _character_sums(group, values) -> np.ndarray:
     """sum_r chi(r) f(r) over the units r of the unit group (orders, dlog,
-    units), for every chi, where values(r) is f at the units r, ascending,
-    with leading axes lead batched: F[x(r)] = f(r) on the d_1 x ... x d_k
-    discrete-log grid, and phi(q) * ifftn(F)[e] is the sum for the
-    character with exponent vector e, every e at once. The result has
-    shape (*lead, d_1..d_k)."""
+    units), for every chi, where values(r) is f at the units r, ascending:
+    F[x(r)] = f(r) on the d_1 x ... x d_k discrete-log grid, and
+    phi(q) * ifftn(F)[e] is the sum for the character with exponent
+    vector e, every e at once. The result has shape (d_1..d_k)."""
     orders, dlog, units = group
     r = np.flatnonzero(units)
-    grid = np.zeros(lead + orders)
-    grid[(slice(None),) * len(lead) + tuple(dlog[r].T)] = values(r)
-    return r.size * np.fft.ifftn(grid, axes=range(-len(orders), 0))
+    grid = np.zeros(orders)
+    grid[tuple(dlog[r].T)] = values(r)
+    return r.size * np.fft.ifftn(grid)
+
+
+@functools.lru_cache(maxsize=1)
+def _unit_group(q: int):
+    """unit_group(q), read-only, kept for the last q asked: the l_one and
+    theta_at_one of one bundle share one build, which the bundle drops."""
+    group = unit_group(q)
+    for table in group[1:]:
+        table.flags.writeable = False
+    return group
 
 
 def _psi_fractions(q: int) -> np.ndarray:
@@ -92,13 +95,12 @@ def l_one(q: int) -> np.ndarray:
     """
     if q < 3:
         raise DomainError(f"every character mod {q} is principal; L(1, chi) needs q >= 3")
-    group = unit_group(q)
-    return _character_sums(group, lambda r: -_psi_fractions(q)[r] / q).ravel()[1:]
+    return _character_sums(_unit_group(q), lambda r: -_psi_fractions(q)[r] / q).ravel()[1:]
 
 
-def _hurwitz_zeta(s, r, q: int) -> np.ndarray:
-    """q^-s zeta(s, r/q) = sum_{n>=0} (nq + r)^-s, elementwise over the
-    broadcast of s (integers >= 2) and r (integers in [1, q]).
+def _hurwitz_zeta(s: int, r, q: int) -> np.ndarray:
+    """q^-s zeta(s, r/q) = sum_{n>=0} (nq + r)^-s for an integer s >= 2,
+    elementwise over the integers r in [1, q].
 
     The terms n < N = _EM_DIRECT are summed directly, smallest first; each
     nq + r is an exact integer, so each term is one pow. The rest is
@@ -110,7 +112,7 @@ def _hurwitz_zeta(s, r, q: int) -> np.ndarray:
     and nine additions of positive terms (<= 4.5 ulps), the result is
     within 6 ulps.
     """
-    s = np.asarray(s, dtype=float)
+    s = float(s)
     r = np.asarray(r, dtype=float)
     b = _EM_DIRECT + r / q
     w = b**-2
@@ -128,10 +130,12 @@ def _hurwitz_zeta(s, r, q: int) -> np.ndarray:
     return total
 
 
-@functools.lru_cache(maxsize=4)
-def _primes_below(cutoff: int) -> np.ndarray:
-    """The primes <= cutoff, sieved once per cutoff (read-only)."""
-    primes = sieve_primes(cutoff).primes
+@functools.cache
+def _split_primes() -> np.ndarray:
+    """The primes below THETA_SPLIT, sieved once per process (read-only).
+    Copied out of the sieve's growable buffer: held for the process, that
+    buffer raised a later `count --x 1e8`'s peak RSS by 1 MB."""
+    primes = sieve_primes(THETA_SPLIT - 1).primes.copy()
     primes.flags.writeable = False
     return primes
 
@@ -145,95 +149,62 @@ def theta_at_one(q: int) -> float:
     sum collapses to -(1/d) * log(1 - p^-d), so
     log Theta(1) = sum_p (1/d) * log(1 - p^-d); the order of p depends only
     on p mod q and is read from the discrete-log table. The sum is taken
-    over p < THETA_SPLIT, and the primes above come from L-values
-    (_theta_tail). Above THETA_MAX_PHI characters the sum runs instead to
-    THETA_CUTOFF, with nothing added for the primes above: theta_tol bounds
-    the error either way.
+    over the 6,542 primes p < M = THETA_SPLIT, and the primes above come
+    from L-values (_theta_tail).
+
+    THETA_TOL bounds the relative error for every q <= MAX_MODULUS. The
+    truncation after t = 3 costs below sum_{p>=M} p^-4 = 1.04e-16. Each
+    _hurwitz_zeta value is within 6 ulps, and each character sum of the
+    transform within 3 log2(phi) ulps of the L(t, chi0) <= zeta(t) its
+    terms sum to, while |L(t, chi)| >= zeta(2t)/zeta(t); so each
+    log L(t, chi) is off by at most (zeta(t)^2/zeta(2t)) (7 + 3 log2 phi)
+    ulps, counting the log, and each mean of them by log2(phi) ulps more.
+    Two means enter with weight 1/t at each t = 2, 3: the weights
+    (2/t) zeta(t)^2/zeta(2t) sum to 3.45 and the 2/t to 5/3, so the tail
+    is off by at most 3.45 (7 + 3 log2 phi) + (5/3) log2 phi ulps, 263 at
+    phi = 10^6. The Euler sums (pairwise, over terms of total size below
+    1) and the exp add fewer than 40: 6.7e-14 in all.
     """
     if q < 3:
         raise DomainError(f"Theta(1) needs q >= 3, got {q}")
-    group = unit_group(q)
-    orders, dlog, units = group
-    accelerated = math.prod(orders) <= THETA_MAX_PHI
-    primes = _SMALL_PRIMES if accelerated else _primes_below(THETA_CUTOFF)
-    if q > primes.size:  # fewer primes than residues: find only the orders they need
-        d = element_orders(dlog[primes % q], orders)
-    else:
-        d = element_orders(dlog, orders)[primes % q]
-    # d is 1 for p = 1 mod q and for p | q
-    log_theta = log_euler(primes[d > 1], d[d > 1])
-    if accelerated:
-        coprime = units[primes % q]
-        log_theta += _theta_tail(q, group, primes[coprime], d[coprime])
-    return math.exp(log_theta)
+    group = _unit_group(q)
+    orders, dlog, _ = group
+    p = _split_primes()
+    d = element_orders(dlog[p % q], orders)  # 1 for p = 1 mod q and for p | q
+    return math.exp(log_euler(p[d > 1], d[d > 1]) + _theta_tail(q, group, p, d))
 
 
 def _theta_tail(q: int, group, p: np.ndarray, d: np.ndarray) -> float:
     """log Theta(1)'s sum over the primes >= M = THETA_SPLIT, given the
-    primes p < M prime to q and their orders d.
+    primes p < M and their orders d (1 for p | q and for p = 1 mod q).
 
     With 1[p^m = 1] = (1/phi) sum_chi chi^m(p), the sum is
     -sum_{m>=2} (1/(m phi)) sum_chi [P_M(m, chi^m) - P_M(m, chi)], where
-    P_M(s, psi) = sum_{p>=M} psi(p) p^-s = sum_k mu(k)/k log L_M(ks, psi^k)
-    and L_M is L with its Euler factors at p < M divided out. Put t = km:
-    -sum_t (1/t) sum_{k | t, k <= t/2} mu(k) [A_t(t) - A_t(k)], with
-    A_t(j) the mean over chi of log L_M(t, chi^j), of size M^-t.
+    P_M(s, psi) = sum_{p>=M} psi(p) p^-s is log L_M(s, psi) up to its
+    prime-square terms, below sum_{p>=M} p^-2s, and L_M is L with its
+    Euler factors at p < M divided out. Kept to m = t = 2, 3:
+    -sum_t (1/t) [A_t(t) - A_t(1)], with A_t(j) the mean over chi of
+    log L_M(t, chi^j), of size M^-t.
 
     log L(t, chi) for every chi comes from one grid transform of
-    q^-t zeta(t, r/q) (_hurwitz_zeta) per t. chi -> chi^j maps the exponent
-    vectors onto the multiples of gcd(j, d_i) on each axis, evenly, so the
-    mean over chi of log L(t, chi^j) is the mean over that strided
+    q^-t zeta(t, r/q) (_hurwitz_zeta) per t. chi -> chi^t maps the exponent
+    vectors onto the multiples of gcd(t, d_i) on each axis, evenly, so the
+    mean over chi of log L(t, chi^t) is the mean over that strided
     subgrid. The Euler factor at p takes the values chi^j(p), which run
     evenly over the roots of unity of order d_j = d / gcd(d, j), so its
-    mean over chi is log(1 - p^(-t d_j)) / d_j: one term per prime, read
-    from d.
+    mean over chi is log(1 - p^(-t d_j)) / d_j: one term per prime. t is
+    prime, so d_t = d_1 = d unless t | d, and only those primes enter.
     """
     orders = group[0]
-    ts = np.array(_TAIL_T)
-    sums = _character_sums(group, lambda r: _hurwitz_zeta(ts[:, None], r, q), (ts.size,))
-    log_l = np.log(np.abs(sums))  # the real part of log L: the means are real
-    p = p.astype(float)
-
-    def mean_log_lm(t: int, j: int) -> float:
-        sub = log_l[t - _TAIL_T[0]][tuple(slice(None, None, math.gcd(j, n)) for n in orders)]
-        dj = d // np.gcd(d, j)
-        return float(sub.mean()) + t * log_euler(p, t * dj)
-
     total = 0.0
     for t in _TAIL_T:
-        top = mean_log_lm(t, t)
-        total += sum(_MOBIUS[k] * (top - mean_log_lm(t, k))
-                     for k in range(1, t // 2 + 1) if t % k == 0 and _MOBIUS[k]) / t
+        sums = _character_sums(group, lambda r: _hurwitz_zeta(t, r, q))
+        log_l = np.log(np.abs(sums))  # the real part of log L: the means are real
+        powers = log_l[tuple(slice(None, None, math.gcd(t, n)) for n in orders)]
+        pt, dt = p[d % t == 0], d[d % t == 0]
+        euler = t * (log_euler(pt, dt) - log_euler(pt, t * dt))
+        total += (float(powers.mean()) - float(log_l.mean()) + euler) / t
     return -total
-
-
-def theta_tol(q: int) -> float:
-    """A bound on the relative error of theta_at_one(q), for q >= 3.
-
-    Up to THETA_MAX_PHI characters it is THETA_TOL, a rounding bound: the
-    tail's truncation at t = 9 costs below 1e-19. Each _hurwitz_zeta value
-    is within 6 ulps, and each character sum of the transform within
-    3 log2(phi) ulps of the L(t, chi0) <= zeta(t) its terms sum to, while
-    |L(t, chi)| >= zeta(2t)/zeta(t); so each A_t(j) is off by at most
-    (zeta(t)^2/zeta(2t)) (7 + 3 log2 phi) ulps, counting the log. The
-    coefficients 2/t summed over the (t, k) of _theta_tail, weighted by
-    zeta(t)^2/zeta(2t), come to 7.4, so log Theta(1) is off by at most
-    7.4 (7 + 3 log2 phi) + 2 ulps (the 2 for the sum over p < M and exp):
-    8.0e-14 at phi = THETA_MAX_PHI = 2^14.
-
-    Above it, the error is the prime sum's tail past P = THETA_CUTOFF.
-    The primes of order 2 lie in the n2 - 1 classes of units x != 1 with
-    x^2 = 1, and those in one class above P give at most
-    (1/2)(1/P^2 + 1/(qP)) (1 + 2/P^2); the primes of order >= 3 give at
-    most 1/(6 P^2) + 1/(3 P^3). Their sum, the rounding of the 148,933
-    terms and the exp stay below (n2 - 1)(1/(qP) + 1/P^2)/2 + 1/P^2.
-    """
-    if totient(q) <= THETA_MAX_PHI:
-        return THETA_TOL
-    # x^2 = 1 has 2 roots mod an odd prime power, 1, 2 and 4 mod 2, 4 and 2^e (e >= 3)
-    n2 = math.prod(2 if p > 2 else min(2 ** (e - 1), 4) for p, e in factorize(q))
-    P = THETA_CUTOFF
-    return (n2 - 1) * (1 / (q * P) + 1 / P**2) / 2 + 1 / P**2
 
 
 def c_of_q(q: int) -> float:
@@ -267,13 +238,14 @@ def constants_bundle(q: int) -> ConstantsBundle:
     theta1 = None
     c_q = 1.0 if q == 1 else 0.5
     if q >= 3:
+        theta1 = theta_at_one(q)  # before l_one: `constants --q 99991` then peaks 2 MB lower
         l_values = l_one(q)
+        _unit_group.cache_clear()  # built once for both, and held no longer
         phase = math.remainder(float(np.angle(l_values).sum()), 2 * math.pi)
         if abs(phase) > 1e-9:
             raise DomainError(
                 f"L(1, chi) product for q={q} is not real positive: argument {phase}"
             )
-        theta1 = theta_at_one(q)
         log_prod = float(np.log(np.abs(l_values)).sum())
         c_q = theta1 * math.exp((math.log(phi_q / q) + log_prod) / phi_q)
     l_values.flags.writeable = False

@@ -1,3 +1,4 @@
+import json
 import math
 import time
 
@@ -7,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from congaps import constants, primes, suite
-from congaps.characters import build_character_table, totient, unit_group
+from congaps import cli, constants, primes, suite
+from congaps.characters import MAX_MODULUS, build_character_table, totient, unit_group
 from congaps.errors import DomainError
 
 
@@ -148,18 +149,13 @@ EPS = float(np.finfo(float).eps)
 # terms and the Euler-Maclaurin remainder (its docstring)
 HURWITZ_ULPS = 6
 LANDAU_RAMANUJAN = "0.764223653589220662990698731250092328116790541"
-BELOW, ABOVE = 16381, 16411  # the primes with phi(q) on either side of THETA_MAX_PHI
-
-
-def test_crossover_neighbours():
-    assert totient(BELOW) <= constants.THETA_MAX_PHI < totient(ABOVE)
 
 
 def hurwitz_cases():
     # s = 2..9 against moduli from 1 (zeta(s) itself) to near MAX_MODULUS,
     # at both ends of r, the middle and a seeded sample
     rng = np.random.default_rng(5)
-    for q in (1, 2, 3, 4, 7, 30, 1009, BELOW, 999983):
+    for q in (1, 2, 3, 4, 7, 30, 1009, 16381, 999983):
         r = np.unique([1, q, max(1, q - 1), max(1, q // 2), *rng.integers(1, q + 1, 8)])
         for s in range(2, 10):
             yield s, q, r
@@ -174,7 +170,7 @@ def test_hurwitz_zeta_against_mpmath(s, q, r):
     assert np.all(rel <= HURWITZ_ULPS * EPS), rel.max() / EPS
 
 
-@pytest.mark.parametrize("q", [1, 3, 4, 30, 1009, BELOW])
+@pytest.mark.parametrize("q", [1, 3, 4, 30, 1009, 16381])
 def test_hurwitz_zeta_against_scipy(q):
     # scipy takes a = r/q rounded, which moves zeta(s, a) by up to s/2 ulps;
     # q^-s and the product add 1.5, scipy's own evaluation 2
@@ -184,13 +180,6 @@ def test_hurwitz_zeta_against_scipy(q):
         want = zeta(s, r / q) * float(q) ** -s
         rel = np.abs(constants._hurwitz_zeta(s, r, q) / want - 1)
         assert np.all(rel <= (HURWITZ_ULPS + s / 2 + 3.5) * EPS), (s, rel.max() / EPS)
-
-
-def test_hurwitz_zeta_broadcasts_over_s():
-    s = np.arange(2, 10)[:, None]
-    r = np.arange(1, 8)
-    assert np.array_equal(constants._hurwitz_zeta(s, r, 7),
-                          np.array([constants._hurwitz_zeta(k, r, 7) for k in range(2, 10)]))
 
 
 def test_theta_q4_landau_ramanujan():
@@ -257,41 +246,49 @@ def test_theta_against_mpmath_classes(q):
     assert constants.theta_at_one(q) == pytest.approx(theta_mpmath(q), rel=constants.THETA_TOL)
 
 
+WALK_ORDERS = 64  # orders walked; the primes of higher order give below 2^-64 in all
+
+
 def theta_order_walk(q, cutoff):
     """Theta(1) truncated at the primes <= cutoff: sum_p log(1 - p^-d)/d,
-    with the order d of each prime found by walking its powers mod q."""
+    with the order d of each prime found by walking its powers mod q, up
+    to WALK_ORDERS; the primes of higher order are left out."""
     p = primes.sieve_primes(cutoff).primes
     p = p[(q % p != 0) & (p % q != 1)]
-    d, x, k = np.zeros_like(p), p % q, 1
-    while not d.all():
+    d, x = np.zeros_like(p), p % q
+    for k in range(1, WALK_ORDERS + 1):
         d[(d == 0) & (x == 1)] = k
-        x, k = x * p % q, k + 1
+        x = x * p % q
+    p, d = p[d > 0], d[d > 0]
     return math.exp(math.fsum(np.log1p(-p.astype(float) ** -d.astype(float)) / d))
 
 
 def walk_tail(q, cutoff):
-    """A bound on log(walk / Theta(1)) >= 0, the terms past the cutoff P:
-    the primes of order 2 lie in the n2 - 1 classes of the units x != 1
-    with x^2 = 1, each giving at most (1/2)(1/P^2 + 1/(qP))(1 + 2/P^2);
-    those of order >= 3 at most (1/3)(1/P^3 + 1/(2P^2))(1 + 2/P^3)."""
-    n2 = sum(1 for x in range(1, q) if math.gcd(x, q) == 1 and x * x % q == 1)
+    """A bound on log(walk / Theta(1)) >= 0, the terms the walk leaves out.
+    Past the cutoff P, the primes of order 2 lie in the n2 - 1 classes of
+    the units x != 1 with x^2 = 1, each giving at most
+    (1/2)(1/P^2 + 1/(qP))(1 + 2/P^2); those of order >= 3 at most
+    (1/3)(1/P^3 + 1/(2P^2))(1 + 2/P^3). The primes of order above
+    WALK_ORDERS give at most sum_p p^-65 < 2^-64."""
+    x = np.arange(1, q)
+    n2 = np.count_nonzero((np.gcd(x, q) == 1) & (x * x % q == 1))
     P = cutoff
     return ((n2 - 1) * (1 / P**2 + 1 / (q * P)) / 2 * (1 + 2 / P**2)
-            + (1 / P**3 + 1 / (2 * P**2)) / 3 * (1 + 2 / P**3))
+            + (1 / P**3 + 1 / (2 * P**2)) / 3 * (1 + 2 / P**3) + 2.0**-WALK_ORDERS)
 
 
 def assert_within_walk(q, cutoff, got):
     # the walk omits negative terms only: walk >= Theta(1), by at most its tail
     dev = theta_order_walk(q, cutoff) / got - 1
-    slack = constants.theta_tol(q) + 1e-15  # got's own bound; the walk's rounding
+    slack = constants.THETA_TOL + 1e-15  # got's own bound; the walk's rounding
     assert -slack <= dev <= math.expm1(walk_tail(q, cutoff)) + slack, (q, dev)
 
 
-# the cutoff shrinks as the orders to walk grow: 78,498 primes to 10^6, 1,229 to 10^4
-@pytest.mark.parametrize("q", [3, 5, 7, 8, 12, 30, 210, 840, 991, 1009, 1024, BELOW, ABOVE])
+@pytest.mark.parametrize("q", [3, 5, 7, 8, 12, 30, 210, 840, 991, 1009, 1024,
+                               16381, 16411, 99991, 999983])
 def test_theta_against_order_walk(q):
-    cutoff = 10**6 if q <= 840 else 10**5 if q <= 1024 else 10**4
-    assert_within_walk(q, cutoff, constants.theta_at_one(q))
+    # to 10^6 the bracket is 1.2e-12 wide at q = 999983
+    assert_within_walk(q, 10**6, constants.theta_at_one(q))
 
 
 def test_theta_frozen_values():
@@ -300,44 +297,26 @@ def test_theta_frozen_values():
     assert constants.theta_at_one(4) == pytest.approx(0.92526157475704862263, rel=constants.THETA_TOL)
 
 
-@pytest.mark.parametrize("q", [3, 4, 840, 1009, BELOW])
-def test_theta_prime_sum_branch_agrees(q, monkeypatch):
-    # below the crossover, the prime sum to THETA_CUTOFF that serves above it
-    # exceeds the accelerated value by no more than its stated tail
-    accelerated = constants.theta_at_one(q)
-    monkeypatch.setattr(constants, "THETA_MAX_PHI", 0)
-    dev = constants.theta_at_one(q) / accelerated - 1
-    assert -constants.THETA_TOL <= dev <= constants.theta_tol(q) + constants.THETA_TOL, dev
-    assert constants.theta_tol(q) > constants.THETA_TOL
-
-
-@settings(max_examples=20, deadline=None)
-@given(st.integers(3, constants.THETA_MAX_PHI)  # phi(q) <= q: below the crossover
-       | st.integers(constants.THETA_MAX_PHI, 20000).map(primes.next_prime))  # above it
+@settings(max_examples=10, deadline=None)
+@given(st.integers(3, MAX_MODULUS))
 def test_theta_property(q):
-    # on both sides of the crossover: within (0, 1) and within the order
-    # walk's tail at 10^3; above it the stated bound covers the tail past
-    # THETA_CUTOFF, with 1/P^2 to spare
+    # one path up to MAX_MODULUS: within (0, 1) and within the order walk's
+    # tail at 10^5, with THETA_TOL to spare on the low side
     got = constants.theta_at_one(q)
     assert 0 < got < 1
-    assert_within_walk(q, 1000, got)
-    P = constants.THETA_CUTOFF
-    if totient(q) <= constants.THETA_MAX_PHI:
-        assert constants.theta_tol(q) == constants.THETA_TOL <= 1e-13
-    else:
-        assert walk_tail(q, P) <= constants.theta_tol(q) <= walk_tail(q, P) + 1 / P**2
+    assert_within_walk(q, 10**5, got)
 
 
-def test_theta_tol_formula():
-    P = constants.THETA_CUTOFF
-    # 999983: units x^2 = 1 are +-1; 720720 = 2^4 3^2 5 7 11 13: 4 * 2^5 of them
-    assert constants.theta_tol(999983) == pytest.approx((1 / (999983 * P) + 1 / P**2) / 2 + 1 / P**2)
-    assert constants.theta_tol(720720) == pytest.approx(127 * (1 / (720720 * P) + 1 / P**2) / 2 + 1 / P**2)
-    assert constants.theta_tol(3) == constants.THETA_TOL
+@pytest.mark.parametrize("q", [4, 16411, 99991])
+def test_constants_reports_theta_tol(q, capsys):
+    # one bound for every q, on either side of phi(q) = 2^14
+    assert cli.main(["constants", "--q", str(q)]) == 0
+    assert json.loads(capsys.readouterr().out)["tolerances"]["theta_tol"] == constants.THETA_TOL
 
 
-def test_theta_sieves_once_per_cutoff(monkeypatch):
-    # only above the crossover, and there once for every q
+def test_theta_sieves_split_primes_once(monkeypatch, tmp_path):
+    # at most once per process, read-only, and never through the prime
+    # cache: a mertens run under $CONGAPS_CACHE_DIR writes its own file only
     limits = []
 
     def counting_sieve(limit):
@@ -345,14 +324,34 @@ def test_theta_sieves_once_per_cutoff(monkeypatch):
         return primes.sieve_primes(limit)
 
     monkeypatch.setattr(constants, "sieve_primes", counting_sieve)
-    constants._primes_below.cache_clear()
-    first = [constants.theta_at_one(q) for q in (3, 4, 5, BELOW)]
-    assert limits == []
-    above = [constants.theta_at_one(ABOVE) for _ in range(2)]
-    again = [constants.theta_at_one(q) for q in (3, 4, 5, BELOW)]
-    assert limits == [constants.THETA_CUTOFF]
-    assert first == again and above[0] == above[1]
-    assert not constants._primes_below(constants.THETA_CUTOFF).flags.writeable
+    monkeypatch.setenv(primes.CACHE_ENV, str(tmp_path))
+    constants._split_primes.cache_clear()
+    first = [constants.theta_at_one(q) for q in (3, 4, 5, 16411)]
+    assert cli.main(["mertens", "--q", "3", "--x", "1000", "--out", str(tmp_path / "out.json")]) == 0
+    again = [constants.theta_at_one(q) for q in (3, 4, 5, 16411)]
+    assert limits == [constants.THETA_SPLIT - 1]
+    assert first == again
+    split = constants._split_primes()
+    assert split.size == 6542 and split[-1] < constants.THETA_SPLIT <= primes.next_prime(int(split[-1]))
+    assert not split.flags.writeable
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["out.json", "primes_1000.bin"]
+
+
+def test_bundle_builds_unit_group_once(monkeypatch):
+    # l_one and theta_at_one share one read-only discrete-log table
+    calls = []
+
+    def counting_group(q):
+        calls.append(q)
+        return unit_group(q)
+
+    monkeypatch.setattr(constants, "unit_group", counting_group)
+    constants._unit_group.cache_clear()
+    constants.constants_bundle(16411)
+    assert calls == [16411]
+    assert constants._unit_group.cache_info().currsize == 0  # held no longer than the bundle
+    _, dlog, units = constants._unit_group(16411)
+    assert not dlog.flags.writeable and not units.flags.writeable
 
 
 def test_theta_range_and_domain():
