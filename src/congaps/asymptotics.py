@@ -16,7 +16,7 @@ import numpy as np
 from .characters import totient
 from .constants import EULER_GAMMA, ConstantsBundle
 from .errors import DegenerateComparisonError, DomainError
-from .primes import PrimeSource, joined, log_euler, windows_upto
+from .primes import PrimeSource, log_euler, sieve_primes, windows_upto
 
 
 @dataclass(frozen=True)
@@ -94,47 +94,67 @@ def mertens_prediction(q: int, X: float, bundle: ConstantsBundle) -> float:
     )
 
 
-def _restricted_walk(X: int, q: int, Y: float, table: PrimeSource):
-    """Depth-first walk over the nondecreasing products n <= X of allowed
-    primes (p = 1 mod q, p > Y) that a further factor can extend, n = 1
-    first. Yields (n, leaves): leaves holds the allowed p >= n's largest
-    factor with isqrt(X // n) < p <= X // n. Each n * p is a member that no
-    allowed prime extends, so it is taken from one np.searchsorted and never
-    visited. Every member is some yielded n or one n * p, exactly once."""
+def restricted_nodes(X: int, small: np.ndarray, low: int):
+    """The nodes of the restricted-product walk over a set of allowed
+    primes, all above low; small holds those up to isqrt(X), ascending.
+    n = 1 is a node, and so is n * p for a node n and an allowed
+    p >= n's largest factor with p <= isqrt(X // n). Returns arrays
+    (n, lo, hi): the leaves of n, the members n * p that no allowed prime
+    extends, are the allowed p with lo < p <= hi = X // n. Every member
+    <= X is a node or one leaf, once."""
+    rows, stack = [], [(1, 0, low)]  # (n, index of the least prime n may take, lo)
+    while stack:
+        n, start, low = stack.pop()
+        cap = X // n
+        root = math.isqrt(cap)
+        rows.append((n, min(max(low, root), cap), cap))
+        children = small[start:np.searchsorted(small, root, side="right")].tolist()
+        stack += [(n * p, i, p - 1) for i, p in enumerate(children, start)]
+    return np.array(rows, dtype=np.int64).T
+
+
+def leaf_counts(windows, q: int, lo: np.ndarray, hi: np.ndarray, cls) -> np.ndarray:
+    """For each entry of lo, hi and cls (an array, or one class for all):
+    the number of primes p of windows with lo < p <= hi and p = cls mod q,
+    or any p where cls is -1. One pass: each bound is resolved in the
+    window that holds it, on top of running counts by class."""
+    xs = np.concatenate((hi, lo))
+    classes, slot = np.unique(np.tile(np.broadcast_to(cls, lo.size), 2), return_inverse=True)
+    order = np.argsort(xs)
+    bounds = xs[order]
+    running = np.zeros(classes.size, dtype=np.int64)
+    pi = np.empty(xs.size, dtype=np.int64)
+    done = 0
+    for window in windows:
+        if not window.size:
+            continue
+        due = order[done:np.searchsorted(bounds, window[-1], side="right")]
+        for s, c in enumerate(classes.tolist()):
+            chosen = window if c < 0 else window[window % q == c]
+            at = due[slot[due] == s]
+            pi[at] = running[s] + np.searchsorted(chosen, xs[at], side="right")
+            running[s] += chosen.size
+        done += due.size
+    pi[order[done:]] = running[slot[order[done:]]]
+    return pi[:lo.size] - pi[lo.size:]
+
+
+def count_restricted(X: int, q: int, Y: float, table: PrimeSource) -> int:
+    """Exact count of n <= X whose prime factors are all congruent to
+    1 mod q and greater than Y (n = 1 counts vacuously): the nodes of the
+    restricted-product walk over those primes up to isqrt(X), sieved here,
+    and their leaves, counted in one fold over table (a PrimeTable, or the
+    windows of primes.segments)."""
     if q < 3:
         raise DomainError(f"q must be >= 3, got {q}")
     if not Y >= 1:
         raise DomainError(f"Y must be >= 1, got {Y}")
     if X < 1:
-        return
-    # the allowed primes, kept whole: the walk bisects them from every node
-    allowed = joined(cls[np.searchsorted(cls, math.floor(min(Y, X)), side="right"):]
-                     for cls in windows_upto(table, X, q, 1))
-    stack = [(1, 0)]  # (n, index of the least prime n may still take)
-    while stack:
-        n, start = stack.pop()
-        cap = X // n
-        mid, end = np.searchsorted(allowed, (math.isqrt(cap), cap), side="right")
-        yield n, allowed[max(start, mid):end]
-        for i, p in enumerate(allowed[start:mid].tolist(), start):
-            stack.append((n * p, i))
-
-
-def count_restricted(X: int, q: int, Y: float, table: PrimeSource) -> int:
-    """Exact count of n <= X whose prime factors are all congruent to
-    1 mod q and greater than Y (n = 1 counts vacuously), read off the
-    restricted-product walk: each node and its leaves."""
-    return sum(1 + leaves.size for _, leaves in _restricted_walk(X, q, Y, table))
-
-
-def enumerate_restricted(X: int, q: int, Y: float, table: PrimeSource) -> list[int]:
-    """Sorted members of the set counted by count_restricted, from the same
-    walk; comparing this list against a per-n factorization oracle
-    certifies the count for every cutoff up to X at once."""
-    members = []
-    for n, leaves in _restricted_walk(X, q, Y, table):
-        members += [n, *(n * leaves).tolist()]
-    return sorted(members)
+        return 0
+    low = math.floor(min(Y, X))
+    small = sieve_primes(math.isqrt(X)).residue_class(q, 1)
+    n, lo, hi = restricted_nodes(X, small[small > low], low)
+    return int(n.size + leaf_counts(windows_upto(table, X, q, 1), q, lo, hi, -1).sum())
 
 
 def lemma33_prediction(

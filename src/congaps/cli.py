@@ -19,6 +19,8 @@ import numpy as np
 from . import asymptotics, census, constants, contour, primes, shiu, suite
 from .errors import CapacityError, CongapsError, DomainError, NumericsError
 
+MAX_MEMBERS_H = 10**6  # shiu --members prints each coprime h <= H: 0.11 M at 10^6, 53 M at 10^9
+
 
 def _config_flags(path: str) -> list[str]:
     """Read a flat key=value config ('#' starts a comment) as flags of the
@@ -101,9 +103,8 @@ def cmd_mertens(args) -> int:
 def cmd_count(args) -> int:
     if not math.isfinite(args.y):
         raise DomainError(f"Y must be finite, got {args.y}")
-    # two passes over the primes up to max(X, Y): the walk keeps the class-1
-    # primes above Y; the prediction's Euler product over the primes up to Y
-    # stops at the first window past Y
+    # two passes over the primes up to max(X, Y): the walk's fold counts its
+    # leaves; the prediction's Euler product stops at the first window past Y
     limit = max(args.x, math.ceil(args.y))
     with contextlib.closing(primes.segments(limit)) as stream:
         bundle = constants.constants_bundle(args.q)
@@ -119,9 +120,13 @@ def cmd_count(args) -> int:
 
 
 def cmd_shiu(args) -> int:
-    table = primes.get_prime_table(args.h)
-    con = shiu.build_construction(args.h, args.q, args.a, args.p0, table)
-    sets = shiu.compute_S_T(con, keep_members=args.members)
+    if args.members and args.h > MAX_MEMBERS_H:
+        raise CapacityError(f"--members lists H <= {MAX_MEMBERS_H}, got {args.h}")
+    # two passes over the primes up to H: the construction stops at its top
+    with contextlib.closing(primes.segments(args.h)) as stream:
+        con = shiu.build_construction(args.h, args.q, args.a, args.p0, stream)
+    with contextlib.closing(primes.segments(args.h)) as stream:
+        sets = shiu.compute_S_T(con, stream, keep_members=args.members)
     lemma = shiu.lemma34_check(con, sets)
     tb = shiu.t_bound_report(con, sets)
     payload = {

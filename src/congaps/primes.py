@@ -21,7 +21,10 @@ import numpy as np
 
 from .errors import CacheError, CapacityError, DomainError, OutOfRangeError
 
-MAX_SIEVE_LIMIT = 10**9  # shiu and suite hold whole tables; a census to it: 4.7 s, 35 MB (2 vCPUs)
+# every subcommand but suite folds over windows; census --list-pairs holding
+# every pair is what keeps this below 2^32. A census to it: 4.7 s, 35 MB (2 vCPUs)
+MAX_SIEVE_LIMIT = 10**9
+MAX_SPF_LIMIT = 10**8  # build_spf's table: 8 bytes per integer, 0.8 GB here
 SEGMENT_SIZE = 1 << 20  # integers per segment; cache-friendly default
 CACHE_MAGIC = b"PRIMTBL2"
 _CACHE_HEADER = struct.Struct("<8sQQ")  # magic, limit, prime count
@@ -197,8 +200,8 @@ def build_spf(limit: int) -> SpfTable:
     """Smallest-prime-factor table for every n <= limit."""
     if limit < 1:
         raise DomainError(f"limit must be >= 1, got {limit}")
-    if limit > MAX_SIEVE_LIMIT:
-        raise CapacityError(f"limit {limit} exceeds configured maximum {MAX_SIEVE_LIMIT}")
+    if limit > MAX_SPF_LIMIT:
+        raise CapacityError(f"limit {limit} exceeds configured maximum {MAX_SPF_LIMIT}")
     spf = np.zeros(limit + 1, dtype=np.int64)
     for p in range(2, math.isqrt(limit) + 1):
         if spf[p] == 0:

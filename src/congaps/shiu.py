@@ -12,10 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import ComparisonReport
+from .asymptotics import ComparisonReport, leaf_counts, restricted_nodes
 from .characters import factorize, totient
 from .errors import DomainError
-from .primes import PrimeTable, log_euler
+from .primes import PrimeSource, joined, log_euler, sieve_primes, windows_upto
 
 # t_of_H needs log log log H > 0, i.e. H > e^e.
 T_OF_H_THRESHOLD = math.exp(math.e)
@@ -43,16 +43,16 @@ class ShiuConstruction:
     q_primes: tuple[int, ...]  # distinct prime factors of q
     regime_ok: bool  # log H < t(H) < H/t(H) < H/(log H)^2
 
-    def modulus_primes(self) -> frozenset[int]:
-        """Distinct primes of the working modulus: q's primes plus the
-        engineered set, with p0 struck from the latter."""
-        out = set(self.q_primes)
-        out.update(int(p) for p in self.script_p if p != self.p0)
-        return frozenset(out)
+    def modulus_primes(self) -> np.ndarray:
+        """Distinct primes of the working modulus, ascending: q's primes
+        plus the engineered set, with p0 struck from the latter."""
+        kept = self.script_p[self.script_p != self.p0]
+        extra = [p for p in self.q_primes if p not in kept]
+        return np.insert(kept, np.searchsorted(kept, extra), extra)
 
 
 def build_construction(
-    H: int, q: int, a: int, p0: int, table: PrimeTable
+    H: int, q: int, a: int, p0: int, table: PrimeSource
 ) -> ShiuConstruction:
     """Assemble the prime set for (H, q, a), literally per its definition.
 
@@ -61,7 +61,8 @@ def build_construction(
     residue, cut at t(H) and H/t(H); the asymptotic ordering
     log H < t(H) < H/t(H) < H/(log H)^2 is recorded in regime_ok but never
     enforced by clamping. p0, struck from the set, is 1 or one of its
-    primes above log H.
+    primes above log H. The primes come from table (a PrimeTable, or a
+    stream of windows), read up to max(H/(log H)^2, log H, H/t(H)).
     """
     if math.gcd(a, q) != 1:
         raise DomainError(f"a={a} and q={q} must be coprime")
@@ -69,10 +70,7 @@ def build_construction(
         raise DomainError(f"q must be >= 3, got {q}")
     if H < 100:
         raise DomainError(f"H must be >= 100, got {H}")
-    if table.limit < H:
-        raise DomainError("a PrimeTable with limit >= H is required")
     log_h = math.log(H)
-    primes = table.primes
     if p0 != 1:
         if p0 > H:
             raise DomainError(f"p0 must be 1 or a prime <= H = {H}, got {p0}")
@@ -81,21 +79,22 @@ def build_construction(
 
     cap = H / log_h**2
     tH = None if a % q == 1 else t_of_H(H)
-    in_range = primes[primes <= max(cap, log_h, H / tH if tH else 0.0)]
-    res = in_range % q
 
-    s1 = (in_range <= log_h) & (res == 1)
-    if tH is None:
-        mask = s1 | ((in_range <= cap) & (res != 1))
-        regime_ok = True  # no t(H) ordering enters the a = 1 case
-    else:
-        regime_ok = log_h < tH < H / tH < cap
-        s2 = (in_range <= cap) & (res != 1) & (res != a % q)
-        s3 = (in_range > tH) & (in_range <= cap) & (res == 1)
-        s4 = (in_range <= H / tH) & (res == a % q)
-        mask = s1 | s2 | s3 | s4
+    def engineered(p):
+        """The primes of the set among the ascending primes p."""
+        res = p % q
+        s1 = (p <= log_h) & (res == 1)
+        if tH is None:
+            return p[s1 | ((p <= cap) & (res != 1))]
+        s2 = (p <= cap) & (res != 1) & (res != a % q)
+        s3 = (p > tH) & (p <= cap) & (res == 1)
+        s4 = (p <= H / tH) & (res == a % q)
+        return p[s1 | s2 | s3 | s4]
 
-    script_p = in_range[mask]
+    # window by window, so the masks never span every prime up to the top
+    top = max(cap, log_h, H / tH if tH else 0.0)
+    script_p = joined(map(engineered, windows_upto(table, top)))
+    regime_ok = tH is None or log_h < tH < H / tH < cap  # no t(H) enters a = 1
     if p0 != 1 and p0 not in script_p:
         raise DomainError(f"p0={p0} is not a prime of the set P(H) for H={H}, "
                           f"q={q}, a={a}")
@@ -111,11 +110,6 @@ def build_construction(
     )
 
 
-def phi_over_Q(c: ShiuConstruction) -> float:
-    """prod (1 - 1/p) over the distinct primes of the modulus, in log space."""
-    return math.exp(log_euler(sorted(c.modulus_primes())))
-
-
 @dataclass(frozen=True)
 class ResidueSets:
     """Counts (and optionally members) of the coprime residues h <= H,
@@ -128,25 +122,38 @@ class ResidueSets:
     T_members: tuple[int, ...] | None = None
 
 
-def compute_S_T(c: ShiuConstruction, keep_members: bool = False) -> ResidueSets:
-    """Strike the multiples of every modulus prime from [1, H]; of the h
-    kept, those with h = a mod q form S and the rest T."""
-    keep = np.ones(c.H + 1, dtype=bool)
-    keep[0] = False
-    for p in c.modulus_primes():
-        keep[p::p] = False
-    a_mod = c.a % c.q
-    s_count = int(np.count_nonzero(keep[a_mod::c.q]))
+def compute_S_T(c: ShiuConstruction, table: PrimeSource,
+                keep_members: bool = False) -> ResidueSets:
+    """Split the h <= H coprime to the modulus, the products of the primes
+    that do not divide it: h = a mod q goes to S, the rest to T. They are
+    counted by the restricted-product walk over those primes up to
+    isqrt(H), sieved here, and one fold over table (a PrimeTable, or the
+    windows of primes.segments(H)); a leaf n * p is in S when
+    p = a / n mod q. keep_members lists them from one array of the primes."""
+    modulus, q = c.modulus_primes(), c.q
+
+    def allowed(window):  # the window less the modulus primes, all of which it holds
+        i, j = np.searchsorted(modulus, (window[0], window[-1] + 1)) if window.size else (0, 0)
+        return np.delete(window, np.searchsorted(window, modulus[i:j])) if j > i else window
+
+    n, lo, hi = restricted_nodes(c.H, allowed(sieve_primes(math.isqrt(c.H)).primes), 1)
+    windows = map(allowed, windows_upto(table, c.H))
     s_members = t_members = None
     if keep_members:
-        kept = np.flatnonzero(keep)
-        in_s = kept % c.q == a_mod
-        s_members = tuple(kept[in_s].tolist())
-        t_members = tuple(kept[~in_s].tolist())
+        every = joined(windows)
+        windows = [every]
+        span = np.searchsorted(every, np.stack((lo, hi)), side="right")
+        kept = np.sort(np.concatenate([n, *(m * every[i:j] for m, i, j in zip(n, *span))]))
+        in_s = kept % q == c.a % q
+        s_members, t_members = tuple(kept[in_s].tolist()), tuple(kept[~in_s].tolist())
+    k = n.size
+    target = [c.a * pow(r, -1, q) % q for r in (n % q).tolist()]
+    leaves = leaf_counts(windows, q, np.tile(lo, 2), np.tile(hi, 2), np.r_[[-1] * k, target])
+    s_count = int(np.count_nonzero(n % q == c.a % q) + leaves[k:].sum())
     return ResidueSets(
         S_count=s_count,
-        T_count=int(np.count_nonzero(keep)) - s_count,
-        phiQ_over_Q=phi_over_Q(c),
+        T_count=int(k + leaves[:k].sum()) - s_count,
+        phiQ_over_Q=math.exp(log_euler(modulus)),  # prod (1 - 1/p) over the modulus
         S_members=s_members,
         T_members=t_members,
     )

@@ -132,7 +132,7 @@ def _check_shiu(table) -> dict:
     H = min(10**4, table.limit)
     for q, a in ((3, 1), (3, 2), (4, 3), (6, 5)):
         con = shiu.build_construction(H, q, a, 1, table)
-        sets = shiu.compute_S_T(con)
+        sets = shiu.compute_S_T(con, table)
         h = np.arange(1, H + 1)
         coprime = np.ones(H, dtype=bool)
         for p in con.modulus_primes():

@@ -1,0 +1,47 @@
+"""Reference implementations of the restricted counts, each the algorithm
+the program used before its restricted-product walk counted the leaves in
+a fold over the primes. They hold whole arrays, so they serve at test
+sizes only."""
+
+import math
+
+import numpy as np
+
+from congaps import primes
+
+
+def enumerate_restricted(X, q, Y, table):
+    """Sorted n <= X whose prime factors are all = 1 mod q and > Y, n = 1
+    among them, by a depth-first walk over the nondecreasing products of
+    those primes that bisects one array of all of them up to X: from each
+    node n, the allowed p >= n's largest factor with
+    isqrt(X // n) < p <= X // n give the members n * p that no allowed
+    prime extends, and the smaller ones are the node's children."""
+    if X < 1:
+        return []
+    allowed = primes.joined(
+        cls[np.searchsorted(cls, math.floor(min(Y, X)), side="right"):]
+        for cls in primes.windows_upto(table, X, q, 1))
+    members = []
+    stack = [(1, 0)]  # (n, index of the least prime n may still take)
+    while stack:
+        n, start = stack.pop()
+        cap = X // n
+        mid, end = np.searchsorted(allowed, (math.isqrt(cap), cap), side="right")
+        members += [n, *(n * allowed[max(start, mid):end]).tolist()]
+        for i, p in enumerate(allowed[start:mid].tolist(), start):
+            stack.append((n * p, i))
+    return sorted(members)
+
+
+def strike_S_T(c):
+    """(S, T) of a Shiu construction as sorted member lists: strike the
+    multiples of every modulus prime from [1, H]; of the h kept, those
+    with h = a mod q form S and the rest T."""
+    keep = np.ones(c.H + 1, dtype=bool)
+    keep[0] = False
+    for p in c.modulus_primes().tolist():
+        keep[p::p] = False
+    kept = np.flatnonzero(keep)
+    in_s = kept % c.q == c.a % c.q
+    return kept[in_s].tolist(), kept[~in_s].tolist()

@@ -18,6 +18,7 @@ from congaps import (
     shiu,
     suite,
 )
+from oracles import enumerate_restricted
 
 
 def test_criterion_01_character_orthogonality():
@@ -77,7 +78,7 @@ def test_criterion_05_restricted_count(table7, spf5):
         assert 0.8 <= ratios[1] <= 1.2, (q, Y, ratios)
         assert abs(ratios[1] - 1.0) < abs(ratios[0] - 1.0), (q, Y, ratios)
     # exact agreement with the per-n factorization oracle for all X <= 1e5
-    members = asymptotics.enumerate_restricted(10**5, 3, 1, table7)
+    members = enumerate_restricted(10**5, 3, 1, table7)
     oracle = [
         n for n in range(1, 10**5 + 1)
         if all(p % 3 == 1 for p in spf5.factor(n))
@@ -119,7 +120,7 @@ def test_criterion_08_shiu_construction(table5):
     for H in (10**4, 10**5):
         for q, a in ((3, 1), (3, 2), (4, 1), (4, 3), (6, 1), (6, 5)):
             con = shiu.build_construction(H, q, a, 1, table5)
-            sets = shiu.compute_S_T(con)
+            sets = shiu.compute_S_T(con, table5)
             # brute-force oracle: strike multiples of every modulus prime
             keep = np.ones(H + 1, dtype=bool)
             keep[0] = False

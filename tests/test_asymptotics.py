@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from congaps import asymptotics, constants, primes
 from congaps.errors import DegenerateComparisonError, DomainError, OutOfRangeError
+from oracles import enumerate_restricted
 
 
 def test_mertens_product_small(table5):
@@ -48,7 +49,7 @@ def test_mertens_ratio_near_one(table5):
 
 def test_count_restricted_examples(table5):
     assert asymptotics.count_restricted(50, 3, 1, table5) == 8
-    assert asymptotics.enumerate_restricted(50, 3, 1, table5) == [
+    assert enumerate_restricted(50, 3, 1, table5) == [
         1, 7, 13, 19, 31, 37, 43, 49,
     ]
     assert asymptotics.count_restricted(100, 3, 10, table5) == 11
@@ -62,14 +63,14 @@ def test_count_restricted_errors(table5):
     with pytest.raises(DomainError):
         asymptotics.count_restricted(50, 3, 0.5, table5)
     with pytest.raises(DomainError):
-        asymptotics.enumerate_restricted(50, 3, math.nan, table5)
+        asymptotics.count_restricted(50, 3, math.nan, table5)
     with pytest.raises(OutOfRangeError):
         asymptotics.count_restricted(table5.limit + 1, 3, 1, table5)
 
 
 def test_count_matches_enumeration(table5):
     for X in (1, 10, 500, 12345):
-        members = asymptotics.enumerate_restricted(X, 3, 1, table5)
+        members = enumerate_restricted(X, 3, 1, table5)
         assert len(members) == asymptotics.count_restricted(X, 3, 1, table5)
         assert members == sorted(set(members))
         assert members[0] == 1
@@ -77,12 +78,12 @@ def test_count_matches_enumeration(table5):
 
 def test_count_against_spf_oracle(table5, spf5):
     n_max = 20_000
-    members = set(asymptotics.enumerate_restricted(n_max, 3, 1, table5))
+    members = set(enumerate_restricted(n_max, 3, 1, table5))
     for n in range(1, n_max + 1):
         in_set = all(p % 3 == 1 for p in spf5.factor(n))
         assert (n in members) == in_set
     # and with a Y cutoff
-    members = set(asymptotics.enumerate_restricted(n_max, 3, 10, table5))
+    members = set(enumerate_restricted(n_max, 3, 10, table5))
     for n in range(1, n_max + 1):
         in_set = all(p % 3 == 1 and p > 10 for p in spf5.factor(n))
         assert (n in members) == in_set
@@ -120,6 +121,31 @@ def test_count_at_leaf_boundaries(table5):
             assert asymptotics.count_restricted(X, 3, 1, table5) == strike_count(X, 3, 1)
     X = table5.limit
     assert asymptotics.count_restricted(X, 3, 1, table5) == strike_count(X, 3, 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(X=st.integers(1, 10**5), q=st.sampled_from([3, 4, 5, 7, 12, 30, 210]),
+       y_over_root=st.floats(0, 2), segment=st.sampled_from([256, 4096, 1 << 20]))
+def test_count_walk_against_the_old_walk(table5, X, q, y_over_root, segment):
+    # Y on either side of sqrt(X), where the walk's first leaves begin; the
+    # primes from a table whose limit is X, and from a stream of windows
+    Y = max(1.0, y_over_root * math.sqrt(X))
+    want = len(enumerate_restricted(X, q, Y, table5))
+    at_limit = primes.PrimeTable(X, table5.primes[:np.searchsorted(table5.primes, X, "right")])
+    assert asymptotics.count_restricted(X, q, Y, at_limit) == want
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(primes, "SEGMENT_SIZE", segment)
+        assert asymptotics.count_restricted(X, q, Y, primes.segments(X)) == want
+
+
+def test_restricted_nodes_and_leaves_partition_the_members(table5):
+    X = 20_000
+    small = table5.residue_class(3, 1)
+    n, lo, hi = asymptotics.restricted_nodes(X, small[small <= math.isqrt(X)], 1)
+    leaves = [m * p for m, i, j in zip(n.tolist(), lo.tolist(), hi.tolist())
+              for p in small[(small > i) & (small <= j)].tolist()]
+    assert sorted(n.tolist() + leaves) == enumerate_restricted(X, 3, 1, table5)
+    assert not set(n.tolist()) & set(leaves)
 
 
 def test_count_restricted_budget(table7):

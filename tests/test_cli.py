@@ -4,8 +4,9 @@ import time
 
 import pytest
 
-from congaps import asymptotics, census, cli, primes
+from congaps import asymptotics, census, cli, primes, shiu
 from congaps.errors import NumericsError
+from oracles import strike_S_T
 
 
 def strict_json(text):
@@ -103,6 +104,29 @@ def test_shiu_p0_outside_prime_set_rejected(capsys):
     assert rc == 2
     assert out == ""
     assert "p0=99991 is not a prime of the set P(H)" in err
+
+
+def test_shiu_members_capped_before_any_sieving(capsys, monkeypatch):
+    def no_primes(limit):
+        raise AssertionError("primes were read")
+
+    monkeypatch.setattr(primes, "segments", no_primes)
+    rc, out, err = run(capsys, "shiu", "--h", str(cli.MAX_MEMBERS_H + 1), "--q", "3",
+                       "--a", "2", "--members")
+    assert rc == 2
+    assert out == ""
+    assert f"--members lists H <= {cli.MAX_MEMBERS_H}" in err
+
+
+def test_shiu_members_at_the_cap(capsys):
+    H = cli.MAX_MEMBERS_H
+    rc, out, _ = run(capsys, "shiu", "--h", str(H), "--q", "4", "--a", "3", "--members")
+    assert rc == 0
+    payload = json.loads(out)
+    con = shiu.build_construction(H, 4, 3, 1, primes.segments(H))
+    s, t = strike_S_T(con)
+    assert (payload["S_members"], payload["T_members"]) == (s, t)
+    assert (payload["S_count"], payload["T_count"]) == (len(s), len(t))
 
 
 def test_census_payload(capsys):

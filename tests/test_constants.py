@@ -241,9 +241,13 @@ def theta_mpmath(q, split=50, dps=30):
         return float(mpmath.exp(mpmath.re(head - tail)))
 
 
-@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 12, 30])
+# q = 7, 9 and 13 have units of order 3: dropping the t = 3 tail term moves
+# Theta(1) by 1.1e-12, 1.1e-12 and 5.5e-13. abs=0, as approx's default
+# absolute tolerance, 1e-12, would hide the last.
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9, 12, 13, 30])
 def test_theta_against_mpmath_classes(q):
-    assert constants.theta_at_one(q) == pytest.approx(theta_mpmath(q), rel=constants.THETA_TOL)
+    assert constants.theta_at_one(q) == pytest.approx(theta_mpmath(q), rel=constants.THETA_TOL,
+                                                      abs=0)
 
 
 WALK_ORDERS = 64  # orders walked; the primes of higher order give below 2^-64 in all
@@ -293,8 +297,10 @@ def test_theta_against_order_walk(q):
 
 def test_theta_frozen_values():
     # theta_mpmath(3) and theta_mpmath(4) to 20 digits
-    assert constants.theta_at_one(3) == pytest.approx(0.84094076770909818355, rel=constants.THETA_TOL)
-    assert constants.theta_at_one(4) == pytest.approx(0.92526157475704862263, rel=constants.THETA_TOL)
+    # abs=0: approx's default absolute tolerance, 1e-12, is ten times THETA_TOL
+    tol = dict(rel=constants.THETA_TOL, abs=0)
+    assert constants.theta_at_one(3) == pytest.approx(0.84094076770909818355, **tol)
+    assert constants.theta_at_one(4) == pytest.approx(0.92526157475704862263, **tol)
 
 
 @settings(max_examples=10, deadline=None)

@@ -1,7 +1,9 @@
-"""Peak memory of the streaming subcommands. census and mertens fold over
-the windows of primes.segments, so at X = 10^8 (5.76 M primes, 46 MB as
-one array) each holds a few windows at a time: its peak RSS stays close to
-the same command's at X = 10^4. The Perron check folds over fixed blocks
+"""Peak memory of the streaming subcommands. census, mertens, count and
+shiu fold over the windows of primes.segments, so at X = 10^8 (5.76 M
+primes, 46 MB as one array) each holds a few windows at a time, plus
+count's walk over the primes up to sqrt(X) and shiu's 135 k modulus primes
+(1 MB): its peak RSS stays within MAX_GROWTH_MB of the same command's at
+X = 10^4. The Perron check folds over fixed blocks
 of its terms, and the CLI's coefficients are one broadcast value, so at
 N = 10^6 it holds one block's work arrays: its peak RSS stays within
 PERRON_GROWTH_MB of that at N = 20. Each
@@ -18,7 +20,10 @@ import pytest
 from congaps import primes
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
-MAX_GROWTH_MB = 30
+# From 10^4 to 10^8: census 4.2 MB, mertens 3.2, count 4.4 and shiu 5.7; a
+# count holding its class-1 primes grows 25, a shiu holding the table 160
+# (2 vCPUs, peak RSS from os.wait4)
+MAX_GROWTH_MB = 10
 # The blocked fold grows 10.7 MB from N = 20 to 10^6; a fold that builds n
 # and log(X/n) for all N at once grows 26 MB, as any N-length float array
 # takes 8 MB (2 vCPUs, peak RSS from os.wait4)
@@ -49,13 +54,15 @@ def peak_rss_mb(*argv: str) -> float:
 
 
 @pytest.mark.skipif(not hasattr(os, "posix_spawn"), reason="needs os.posix_spawn")
-@pytest.mark.parametrize("argv", [
-    ("census", "--q", "3", "--a", "2"),
-    ("mertens", "--q", "3"),
-], ids=["census", "mertens"])
-def test_peak_rss_at_1e8_close_to_1e4(argv):
-    small = peak_rss_mb(*argv, "--x", "10000")
-    large = peak_rss_mb(*argv, "--x", "100000000")
+@pytest.mark.parametrize("argv, size", [
+    (("census", "--q", "3", "--a", "2"), "--x"),
+    (("mertens", "--q", "3"), "--x"),
+    (("count", "--q", "3", "--y", "10"), "--x"),
+    (("shiu", "--q", "3", "--a", "2"), "--h"),
+], ids=["census", "mertens", "count", "shiu"])
+def test_peak_rss_at_1e8_close_to_1e4(argv, size):
+    small = peak_rss_mb(*argv, size, "10000")
+    large = peak_rss_mb(*argv, size, "100000000")
     assert large - small <= MAX_GROWTH_MB, (small, large)
 
 

@@ -170,11 +170,18 @@ def test_spf_against_trial_division(spf5):
         assert int(spf5.spf[n]) == least
 
 
-def test_build_spf_errors():
+def test_build_spf_errors(monkeypatch):
     with pytest.raises(DomainError):
         primes.build_spf(0)
-    with pytest.raises(CapacityError):
-        primes.build_spf(2**40)
+
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("build_spf allocated before its capacity check")
+
+    # one above the cap is refused before the 0.8 GB table is asked for
+    monkeypatch.setattr(primes.np, "zeros", no_allocation)
+    for limit in (primes.MAX_SPF_LIMIT + 1, 2**40):
+        with pytest.raises(CapacityError):
+            primes.build_spf(limit)
 
 
 def test_cache_roundtrip(tmp_path):

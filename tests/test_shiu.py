@@ -2,14 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from congaps import shiu
+from congaps import primes, shiu
 from congaps.errors import DomainError
+from oracles import strike_S_T
 
 
 def brute_sets(con, spf_table):
     """S and T member lists by factoring each h with the SPF table."""
-    qset = con.modulus_primes()
+    qset = set(con.modulus_primes().tolist())
     s, t = [], []
     for h in range(1, con.H + 1):
         if qset.isdisjoint(spf_table.factor(h)):
@@ -91,27 +94,31 @@ def test_p0_removed_from_modulus(table5):
     assert 17 in con.script_p
     assert 17 not in con.modulus_primes()
     base = shiu.build_construction(10**5, 3, 1, 1, table5)
-    assert con.modulus_primes() == base.modulus_primes() - {17}
+    assert con.modulus_primes().tolist() == np.setdiff1d(base.modulus_primes(), [17]).tolist()
 
 
 def test_modulus_primes_include_q(table5):
     con = shiu.build_construction(10**4, 6, 5, 1, table5)
-    assert {2, 3} <= con.modulus_primes()
+    modulus = con.modulus_primes()
+    assert {2, 3} <= set(modulus.tolist())
+    assert modulus.dtype == np.int64 and np.all(np.diff(modulus) > 0)
 
 
-def test_phi_over_q_tiny():
+def test_phi_over_q_tiny(table5):
     con = shiu.ShiuConstruction(
         H=100, q=3, a=1, p0=1, tH=None,
         script_p=np.array([5], dtype=np.int64),
         q_primes=(3,), regime_ok=True,
     )
-    assert shiu.phi_over_Q(con) == pytest.approx((2 / 3) * (4 / 5), rel=1e-12)
+    sets = shiu.compute_S_T(con, table5)
+    assert sets.phiQ_over_Q == pytest.approx((2 / 3) * (4 / 5), rel=1e-12)
+    assert (sets.S_count, sets.T_count) == (27, 26)  # h <= 100 prime to 15, = 1 or 2 mod 3
 
 
 def test_compute_s_t_matches_brute_force(table5, spf5):
     for q, a in ((3, 1), (3, 2), (4, 1), (4, 3), (6, 1), (6, 5)):
         con = shiu.build_construction(10**4, q, a, 1, table5)
-        sets = shiu.compute_S_T(con)
+        sets = shiu.compute_S_T(con, table5)
         s, t = brute_sets(con, spf5)
         assert (sets.S_count, sets.T_count) == (len(s), len(t))
         assert sets.S_members is None and sets.T_members is None
@@ -119,7 +126,7 @@ def test_compute_s_t_matches_brute_force(table5, spf5):
 
 def test_compute_s_t_members(table5, spf5):
     con = shiu.build_construction(10**4, 3, 2, 1, table5)
-    sets = shiu.compute_S_T(con, keep_members=True)
+    sets = shiu.compute_S_T(con, table5, keep_members=True)
     s, t = brute_sets(con, spf5)
     assert sets.S_members == tuple(s)
     assert sets.T_members == tuple(t)
@@ -128,7 +135,7 @@ def test_compute_s_t_members(table5, spf5):
 
 def test_lemma34_check_a1(table5):
     con = shiu.build_construction(10**4, 3, 1, 1, table5)
-    sets = shiu.compute_S_T(con)
+    sets = shiu.compute_S_T(con, table5)
     rep = shiu.lemma34_check(con, sets)
     assert rep.actual == float(sets.S_count - sets.T_count)
     expect_rhs = 10**4 / math.gamma(0.5) * sets.phiQ_over_Q
@@ -139,7 +146,7 @@ def test_lemma34_check_a1(table5):
 
 def test_lemma34_check_a2(table5):
     con = shiu.build_construction(10**4, 3, 2, 1, table5)
-    sets = shiu.compute_S_T(con)
+    sets = shiu.compute_S_T(con, table5)
     rep = shiu.lemma34_check(con, sets)
     expect_rhs = 0.4 * 10**4 / (3 * math.gamma(0.5)) * sets.phiQ_over_Q
     assert rep.predicted == pytest.approx(expect_rhs, rel=1e-12)
@@ -149,9 +156,28 @@ def test_lemma34_check_a2(table5):
 
 def test_t_bound_report(table5):
     con = shiu.build_construction(10**4, 3, 1, 1, table5)
-    sets = shiu.compute_S_T(con)
+    sets = shiu.compute_S_T(con, table5)
     rep = shiu.t_bound_report(con, sets)
     assert rep.passed is None
     assert rep.ratio == pytest.approx(
         sets.T_count * math.log(10**4) / 10**4, rel=1e-12
     )
+
+
+@settings(max_examples=40, deadline=None)
+@given(H=st.integers(100, 10**5), q=st.integers(3, 30),
+       segment=st.sampled_from([256, 4096, 1 << 20]), data=st.data())
+def test_s_t_walk_against_strike_sieve(table5, H, q, segment, data):
+    units = [a for a in range(1, q) if math.gcd(a, q) == 1]
+    a = data.draw(st.sampled_from(units) | st.sampled_from([1, q - 1, q + 1]), label="a")
+    base = shiu.build_construction(H, q, a, 1, table5)
+    above = base.script_p[base.script_p > math.log(H)].tolist()
+    p0 = data.draw(st.sampled_from([1, *above]), label="p0")
+    con = shiu.build_construction(H, q, a, p0, table5)
+    s, t = strike_S_T(con)
+    sets = shiu.compute_S_T(con, table5)
+    assert (sets.S_count, sets.T_count) == (len(s), len(t))
+    with pytest.MonkeyPatch.context() as mp:  # modulus primes in many windows
+        mp.setattr(primes, "SEGMENT_SIZE", segment)
+        sets = shiu.compute_S_T(con, primes.segments(H))
+    assert (sets.S_count, sets.T_count) == (len(s), len(t))
