@@ -6,6 +6,7 @@ X; its successor p_{r+1} may exceed X.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -30,9 +31,8 @@ class CensusResult:
     bound_thm11: float | None  # None where the bound is undefined at X
     bound_shiu: float | None
     wall_time_ms: float
-    pairs: tuple[tuple[int, int], ...] | None = None  # all of them, if kept
+    pairs: tuple[tuple[int, int], ...]  # the first SAMPLE_PAIRS pairs
     bound_reasons: dict = field(default_factory=dict)  # why a bound is None
-    sample_pairs: tuple[tuple[int, int], ...] = ()  # the first SAMPLE_PAIRS pairs
 
     def to_dict(self) -> dict:
         return {
@@ -44,35 +44,19 @@ class CensusResult:
             "bound_thm11": self.bound_thm11,
             "bound_shiu": self.bound_shiu,
             "bound_reasons": self.bound_reasons,
-            "sample_pairs": [list(p) for p in self.sample_pairs],
+            "sample_pairs": [list(p) for p in self.pairs],
             "wall_time_ms": self.wall_time_ms,
         }
 
 
-def find_congruent_pairs(
-    X: int,
-    q: int,
-    a: int,
-    epsilon: float,
-    table: PrimeSource,
-    keep_pairs: bool = True,
-    thm11_c: float = 1.0,
-    shiu_C: float = 1.0,
-) -> CensusResult:
-    """Single pass over consecutive prime pairs with p_r <= X.
-
-    table is a PrimeTable reaching X, or the windows of primes.segments(X):
-    the pass folds over them window by window, carrying the last prime of
-    each into the next, so a stream is never held whole.
-
-    The first SAMPLE_PAIRS pairs are always kept; all of them only with
-    keep_pairs, as building that many Python tuples costs several times the
-    pass itself at X = 10^8.
-
-    The successor of the last prime <= X is next_prime(X), so the primes
-    need only reach X. Both reference bounds are informational; each is
-    attached when it is defined at X, else reported as None with the reason
-    in bound_reasons.
+def congruent_pairs(X: int, q: int, a: int, epsilon: float, source: PrimeSource,
+                    thm11_c: float = 1.0, shiu_C: float = 1.0):
+    """The consecutive prime pairs with p_r <= X (p_next may pass X), both
+    = a mod q and gap below epsilon * log p_r: one (p_r, p_next) pair of
+    int64 arrays per window of source, a PrimeTable reaching X or the
+    windows of primes.segments(X), the last prime of each carried into the
+    next. The inputs, the reference bounds' constants among them, are
+    checked when this is called, so a census with a bad one writes nothing.
     """
     if math.gcd(a, q) != 1:
         raise DomainError(f"a={a} and q={q} must be coprime")
@@ -81,12 +65,14 @@ def find_congruent_pairs(
     for name, value in (("epsilon", epsilon), ("c", thm11_c), ("C", shiu_C)):
         if not 0 < value < math.inf:
             raise DomainError(f"{name} must be > 0 and finite, got {value}")
+    return _pairs(X, q, a, epsilon, source)
 
-    start = time.perf_counter()
-    listed: list[tuple[int, int]] = []
-    pair_count = 0
+
+def _pairs(X: int, q: int, a: int, epsilon: float, source: PrimeSource):
     last = np.empty(0, dtype=np.int64)  # the last prime of the windows so far
-    for window in windows_upto(table, X):
+    # next_prime(X), the successor no window holds, comes last; map defers finding it till then
+    successor = map(lambda x: np.array([next_prime(x)], dtype=np.int64), [X])
+    for window in itertools.chain(windows_upto(source, X), successor):
         primes = np.concatenate((last, window))
         in_class = primes % q == a % q
         # pairs with both primes in the class; only these take the gap test
@@ -94,16 +80,32 @@ def find_congruent_pairs(
         gaps = primes[idx + 1] - primes[idx]
         with np.errstate(over="ignore"):  # a huge epsilon overflows to inf: every gap passes
             idx = idx[gaps < epsilon * np.log(primes[idx].astype(float))]
-        pair_count += int(idx.size)
-        kept = idx if keep_pairs else idx[: SAMPLE_PAIRS - len(listed)]
-        listed += zip(primes[kept].tolist(), primes[kept + 1].tolist())
+        yield primes[idx], primes[idx + 1]
         last = primes[-1:]
-    # the last prime <= X pairs with next_prime(X), which the windows need not hold
-    if last.size and last[0] % q == a % q:
-        p, successor = int(last[0]), next_prime(X)
-        if successor % q == a % q and successor - p < epsilon * math.log(p):
-            listed.append((p, successor))
-            pair_count += 1
+
+
+def find_congruent_pairs(
+    X: int,
+    q: int,
+    a: int,
+    epsilon: float,
+    table: PrimeSource,
+    thm11_c: float = 1.0,
+    shiu_C: float = 1.0,
+) -> CensusResult:
+    """The census: the pairs of congruent_pairs counted in one pass over
+    table, the first SAMPLE_PAIRS of them kept as Python ints. Both
+    reference bounds are informational; each is attached when it is
+    defined at X, else reported as None with the reason in bound_reasons.
+    """
+    pairs = congruent_pairs(X, q, a, epsilon, table, thm11_c, shiu_C)
+    start = time.perf_counter()
+    sample: list[tuple[int, int]] = []
+    pair_count = 0
+    for p_r, p_next in pairs:
+        pair_count += p_r.size
+        room = SAMPLE_PAIRS - len(sample)
+        sample += zip(p_r[:room].tolist(), p_next[:room].tolist())
 
     reasons: dict[str, str] = {}
     b11 = _bound_or_reason(reasons, "bound_thm11", theorem11_bound, X, thm11_c)
@@ -118,8 +120,7 @@ def find_congruent_pairs(
         bound_thm11=b11,
         bound_shiu=bsh,
         wall_time_ms=elapsed,
-        sample_pairs=tuple(listed[:SAMPLE_PAIRS]),
-        pairs=tuple(listed) if keep_pairs else None,
+        pairs=tuple(sample),
         bound_reasons=reasons,
     )
 

@@ -153,18 +153,22 @@ def cmd_shiu(args) -> int:
 
 def cmd_census(args) -> int:
     with contextlib.closing(primes.segments(args.x)) as stream:
-        result = census.find_congruent_pairs(
-            args.x, args.q, args.a, args.epsilon, stream,
-            keep_pairs=args.list_pairs, thm11_c=args.c, shiu_C=args.big_c,
-        )
-    if args.list_pairs:
+        if not args.list_pairs:
+            result = census.find_congruent_pairs(
+                args.x, args.q, args.a, args.epsilon, stream,
+                thm11_c=args.c, shiu_C=args.big_c,
+            )
+            _emit(result.to_dict(), args)
+            return 0
+        # checked before the output opens: a bad input writes no header
+        pairs = census.congruent_pairs(args.x, args.q, args.a, args.epsilon, stream,
+                                       thm11_c=args.c, shiu_C=args.big_c)
         with _output(args) as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["p_r", "p_next", "gap", "log_p", "q", "a"])
-            for p, nxt in result.pairs:
-                writer.writerow([p, nxt, nxt - p, repr(math.log(p)), args.q, args.a])
-        return 0
-    _emit(result.to_dict(), args)
+            for p_r, p_next in pairs:
+                for p, nxt in zip(p_r.tolist(), p_next.tolist()):
+                    writer.writerow([p, nxt, nxt - p, repr(math.log(p)), args.q, args.a])
     return 0
 
 

@@ -21,9 +21,10 @@ import numpy as np
 
 from .errors import CacheError, CapacityError, DomainError, OutOfRangeError
 
-# every subcommand but suite folds over windows; census --list-pairs holding
-# every pair is what keeps this below 2^32. A census to it: 4.7 s, 35 MB (2 vCPUs)
-MAX_SIEVE_LIMIT = 10**9
+# every subcommand but suite folds over windows. To 2^32, fresh CLI, no cache, 2 vCPUs:
+# census 51 s, 35 MB; mertens 48 s, 35 MB; count 44 s, 44 MB; shiu 44 s, 126 MB. A whole
+# table to it (sieve_primes, load_cache) holds 203 M primes in 1.6 GB, as its cache file does
+MAX_SIEVE_LIMIT = 2**32
 MAX_SPF_LIMIT = 10**8  # build_spf's table: 8 bytes per integer, 0.8 GB here
 SEGMENT_SIZE = 1 << 20  # integers per segment; cache-friendly default
 CACHE_MAGIC = b"PRIMTBL2"
@@ -308,9 +309,3 @@ def load_cache(path: str, expected_limit: int | None = None) -> PrimeTable:
     primes.flags.writeable = False
     return PrimeTable(int(limit), primes)
 
-
-def get_prime_table(limit: int) -> PrimeTable:
-    """All the primes of segments(limit) in one table: from the cache in
-    $CONGAPS_CACHE_DIR if present, else sieved (and cached there when the
-    variable is set)."""
-    return PrimeTable(limit, joined(segments(limit)))

@@ -152,16 +152,15 @@ def _check_shiu(table) -> dict:
 
 def _check_census(table) -> dict:
     X = 10**5
-    res = census.find_congruent_pairs(X, 3, 2, 2.0, table)
-    p_r, p_next = np.array(res.pairs, dtype=np.int64).reshape(-1, 2).T
+    p_r, p_next = map(np.concatenate, zip(*census.congruent_pairs(X, 3, 2, 2.0, table)))
     # consecutive: no table prime lies strictly between p_r and p_next
     ok = np.array_equal(np.searchsorted(table.primes, p_next),
                         np.searchsorted(table.primes, p_r, side="right"))
-    ok = ok and all(p % 3 == 2 and nxt % 3 == 2 and nxt - p < 2.0 * math.log(p)
-                    for p, nxt in res.pairs)
+    ok = ok and np.all((p_r % 3 == 2) & (p_next % 3 == 2)
+                       & (p_next - p_r < 2.0 * np.log(p_r)))
     smaller = census.find_congruent_pairs(X // 10, 3, 2, 2.0, table)
-    ok = ok and smaller.pair_count <= res.pair_count
-    return {"name": "census_pairs", "ok": bool(ok), "pair_count": res.pair_count}
+    ok = ok and smaller.pair_count <= p_r.size
+    return {"name": "census_pairs", "ok": bool(ok), "pair_count": p_r.size}
 
 
 def run_suite(scale: str = "small") -> list[dict]:
@@ -178,7 +177,7 @@ def run_suite(scale: str = "small") -> list[dict]:
         _check_hankel(),
         _check_perron(),
     ]
-    table = primes.get_prime_table(limit)
+    table = primes.sieve_primes(limit)
     results.append(_check_mertens(table))
     results.append(_check_lemma33(table))
     results.append(_check_shiu(table))

@@ -1,7 +1,8 @@
 """Reference implementations of the restricted counts, each the algorithm
 the program used before its restricted-product walk counted the leaves in
 a fold over the primes. They hold whole arrays, so they serve at test
-sizes only."""
+sizes only. listed joins a census pair stream the same way, into the one
+tuple of pairs that trial division gives."""
 
 import math
 
@@ -45,3 +46,10 @@ def strike_S_T(c):
     kept = np.flatnonzero(keep)
     in_s = kept % c.q == c.a % c.q
     return kept[in_s].tolist(), kept[~in_s].tolist()
+
+
+def listed(stream):
+    """The (p_r, p_next) arrays of census.congruent_pairs joined into one
+    tuple of int pairs."""
+    return tuple((p, nxt) for p_r, p_next in stream
+                 for p, nxt in zip(p_r.tolist(), p_next.tolist()))

@@ -18,7 +18,7 @@ from congaps import (
     shiu,
     suite,
 )
-from oracles import enumerate_restricted
+from oracles import enumerate_restricted, listed
 
 
 def test_criterion_01_character_orthogonality():
@@ -167,15 +167,17 @@ def test_criterion_09_census(table5, table7):
         prev, n = n, n + 1
     assert res.pair_count == recount
 
-    for p, nxt in res.pairs:
+    pairs = listed(census.congruent_pairs(10**5, 3, 2, 2.0, table5))
+    assert len(pairs) == recount
+    for p, nxt in pairs:
         assert trial_is_prime(p) and trial_is_prime(nxt)
         assert all(not trial_is_prime(m) for m in range(p + 1, nxt))
         assert p % 3 == 2 and nxt % 3 == 2
         assert (nxt - p) < 2.0 * math.log(p)
 
-    big = census.find_congruent_pairs(10**7, 3, 2, 2.0, table7, keep_pairs=False)
+    big = census.find_congruent_pairs(10**7, 3, 2, 2.0, table7)
     assert big.pair_count >= res.pair_count
-    wide = census.find_congruent_pairs(10**5, 3, 2, 3.0, table5, keep_pairs=False)
+    wide = census.find_congruent_pairs(10**5, 3, 2, 3.0, table5)
     assert wide.pair_count >= res.pair_count
     assert time.perf_counter() - start < 60.0
 

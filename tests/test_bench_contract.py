@@ -66,10 +66,10 @@ def test_counter_reads_only_real_parameters(entry, monkeypatch):
 
 
 def test_pair_counters_read_a_census_without_pairs(table5):
-    # the CLI's census keeps only the sample pairs; a traced run counts it
-    res = census.find_congruent_pairs(10**5, 3, 2, 2.0, table5, keep_pairs=False)
+    # the census builds only the sample pairs; a traced run counts them
+    res = census.find_congruent_pairs(10**5, 3, 2, 2.0, table5)
     assert TRACING._pairs_seen({}, res) == {
-        "census.pairs_found": 1710, "census.pairs_materialised": 0}
+        "census.pairs_found": 1710, "census.pairs_materialised": 100}
     (to_dict_counter,) = [e[4] for e in TRACED if e[:2] == ("census", "CensusResult.to_dict")]
     assert to_dict_counter({}, res.to_dict()) == {"census.pairs_emitted": 100}
 

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from congaps import census, primes
 from congaps.errors import DomainError, OutOfRangeError
+from oracles import listed
 
 
 def trial_is_prime(n):
@@ -33,10 +34,11 @@ def trial_pairs(X, q, a, epsilon):
 
 def test_small_census_against_trial_division(table5):
     res = census.find_congruent_pairs(600, 3, 2, 1.0, table5)
+    pairs = listed(census.congruent_pairs(600, 3, 2, 1.0, table5))
     expect = trial_pairs(600, 3, 2, 1.0)
     assert res.pair_count == len(expect) == 6
-    assert res.pairs == tuple(expect)
-    assert (557, 563) in res.pairs
+    assert pairs == tuple(expect)
+    assert (557, 563) in pairs
 
 
 @pytest.mark.filterwarnings("error")
@@ -48,11 +50,12 @@ def test_census_huge_epsilon_admits_every_pair_without_warnings(table5):
 
 def test_census_pair_properties(table5):
     res = census.find_congruent_pairs(10**5, 3, 2, 2.0, table5)
-    assert res.pair_count == 1710
+    pairs = listed(census.congruent_pairs(10**5, 3, 2, 2.0, table5))
+    assert res.pair_count == len(pairs) == 1710
     primes = table5.primes
     import numpy as np
 
-    for p, nxt in res.pairs:
+    for p, nxt in pairs:
         assert p % 3 == 2 and nxt % 3 == 2
         i = int(np.searchsorted(primes, p))
         assert int(primes[i]) == p and int(primes[i + 1]) == nxt  # consecutive
@@ -63,14 +66,20 @@ def test_census_pair_properties(table5):
 
 
 def test_census_monotone(table5):
-    base = census.find_congruent_pairs(10**5, 3, 2, 2.0, table5, keep_pairs=False)
-    smaller_x = census.find_congruent_pairs(10**4, 3, 2, 2.0, table5, keep_pairs=False)
-    smaller_eps = census.find_congruent_pairs(10**5, 3, 2, 1.0, table5, keep_pairs=False)
+    base = census.find_congruent_pairs(10**5, 3, 2, 2.0, table5)
+    smaller_x = census.find_congruent_pairs(10**4, 3, 2, 2.0, table5)
+    smaller_eps = census.find_congruent_pairs(10**5, 3, 2, 1.0, table5)
     assert smaller_x.pair_count <= base.pair_count
     assert smaller_eps.pair_count <= base.pair_count
 
 
 def test_census_errors(table5):
+    # the stream checks its inputs when called, before any pair is asked for
+    for q, a, epsilon, constants in ((3, 3, 1.0, {}), (2, 1, 1.0, {}), (3, 2, 0.0, {}),
+                                     (3, 2, math.inf, {}), (3, 2, 1.0, {"thm11_c": 0.0}),
+                                     (3, 2, 1.0, {"shiu_C": math.nan})):
+        with pytest.raises(DomainError):
+            census.congruent_pairs(100, q, a, epsilon, table5, **constants)
     with pytest.raises(DomainError):
         census.find_congruent_pairs(100, 3, 3, 1.0, table5)
     with pytest.raises(DomainError):
@@ -92,17 +101,15 @@ def test_census_result_dict(table5):
 
 
 def test_census_sample_without_pairs(table5):
-    # keep_pairs=False builds only the report's sample: the same first
-    # pairs, as Python ints, that the full listing starts with
-    full = census.find_congruent_pairs(10**5, 3, 2, 2.0, table5)
-    lean = census.find_congruent_pairs(10**5, 3, 2, 2.0, table5, keep_pairs=False)
-    assert lean.pairs is None
-    assert len(lean.sample_pairs) == census.SAMPLE_PAIRS == 100
-    assert lean.sample_pairs == full.sample_pairs == full.pairs[:100]
-    assert all(type(p) is int for pair in full.pairs for p in pair)
-    assert lean.to_dict() | {"wall_time_ms": 0} == full.to_dict() | {"wall_time_ms": 0}
-    few = census.find_congruent_pairs(600, 3, 2, 1.0, table5, keep_pairs=False)
-    assert few.sample_pairs == tuple(trial_pairs(600, 3, 2, 1.0))
+    # the census builds only the report's sample: the same first pairs, as
+    # Python ints, that the stream starts with
+    res = census.find_congruent_pairs(10**5, 3, 2, 2.0, table5)
+    pairs = listed(census.congruent_pairs(10**5, 3, 2, 2.0, table5))
+    assert len(res.pairs) == census.SAMPLE_PAIRS == 100
+    assert res.pairs == pairs[:100]
+    assert all(type(p) is int for pair in res.pairs for p in pair)
+    few = census.find_congruent_pairs(600, 3, 2, 1.0, table5)
+    assert few.pairs == tuple(trial_pairs(600, 3, 2, 1.0))
 
 
 def test_theorem11_bound():
@@ -145,8 +152,9 @@ def test_census_needs_successor_of_last_prime():
     expect = trial_pairs(131, 3, 2, 10.0)
     assert len(expect) == 5 and expect[-1] == (131, 137)
     for limit in (131, 136, 137):
-        res = census.find_congruent_pairs(131, 3, 2, 10.0, primes.sieve_primes(limit))
-        assert res.pairs == tuple(expect)
+        table = primes.sieve_primes(limit)
+        assert listed(census.congruent_pairs(131, 3, 2, 10.0, table)) == tuple(expect)
+        assert census.find_congruent_pairs(131, 3, 2, 10.0, table).pair_count == 5
     with pytest.raises(OutOfRangeError):
         census.find_congruent_pairs(132, 3, 2, 10.0, primes.sieve_primes(131))
 
@@ -158,9 +166,9 @@ def test_census_on_table_at_x_equals_larger_table(table5, X, q, a, epsilon):
     a %= q
     assume(math.gcd(a, q) == 1)
     expect = tuple(trial_pairs(X, q, a, epsilon))
-    at_x = census.find_congruent_pairs(X, q, a, epsilon, primes.sieve_primes(X))
-    larger = census.find_congruent_pairs(X, q, a, epsilon, table5)
-    assert at_x.pairs == larger.pairs == expect
+    at_x = listed(census.congruent_pairs(X, q, a, epsilon, primes.sieve_primes(X)))
+    larger = listed(census.congruent_pairs(X, q, a, epsilon, table5))
+    assert at_x == larger == expect
 
 
 # 1048573 and 1048583 are consecutive primes, both 3 mod 5, on either side
@@ -169,9 +177,9 @@ BOUNDARY_PAIR = (1048573, 1048583)
 
 
 def fold_and_whole(X, q, a, epsilon):
-    """The census folded over segments(X), and over one whole table."""
-    folded = census.find_congruent_pairs(X, q, a, epsilon, primes.segments(X))
-    whole = census.find_congruent_pairs(X, q, a, epsilon, primes.sieve_primes(X))
+    """The census's pairs folded over segments(X), and over one whole table."""
+    folded = listed(census.congruent_pairs(X, q, a, epsilon, primes.segments(X)))
+    whole = listed(census.congruent_pairs(X, q, a, epsilon, primes.sieve_primes(X)))
     return folded, whole
 
 
@@ -186,25 +194,24 @@ def test_boundary_pair_sits_on_a_window_edge():
 @pytest.mark.parametrize("X", [BOUNDARY_PAIR[1], 1048600, 3 + 2 * primes.SEGMENT_SIZE])
 def test_census_fold_carries_a_pair_across_windows(X):
     folded, whole = fold_and_whole(X, 5, 3, 1.0)
-    assert BOUNDARY_PAIR in folded.pairs
-    assert folded.pairs == whole.pairs
-    assert folded.pair_count == whole.pair_count
+    assert BOUNDARY_PAIR in folded
+    assert folded == whole
+    count = census.find_congruent_pairs(X, 5, 3, 1.0, primes.segments(X)).pair_count
+    assert count == len(whole)
 
 
 @pytest.mark.parametrize("X", [BOUNDARY_PAIR[0], 1048578, 1048579, BOUNDARY_PAIR[1] - 1])
 def test_census_fold_completes_the_last_pair_by_next_prime(X):
     folded, whole = fold_and_whole(X, 5, 3, 1.0)
-    assert folded.pairs[-1] == BOUNDARY_PAIR
-    assert folded.pairs == whole.pairs
+    assert folded[-1] == BOUNDARY_PAIR
+    assert folded == whole
 
 
 def test_census_fold_keeps_only_the_sample(table5):
-    full = census.find_congruent_pairs(10**5, 3, 2, 2.0, table5)
-    lean = census.find_congruent_pairs(10**5, 3, 2, 2.0, primes.segments(10**5),
-                                       keep_pairs=False)
-    assert lean.pairs is None
-    assert lean.sample_pairs == full.pairs[: census.SAMPLE_PAIRS]
-    assert lean.pair_count == full.pair_count == 1710
+    full = listed(census.congruent_pairs(10**5, 3, 2, 2.0, table5))
+    lean = census.find_congruent_pairs(10**5, 3, 2, 2.0, primes.segments(10**5))
+    assert lean.pairs == full[: census.SAMPLE_PAIRS]
+    assert lean.pair_count == len(full) == 1710
 
 
 @settings(max_examples=60, deadline=None)
@@ -213,9 +220,10 @@ def test_census_fold_keeps_only_the_sample(table5):
 def test_census_fold_over_any_windows_equals_whole_table(table5, X, q, a, epsilon, segment):
     a %= q
     assume(math.gcd(a, q) == 1)
-    whole = census.find_congruent_pairs(X, q, a, epsilon, table5)
+    whole = listed(census.congruent_pairs(X, q, a, epsilon, table5))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(primes, "SEGMENT_SIZE", segment)
-        folded = census.find_congruent_pairs(X, q, a, epsilon, primes.segments(X))
-    assert folded.pairs == whole.pairs
-    assert folded.pair_count == whole.pair_count
+        folded = listed(census.congruent_pairs(X, q, a, epsilon, primes.segments(X)))
+        count = census.find_congruent_pairs(X, q, a, epsilon, primes.segments(X)).pair_count
+    assert folded == whole
+    assert count == len(whole)

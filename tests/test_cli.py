@@ -6,7 +6,7 @@ import pytest
 
 from congaps import asymptotics, census, cli, primes, shiu
 from congaps.errors import NumericsError
-from oracles import strike_S_T
+from oracles import listed, strike_S_T
 
 
 def strict_json(text):
@@ -152,16 +152,17 @@ def test_census_json_equals_full_report(capsys, table5):
     rc, out, _ = run(capsys, "census", "--q", "3", "--a", "2", "--x", "100000",
                      "--epsilon", "2")
     assert rc == 0
-    full = census.find_congruent_pairs(10**5, 3, 2, 2.0, table5, keep_pairs=True)
+    full = census.find_congruent_pairs(10**5, 3, 2, 2.0, table5)
+    pairs = listed(census.congruent_pairs(10**5, 3, 2, 2.0, table5))
     payload, expect = json.loads(out), full.to_dict()
     del payload["wall_time_ms"], expect["wall_time_ms"]
     assert payload == expect
-    assert payload["sample_pairs"] == [list(p) for p in full.pairs[:100]]
+    assert payload["sample_pairs"] == [list(p) for p in pairs[:100]]
     rc, out, _ = run(capsys, "census", "--q", "3", "--a", "2", "--x", "100000",
                      "--epsilon", "2", "--list-pairs")
     rows = out.strip().split("\n")[1:]
-    assert len(rows) == full.pair_count == 1710
-    assert [tuple(map(int, r.split(",")[:2])) for r in rows] == list(full.pairs)
+    assert len(rows) == full.pair_count == len(pairs) == 1710
+    assert tuple(tuple(map(int, r.split(",")[:2])) for r in rows) == pairs
 
 
 def test_census_list_pairs_out_file(tmp_path, capsys):
@@ -173,6 +174,19 @@ def test_census_list_pairs_out_file(tmp_path, capsys):
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "p_r,p_next,gap,log_p,q,a"
     assert len(lines) == 7
+
+
+@pytest.mark.parametrize("bad", [["--epsilon", "0"], ["--c", "0"], ["--q", "2", "--a", "1"],
+                                 ["--a", "3"]], ids=["epsilon", "c", "q", "a"])
+def test_census_list_pairs_bad_input_writes_nothing(tmp_path, capsys, bad):
+    argv = ["census", "--q", "3", "--a", "2", "--x", "600", "--list-pairs", *bad]
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert "congaps:" in err
+    path = tmp_path / "pairs.csv"
+    rc, out, _ = run(capsys, *argv, "--out", str(path))
+    assert (rc, out) == (2, "")
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -351,8 +365,8 @@ def test_census_rejects_nonpositive_bound_constants(capsys, flag, value):
 
 
 @pytest.mark.parametrize("argv", [
-    ["census", "--q", "3", "--a", "2", "--x", "1000000001"],
-    ["mertens", "--q", "3", "--x", "1000000001"],
+    ["census", "--q", "3", "--a", "2", "--x", str(primes.MAX_SIEVE_LIMIT + 1)],
+    ["mertens", "--q", "3", "--x", str(primes.MAX_SIEVE_LIMIT + 1)],
 ], ids=["census", "mertens"])
 def test_x_above_sieve_capacity_exits_before_sieving(capsys, monkeypatch, argv):
     def no_sieve(*args):

@@ -67,6 +67,16 @@ def test_peak_rss_at_1e8_close_to_1e4(argv, size):
 
 
 @pytest.mark.skipif(not hasattr(os, "posix_spawn"), reason="needs os.posix_spawn")
+def test_list_pairs_peak_rss_at_3e7_close_to_1e4():
+    # 353 k rows at 3*10^7: written window by window they grow 5.4 MB;
+    # held as Python tuples until the end, 51 MB (2 vCPUs)
+    argv = ("census", "--q", "3", "--a", "2", "--epsilon", "2", "--list-pairs", "--x")
+    small = peak_rss_mb(*argv, "10000")
+    large = peak_rss_mb(*argv, "30000000")
+    assert large - small <= MAX_GROWTH_MB, (small, large)
+
+
+@pytest.mark.skipif(not hasattr(os, "posix_spawn"), reason="needs os.posix_spawn")
 def test_perron_peak_rss_at_1e6_close_to_20():
     small = peak_rss_mb("contour", "--mode", "perron", "--n", "20")
     large = peak_rss_mb("contour", "--mode", "perron", "--n", "1000000")

@@ -252,14 +252,6 @@ def test_save_cache_leaves_no_temp_file(tmp_path):
     assert os.listdir(tmp_path) == ["p.bin"]
 
 
-def test_get_prime_table_caches(tmp_path, monkeypatch):
-    monkeypatch.setenv(primes.CACHE_ENV, str(tmp_path))
-    t1 = primes.get_prime_table(3000)
-    assert os.path.exists(primes.cache_path(3000, str(tmp_path)))
-    t2 = primes.get_prime_table(3000)
-    assert np.array_equal(t1.primes, t2.primes)
-
-
 def forbid(*args):
     raise AssertionError("sieved primes the cache holds")
 
