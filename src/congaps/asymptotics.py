@@ -130,7 +130,7 @@ def leaf_counts(windows, q: int, lo: np.ndarray, hi: np.ndarray, cls) -> np.ndar
             continue
         due = order[done:np.searchsorted(bounds, window[-1], side="right")]
         for s, c in enumerate(classes.tolist()):
-            chosen = window if c < 0 else window[window % q == c]
+            chosen = window if c < 0 else np.compress(window % q == c, window)
             at = due[slot[due] == s]
             pi[at] = running[s] + np.searchsorted(chosen, xs[at], side="right")
             running[s] += chosen.size

@@ -1,11 +1,12 @@
 """Segmented prime sieve, residue-class subsequences, log Euler products,
 smallest-prime-factor tables (a test oracle), and an on-disk prime cache.
 
-The sieve is odd-only and processes fixed-size segments, so memory stays
-O(segment) + O(primes up to sqrt(limit)) during construction. segments()
-hands the primes on one segment's window at a time, from the sieve or the
-cache, so a fold over them never holds all the primes; a PrimeTable is the
-same windows joined.
+The sieve is odd-only, starts each segment from a pattern with the
+multiples of 3, 5, 7, 11 and 13 struck, and processes fixed-size segments,
+so memory stays O(segment) + O(primes up to sqrt(limit)) during
+construction. segments() hands the primes on one segment's window at a
+time, from the sieve or the cache, so a fold over them never holds all the
+primes; a PrimeTable is the same windows joined.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ import numpy as np
 
 from .errors import CacheError, CapacityError, DomainError, OutOfRangeError
 
-# every subcommand but suite folds over windows. To 2^32, fresh CLI, no cache, 2 vCPUs:
-# census 51 s, 35 MB; mertens 48 s, 35 MB; count 44 s, 44 MB; shiu 44 s, 126 MB. A whole
+# every subcommand folds over windows. To 2^32, fresh CLI, no cache, 2 vCPUs:
+# census 21 s, 35 MB; mertens 19 s, 35 MB; count 20 s, 45 MB; shiu 20 s, 127 MB. A whole
 # table to it (sieve_primes, load_cache) holds 203 M primes in 1.6 GB, as its cache file does
 MAX_SIEVE_LIMIT = 2**32
 MAX_SPF_LIMIT = 10**8  # build_spf's table: 8 bytes per integer, 0.8 GB here
@@ -56,19 +57,30 @@ class PrimeTable:
 PrimeSource = PrimeTable | Iterable[np.ndarray]
 
 
+# the odd numbers 1, 3, 5, ... over one period of the wheel 3*5*7*11*13 = 15015:
+# True where coprime to it. A segment's mask starts as this pattern, rotated
+_WHEEL_PRIMES = (3, 5, 7, 11, 13)
+_WHEEL = np.gcd(np.arange(1, 2 * math.prod(_WHEEL_PRIMES), 2), math.prod(_WHEEL_PRIMES)) == 1
+
+
 def _odd_primes(low: int, high: int, base: np.ndarray | None = None) -> np.ndarray:
     """The odd primes in [low, high), for low >= 3, struck by `base`: the odd
-    primes up to sqrt(high - 1), found by this same kernel when not given."""
+    primes up to sqrt(high - 1), found by this same kernel when not given.
+    The multiples of the wheel primes come pre-struck from _WHEEL."""
     if base is None:
         root = math.isqrt(high - 1)
         base = _odd_primes(3, root + 1) if root >= 3 else np.empty(0, dtype=np.int64)
     first = low | 1
-    mask = np.ones(max(0, (high - first + 1) // 2), dtype=bool)  # first, first + 2, ...
-    for p in base.tolist():
-        start = max(p * p, -(-first // p) * p)
-        if start % 2 == 0:
-            start += p
-        mask[(start - first) // 2 :: p] = False
+    size = max(0, (high - first + 1) // 2)  # first, first + 2, ...
+    mask = np.resize(np.roll(_WHEEL, -((first // 2) % _WHEEL.size)), size)
+    for p in _WHEEL_PRIMES:
+        if first <= p < high:
+            mask[(p - first) // 2] = True
+    base = base[base > _WHEEL_PRIMES[-1]]
+    start = np.maximum(base * base, -(-first // base) * base)
+    start += base * (start % 2 == 0)  # the first odd multiple
+    for p, offset in zip(base.tolist(), ((start - first) // 2).tolist()):
+        mask[offset::p] = False
     return first + 2 * np.flatnonzero(mask).astype(np.int64)
 
 
@@ -119,8 +131,9 @@ def segments(limit: int):
     The windows come from the cache file for `limit` in the directory
     $CONGAPS_CACHE_DIR names, when it exists, read a block at a time;
     otherwise from the sieve, written through to that file when the
-    variable is set. Both sources yield the same arrays. The limit is
-    checked here, before any window is made.
+    variable is set. Both sources yield the same arrays. The limit, and
+    the header of any cache file, are checked here, before any window is
+    made.
     """
     _check_limit(limit)
     directory = os.environ.get(CACHE_ENV)
@@ -128,6 +141,8 @@ def segments(limit: int):
         return _sieved(limit)
     path = cache_path(limit, directory)
     if os.path.exists(path):
+        with open(path, "rb") as fh:  # a bad header fails here, before the caller writes
+            _read_header(fh, path, limit)
         return _cached(path, limit)
     os.makedirs(directory, exist_ok=True)
     return _written(_sieved(limit), limit, path)
@@ -148,7 +163,7 @@ def windows_upto(source: PrimeSource, x: float, q: int = 1, a: int = 0):
         yield chosen[: np.searchsorted(chosen, key, side="right")]
         return
     for window in source:
-        chosen = window if q == 1 else window[window % q == a]
+        chosen = window if q == 1 else np.compress(window % q == a, window)
         yield chosen[: np.searchsorted(chosen, key, side="right")]
         if window.size and window[-1] > key:
             return

@@ -82,57 +82,57 @@ def _check_perron() -> dict:
     return {"name": "perron_truncation", "ok": bool(ok), "abs_errors": errs}
 
 
-def _check_mertens(table) -> dict:
+def _check_mertens(windows, limit: int) -> dict:
     out = {}
     ok = True
-    xs = [10**4, table.limit]
+    xs = [10**4, limit]
     for q in (3, 4, 5):
         bundle = constants.constants_bundle(q)
         devs = []
         for X in xs:
-            ratio = asymptotics.mertens_ap_product(q, X, table) / \
+            ratio = asymptotics.mertens_ap_product(q, X, windows) / \
                 asymptotics.mertens_prediction(q, X, bundle)
             devs.append(abs(ratio - 1.0))
         out[str(q)] = devs
-        if table.limit >= 10**7:
+        if limit >= 10**7:
             ok = ok and devs[-1] <= 0.05 and devs[-1] < devs[0]
         else:
             ok = ok and devs[-1] <= 0.25
     return {"name": "mertens_in_progression", "ok": bool(ok), "abs_dev": out}
 
 
-def _check_lemma33(table) -> dict:
+def _check_lemma33(windows, limit: int) -> dict:
     ok = True
     out = {}
     for q, Y in ((3, 1), (3, 10), (4, 1)):
         bundle = constants.constants_bundle(q)
         devs = []
-        for X in (10**4, table.limit):
-            ratio = asymptotics.count_restricted(X, q, Y, table) / \
-                asymptotics.lemma33_prediction(X, q, Y, bundle, table)
+        for X in (10**4, limit):
+            ratio = asymptotics.count_restricted(X, q, Y, windows) / \
+                asymptotics.lemma33_prediction(X, q, Y, bundle, windows)
             devs.append(abs(ratio - 1.0))
         out[f"q={q},Y={Y}"] = devs
-        if table.limit >= 10**7:
+        if limit >= 10**7:
             ok = ok and devs[-1] <= 0.2 and devs[-1] < devs[0]
         else:
             ok = ok and devs[-1] <= 0.2
     # exact agreement with trial-division factorization on a modest prefix
-    n_max = min(table.limit, 2000)
+    n_max = min(limit, 2000)
     brute = sum(
         1 for n in range(1, n_max + 1)
         if all(p % 3 == 1 for p, _ in characters.factorize(n))
     )
-    ok = ok and brute == asymptotics.count_restricted(n_max, 3, 1, table)
+    ok = ok and brute == asymptotics.count_restricted(n_max, 3, 1, windows)
     return {"name": "restricted_count", "ok": bool(ok), "abs_dev": out}
 
 
-def _check_shiu(table) -> dict:
+def _check_shiu(windows, limit: int) -> dict:
     out = {}
     ok = True
-    H = min(10**4, table.limit)
+    H = min(10**4, limit)
     for q, a in ((3, 1), (3, 2), (4, 3), (6, 5)):
-        con = shiu.build_construction(H, q, a, 1, table)
-        sets = shiu.compute_S_T(con, table)
+        con = shiu.build_construction(H, q, a, 1, windows)
+        sets = shiu.compute_S_T(con, windows)
         h = np.arange(1, H + 1)
         coprime = np.ones(H, dtype=bool)
         for p in con.modulus_primes():
@@ -150,15 +150,16 @@ def _check_shiu(table) -> dict:
     return {"name": "shiu_partition", "ok": bool(ok), "cases": out}
 
 
-def _check_census(table) -> dict:
+def _check_census(windows) -> dict:
     X = 10**5
-    p_r, p_next = map(np.concatenate, zip(*census.congruent_pairs(X, 3, 2, 2.0, table)))
-    # consecutive: no table prime lies strictly between p_r and p_next
-    ok = np.array_equal(np.searchsorted(table.primes, p_next),
-                        np.searchsorted(table.primes, p_r, side="right"))
+    p_r, p_next = map(np.concatenate, zip(*census.congruent_pairs(X, 3, 2, 2.0, windows)))
+    # consecutive: no prime of the windows lies strictly between p_r and p_next
+    known = primes.joined(primes.windows_upto(windows, primes.next_prime(X)))
+    ok = np.array_equal(np.searchsorted(known, p_next),
+                        np.searchsorted(known, p_r, side="right"))
     ok = ok and np.all((p_r % 3 == 2) & (p_next % 3 == 2)
                        & (p_next - p_r < 2.0 * np.log(p_r)))
-    smaller = census.find_congruent_pairs(X // 10, 3, 2, 2.0, table)
+    smaller = census.find_congruent_pairs(X // 10, 3, 2, 2.0, windows)
     ok = ok and smaller.pair_count <= p_r.size
     return {"name": "census_pairs", "ok": bool(ok), "pair_count": p_r.size}
 
@@ -177,9 +178,10 @@ def run_suite(scale: str = "small") -> list[dict]:
         _check_hankel(),
         _check_perron(),
     ]
-    table = primes.sieve_primes(limit)
-    results.append(_check_mertens(table))
-    results.append(_check_lemma33(table))
-    results.append(_check_shiu(table))
-    results.append(_check_census(table))
+    # the windows of the primes up to limit, held for the four folds below
+    windows = tuple(primes.segments(limit))
+    results.append(_check_mertens(windows, limit))
+    results.append(_check_lemma33(windows, limit))
+    results.append(_check_shiu(windows, limit))
+    results.append(_check_census(windows))
     return results

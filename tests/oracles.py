@@ -1,8 +1,10 @@
-"""Reference implementations of the restricted counts, each the algorithm
-the program used before its restricted-product walk counted the leaves in
-a fold over the primes. They hold whole arrays, so they serve at test
-sizes only. listed joins a census pair stream the same way, into the one
-tuple of pairs that trial division gives."""
+"""Reference implementations, each the algorithm the program used before
+a faster one replaced it: the restricted counts, from before the
+restricted-product walk counted the leaves in a fold over the primes,
+which hold whole arrays and so serve at test sizes only, and the segment
+sieve's kernel, from before the wheel pre-sieve. listed joins a census
+pair stream the same way, into the one tuple of pairs that trial division
+gives."""
 
 import math
 
@@ -53,3 +55,19 @@ def listed(stream):
     tuple of int pairs."""
     return tuple((p, nxt) for p_r, p_next in stream
                  for p, nxt in zip(p_r.tolist(), p_next.tolist()))
+
+
+def strike_odd_primes(low, high):
+    """The odd primes in [low, high), for low >= 3: a mask over the odd
+    numbers from which the odd multiples of each odd prime up to
+    sqrt(high - 1), found the same way, are struck one prime at a time."""
+    root = math.isqrt(high - 1)
+    base = strike_odd_primes(3, root + 1).tolist() if root >= 3 else []
+    first = low | 1
+    mask = np.ones(max(0, (high - first + 1) // 2), dtype=bool)  # first, first + 2, ...
+    for p in base:
+        start = max(p * p, -(-first // p) * p)
+        if start % 2 == 0:
+            start += p
+        mask[(start - first) // 2 :: p] = False
+    return first + 2 * np.flatnonzero(mask).astype(np.int64)

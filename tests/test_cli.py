@@ -459,6 +459,22 @@ def test_truncated_cache_exit_code_of_every_fold(tmp_path, capsys, monkeypatch, 
     assert "truncated" in err
 
 
+def test_truncated_cache_list_pairs_writes_nothing(tmp_path, capsys, monkeypatch):
+    # the header is checked when the stream is made, before the CSV header row is written
+    monkeypatch.setenv(primes.CACHE_ENV, str(tmp_path))
+    argv = ["census", "--q", "3", "--a", "2", "--x", "100000", "--list-pairs"]
+    assert run(capsys, *argv)[0] == 0
+    path = tmp_path / "primes_100000.bin"
+    path.write_bytes(path.read_bytes()[:1000])
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert "truncated" in err
+    target = tmp_path / "pairs.csv"
+    rc, out, _ = run(capsys, *argv, "--out", str(target))
+    assert (rc, out) == (2, "")
+    assert not target.exists()
+
+
 def out_of_order_late(raw):
     """The body with its 600th word from the end made 7: out of order."""
     return raw[: -8 * 600] + (7).to_bytes(8, "little") + raw[-8 * 599 :]

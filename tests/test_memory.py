@@ -3,7 +3,9 @@ shiu fold over the windows of primes.segments, so at X = 10^8 (5.76 M
 primes, 46 MB as one array) each holds a few windows at a time, plus
 count's walk over the primes up to sqrt(X) and shiu's 135 k modulus primes
 (1 MB): its peak RSS stays within MAX_GROWTH_MB of the same command's at
-X = 10^4. The Perron check folds over fixed blocks
+X = 10^4. suite holds the windows of the primes to 10^7 (5.3 MB) for its
+folds, so its full scale stays within MAX_GROWTH_MB of its small one. The
+Perron check folds over fixed blocks
 of its terms, and the CLI's coefficients are one broadcast value, so at
 N = 10^6 it holds one block's work arrays: its peak RSS stays within
 PERRON_GROWTH_MB of that at N = 20. Each
@@ -81,3 +83,13 @@ def test_perron_peak_rss_at_1e6_close_to_20():
     small = peak_rss_mb("contour", "--mode", "perron", "--n", "20")
     large = peak_rss_mb("contour", "--mode", "perron", "--n", "1000000")
     assert large - small <= PERRON_GROWTH_MB, (small, large)
+
+
+@pytest.mark.skipif(not hasattr(os, "posix_spawn"), reason="needs os.posix_spawn")
+def test_suite_full_peak_rss_close_to_small():
+    """Catches a suite that holds a table with cached residue classes: its
+    table to 10^7 and the classes mod 3, 4 and 5 it cached grew 18.3 MB
+    from small to full scale, where the windows grow 7.4 MB (2 vCPUs)."""
+    small = peak_rss_mb("suite", "--scale", "small")
+    full = peak_rss_mb("suite", "--scale", "full")
+    assert full - small <= MAX_GROWTH_MB, (small, full)

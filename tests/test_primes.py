@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from congaps import primes
 from congaps.errors import CacheError, CapacityError, DomainError, OutOfRangeError
+from oracles import strike_odd_primes
 
 
 def trial_primes(limit):
@@ -311,6 +312,40 @@ def test_segments_any_segment_and_block_size(limit, segment, block):
         sieved, cached = sieved_and_cached(limit, directory, mp)
         assert_windows(sieved, cached, limit)
         assert primes.joined(cached).tolist() == TRIAL_5000[: bisect.bisect_right(TRIAL_5000, limit)]
+
+
+# low near the wheel primes 3..13, near the square of a base prime (where
+# its striking starts), and in the last 10^5 below 2^32, past build_spf's reach
+WINDOW_LOWS = st.one_of(
+    st.integers(3, 20),
+    st.builds(lambda p, d: max(3, p * p + d), st.sampled_from(TRIAL_5000[1:] + [65521]),
+              st.integers(-40, 40)),
+    st.integers(2**32 - 10**5, 2**32 - 1),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(low=WINDOW_LOWS, width=st.integers(1, 3000))
+def test_odd_primes_against_strike_oracle(low, width):
+    got = primes._odd_primes(low, low + width)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, strike_odd_primes(low, low + width))
+
+
+@pytest.mark.parametrize("segment", [101, 1000, 15013, 15017, 1 << 20])
+@settings(max_examples=15, deadline=None)
+@given(limit=st.integers(0, 50_000))
+def test_segments_against_strike_oracle(segment, limit):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(primes, "SEGMENT_SIZE", segment)
+        mp.delenv(primes.CACHE_ENV, raising=False)
+        got = list(primes.segments(limit))
+    want = [np.array([2])] if limit >= 2 else []
+    want += [strike_odd_primes(low, min(low + segment, limit + 1))
+             for low in range(3, limit + 1, segment)]
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
 
 
 def test_segments_checks_limit_before_any_window(monkeypatch):
