@@ -16,7 +16,7 @@ import numpy as np
 from .characters import totient
 from .constants import EULER_GAMMA, ConstantsBundle
 from .errors import DegenerateComparisonError, DomainError
-from .primes import PrimeSource, log_euler, sieve_primes, windows_upto
+from .primes import Windows, log_euler, sieve_primes, windows_upto
 
 
 @dataclass(frozen=True)
@@ -73,13 +73,12 @@ def compare(
     )
 
 
-def mertens_ap_product(q: int, X: float, table: PrimeSource) -> float:
+def mertens_ap_product(q: int, X: float, windows: Windows) -> float:
     """prod_{p <= X, p = 1 mod q} (1 - 1/p)^-1, accumulated in log space:
-    one log_euler per window of table (a PrimeTable, or the windows of
-    primes.segments)."""
+    one log_euler per window of primes.segments."""
     if q < 3:
         raise DomainError(f"q must be >= 3, got {q}")
-    return math.exp(-sum(map(log_euler, windows_upto(table, X, q, 1))))
+    return math.exp(-sum(map(log_euler, windows_upto(windows, X, q, 1))))
 
 
 def mertens_prediction(q: int, X: float, bundle: ConstantsBundle) -> float:
@@ -139,12 +138,12 @@ def leaf_counts(windows, q: int, lo: np.ndarray, hi: np.ndarray, cls) -> np.ndar
     return pi[:lo.size] - pi[lo.size:]
 
 
-def count_restricted(X: int, q: int, Y: float, table: PrimeSource) -> int:
+def count_restricted(X: int, q: int, Y: float, windows: Windows) -> int:
     """Exact count of n <= X whose prime factors are all congruent to
     1 mod q and greater than Y (n = 1 counts vacuously): the nodes of the
     restricted-product walk over those primes up to isqrt(X), sieved here,
-    and their leaves, counted in one fold over table (a PrimeTable, or the
-    windows of primes.segments)."""
+    and their leaves, counted in one fold over the windows of
+    primes.segments."""
     if q < 3:
         raise DomainError(f"q must be >= 3, got {q}")
     if not Y >= 1:
@@ -154,11 +153,11 @@ def count_restricted(X: int, q: int, Y: float, table: PrimeSource) -> int:
     low = math.floor(min(Y, X))
     small = sieve_primes(math.isqrt(X)).residue_class(q, 1)
     n, lo, hi = restricted_nodes(X, small[small > low], low)
-    return int(n.size + leaf_counts(windows_upto(table, X, q, 1), q, lo, hi, -1).sum())
+    return int(n.size + leaf_counts(windows_upto(windows, X, q, 1), q, lo, hi, -1).sum())
 
 
 def lemma33_prediction(
-    X: int, q: int, Y: float, bundle: ConstantsBundle, table: PrimeSource
+    X: int, q: int, Y: float, bundle: ConstantsBundle, windows: Windows
 ) -> float:
     """Main term (c(q)/Gamma(1/phi(q))) * X (log X)^(1/phi(q)) / log X
     times prod_{p <= Y, p = 1 mod q} (1 - 1/p)."""
@@ -167,4 +166,4 @@ def lemma33_prediction(
     phi_q = totient(q)
     log_x = math.log(X)
     main = bundle.c_q * bundle.gamma_recip * X * log_x ** (1.0 / phi_q - 1.0)
-    return main / mertens_ap_product(q, Y, table)
+    return main / mertens_ap_product(q, Y, windows)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .characters import totient
 from .errors import DomainError
-from .primes import PrimeSource, next_prime, windows_upto
+from .primes import Windows, next_prime, windows_upto
 
 
 SAMPLE_PAIRS = 100  # pairs a census report carries
@@ -49,14 +49,14 @@ class CensusResult:
         }
 
 
-def congruent_pairs(X: int, q: int, a: int, epsilon: float, source: PrimeSource,
+def congruent_pairs(X: int, q: int, a: int, epsilon: float, windows: Windows,
                     thm11_c: float = 1.0, shiu_C: float = 1.0):
     """The consecutive prime pairs with p_r <= X (p_next may pass X), both
     = a mod q and gap below epsilon * log p_r: one (p_r, p_next) pair of
-    int64 arrays per window of source, a PrimeTable reaching X or the
-    windows of primes.segments(X), the last prime of each carried into the
-    next. The inputs, the reference bounds' constants among them, are
-    checked when this is called, so a census with a bad one writes nothing.
+    int64 arrays per window of primes.segments(X), the last prime of each
+    carried into the next. The inputs, the reference bounds' constants
+    among them, are checked when this is called, so a census with a bad
+    one writes nothing.
     """
     if math.gcd(a, q) != 1:
         raise DomainError(f"a={a} and q={q} must be coprime")
@@ -65,14 +65,14 @@ def congruent_pairs(X: int, q: int, a: int, epsilon: float, source: PrimeSource,
     for name, value in (("epsilon", epsilon), ("c", thm11_c), ("C", shiu_C)):
         if not 0 < value < math.inf:
             raise DomainError(f"{name} must be > 0 and finite, got {value}")
-    return _pairs(X, q, a, epsilon, source)
+    return _pairs(X, q, a, epsilon, windows)
 
 
-def _pairs(X: int, q: int, a: int, epsilon: float, source: PrimeSource):
+def _pairs(X: int, q: int, a: int, epsilon: float, windows: Windows):
     last = np.empty(0, dtype=np.int64)  # the last prime of the windows so far
     # next_prime(X), the successor no window holds, comes last; map defers finding it till then
     successor = map(lambda x: np.array([next_prime(x)], dtype=np.int64), [X])
-    for window in itertools.chain(windows_upto(source, X), successor):
+    for window in itertools.chain(windows_upto(windows, X), successor):
         primes = np.concatenate((last, window))
         in_class = primes % q == a % q
         # pairs with both primes in the class; only these take the gap test
@@ -89,16 +89,16 @@ def find_congruent_pairs(
     q: int,
     a: int,
     epsilon: float,
-    table: PrimeSource,
+    windows: Windows,
     thm11_c: float = 1.0,
     shiu_C: float = 1.0,
 ) -> CensusResult:
     """The census: the pairs of congruent_pairs counted in one pass over
-    table, the first SAMPLE_PAIRS of them kept as Python ints. Both
+    the windows, the first SAMPLE_PAIRS of them kept as Python ints. Both
     reference bounds are informational; each is attached when it is
     defined at X, else reported as None with the reason in bound_reasons.
     """
-    pairs = congruent_pairs(X, q, a, epsilon, table, thm11_c, shiu_C)
+    pairs = congruent_pairs(X, q, a, epsilon, windows, thm11_c, shiu_C)
     start = time.perf_counter()
     sample: list[tuple[int, int]] = []
     pair_count = 0

@@ -187,6 +187,8 @@ def cmd_contour(args) -> int:
             "rel_dev": abs(value - closed) / closed,
         }
     elif args.mode == "perron":
+        if args.n < 1:
+            raise DomainError(f"N must be >= 1, got {args.n}")
         if args.n > contour.MAX_PERRON_TERMS:
             raise CapacityError(
                 f"N={args.n} exceeds configured maximum {contour.MAX_PERRON_TERMS}"

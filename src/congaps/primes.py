@@ -6,7 +6,8 @@ multiples of 3, 5, 7, 11 and 13 struck, and processes fixed-size segments,
 so memory stays O(segment) + O(primes up to sqrt(limit)) during
 construction. segments() hands the primes on one segment's window at a
 time, from the sieve or the cache, so a fold over them never holds all the
-primes; a PrimeTable is the same windows joined.
+primes; every fold reads such a stream of windows. A PrimeTable is the
+same windows joined.
 """
 
 from __future__ import annotations
@@ -16,14 +17,14 @@ import math
 import os
 import struct
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CacheError, CapacityError, DomainError, OutOfRangeError
 
 # every subcommand folds over windows. To 2^32, fresh CLI, no cache, 2 vCPUs:
-# census 21 s, 35 MB; mertens 19 s, 35 MB; count 20 s, 45 MB; shiu 20 s, 127 MB. A whole
+# census 21 s, 35 MB; mertens 19 s, 35 MB; count 20 s, 45 MB; shiu 22 s, 92 MB. A whole
 # table to it (sieve_primes, load_cache) holds 203 M primes in 1.6 GB, as its cache file does
 MAX_SIEVE_LIMIT = 2**32
 MAX_SPF_LIMIT = 10**8  # build_spf's table: 8 bytes per integer, 0.8 GB here
@@ -37,24 +38,20 @@ _TEMP_SERIAL = itertools.count()  # tells apart the temp files of one process
 
 @dataclass
 class PrimeTable:
-    """All primes up to `limit`, ascending, with lazy residue-class indexing."""
+    """All primes up to `limit`, ascending."""
 
     limit: int
     primes: np.ndarray  # int64, strictly increasing
-    _residue_index: dict = field(default_factory=dict, repr=False, compare=False)
 
     def residue_class(self, q: int, a: int) -> np.ndarray:
-        """Subsequence of primes congruent to a mod q (built lazily, cached)."""
+        """Subsequence of primes congruent to a mod q."""
         if q < 1 or not 0 <= a < q:
             raise DomainError(f"need q >= 1 and 0 <= a < q, got q={q}, a={a}")
-        key = (q, a)
-        if key not in self._residue_index:
-            self._residue_index[key] = self.primes[self.primes % q == a]
-        return self._residue_index[key]
+        return np.compress(self.primes % q == a, self.primes)
 
 
-# what a fold over the primes takes: a whole table, or a stream of windows
-PrimeSource = PrimeTable | Iterable[np.ndarray]
+# what a fold over the primes reads: a stream of int64 windows, ascending
+Windows = Iterable[np.ndarray]
 
 
 # the odd numbers 1, 3, 5, ... over one period of the wheel 3*5*7*11*13 = 15015:
@@ -148,21 +145,12 @@ def segments(limit: int):
     return _written(_sieved(limit), limit, path)
 
 
-def windows_upto(source: PrimeSource, x: float, q: int = 1, a: int = 0):
-    """The primes = a mod q and <= x of source, window by window.
-
-    source is a PrimeTable, which must reach x and is one window (its
-    residue class index cached), or a stream of windows such as segments,
-    read no further than the first window that passes x.
-    """
+def windows_upto(windows: Windows, x: float, q: int = 1, a: int = 0):
+    """The primes = a mod q and <= x of a stream of windows such as
+    segments, window by window, read no further than the first window
+    that passes x."""
     key = math.floor(x)  # an integer key: a float one makes searchsorted cast the array
-    if isinstance(source, PrimeTable):
-        if x > source.limit:
-            raise OutOfRangeError(f"X={x} exceeds table limit {source.limit}")
-        chosen = source.primes if q == 1 else source.residue_class(q, a)
-        yield chosen[: np.searchsorted(chosen, key, side="right")]
-        return
-    for window in source:
+    for window in windows:
         chosen = window if q == 1 else np.compress(window % q == a, window)
         yield chosen[: np.searchsorted(chosen, key, side="right")]
         if window.size and window[-1] > key:
@@ -185,9 +173,10 @@ def next_prime(n: int) -> int:
 def log_euler(p, d=1) -> float:
     """sum_p log(1 - p^-d) / d over the primes p, pairwise summed: the log
     of prod_p (1 - p^-d)^(1/d). d is 1 or an array of one exponent per p."""
+    if np.ndim(d) == 0 and d == 1:  # the Mertens product's case: one temporary, no copy of p
+        t = np.divide(-1.0, p)
+        return float(np.sum(np.log1p(t, out=t)))
     p = np.asarray(p, dtype=float)
-    if np.ndim(d) == 0 and d == 1:  # no pass dividing by d: the Mertens product's case
-        return float(np.sum(np.log1p(-1.0 / p)))
     return float(np.sum(np.log1p(-(p ** -d)) / d))
 
 

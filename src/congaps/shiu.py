@@ -15,7 +15,7 @@ import numpy as np
 from .asymptotics import ComparisonReport, leaf_counts, restricted_nodes
 from .characters import factorize, totient
 from .errors import DomainError
-from .primes import PrimeSource, joined, log_euler, sieve_primes, windows_upto
+from .primes import Windows, joined, log_euler, sieve_primes, windows_upto
 
 # t_of_H needs log log log H > 0, i.e. H > e^e.
 T_OF_H_THRESHOLD = math.exp(math.e)
@@ -52,7 +52,7 @@ class ShiuConstruction:
 
 
 def build_construction(
-    H: int, q: int, a: int, p0: int, table: PrimeSource
+    H: int, q: int, a: int, p0: int, windows: Windows
 ) -> ShiuConstruction:
     """Assemble the prime set for (H, q, a), literally per its definition.
 
@@ -61,8 +61,8 @@ def build_construction(
     residue, cut at t(H) and H/t(H); the asymptotic ordering
     log H < t(H) < H/t(H) < H/(log H)^2 is recorded in regime_ok but never
     enforced by clamping. p0, struck from the set, is 1 or one of its
-    primes above log H. The primes come from table (a PrimeTable, or a
-    stream of windows), read up to max(H/(log H)^2, log H, H/t(H)).
+    primes above log H. The primes come from a stream of windows, read up
+    to max(H/(log H)^2, log H, H/t(H)).
     """
     if math.gcd(a, q) != 1:
         raise DomainError(f"a={a} and q={q} must be coprime")
@@ -93,7 +93,7 @@ def build_construction(
 
     # window by window, so the masks never span every prime up to the top
     top = max(cap, log_h, H / tH if tH else 0.0)
-    script_p = joined(map(engineered, windows_upto(table, top)))
+    script_p = joined(map(engineered, windows_upto(windows, top)))
     regime_ok = tH is None or log_h < tH < H / tH < cap  # no t(H) enters a = 1
     if p0 != 1 and p0 not in script_p:
         raise DomainError(f"p0={p0} is not a prime of the set P(H) for H={H}, "
@@ -122,13 +122,13 @@ class ResidueSets:
     T_members: tuple[int, ...] | None = None
 
 
-def compute_S_T(c: ShiuConstruction, table: PrimeSource,
+def compute_S_T(c: ShiuConstruction, windows: Windows,
                 keep_members: bool = False) -> ResidueSets:
     """Split the h <= H coprime to the modulus, the products of the primes
     that do not divide it: h = a mod q goes to S, the rest to T. They are
     counted by the restricted-product walk over those primes up to
-    isqrt(H), sieved here, and one fold over table (a PrimeTable, or the
-    windows of primes.segments(H)); a leaf n * p is in S when
+    isqrt(H), sieved here, and one fold over the windows of
+    primes.segments(H); a leaf n * p is in S when
     p = a / n mod q. keep_members lists them from one array of the primes."""
     modulus, q = c.modulus_primes(), c.q
 
@@ -137,7 +137,7 @@ def compute_S_T(c: ShiuConstruction, table: PrimeSource,
         return np.delete(window, np.searchsorted(window, modulus[i:j])) if j > i else window
 
     n, lo, hi = restricted_nodes(c.H, allowed(sieve_primes(math.isqrt(c.H)).primes), 1)
-    windows = map(allowed, windows_upto(table, c.H))
+    windows = map(allowed, windows_upto(windows, c.H))
     s_members = t_members = None
     if keep_members:
         every = joined(windows)

@@ -10,8 +10,6 @@ import math
 
 import numpy as np
 
-from congaps import primes
-
 
 def enumerate_restricted(X, q, Y, table):
     """Sorted n <= X whose prime factors are all = 1 mod q and > Y, n = 1
@@ -22,9 +20,8 @@ def enumerate_restricted(X, q, Y, table):
     prime extends, and the smaller ones are the node's children."""
     if X < 1:
         return []
-    allowed = primes.joined(
-        cls[np.searchsorted(cls, math.floor(min(Y, X)), side="right"):]
-        for cls in primes.windows_upto(table, X, q, 1))
+    cls = table.residue_class(q, 1)
+    allowed = cls[slice(*np.searchsorted(cls, (math.floor(min(Y, X)), X), side="right"))]
     members = []
     stack = [(1, 0)]  # (n, index of the least prime n may still take)
     while stack:

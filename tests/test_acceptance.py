@@ -51,13 +51,13 @@ def test_criterion_03_c_of_q_anchors():
         assert 0 < constants.theta_at_one(q) <= 1, q
 
 
-def test_criterion_04_mertens_in_progression(table7):
+def test_criterion_04_mertens_in_progression(windows7):
     start = time.perf_counter()
     for q in (3, 4, 5):
         bundle = constants.constants_bundle(q)
         devs = []
         for X in (10**4, 10**7):
-            ratio = asymptotics.mertens_ap_product(q, X, table7) / \
+            ratio = asymptotics.mertens_ap_product(q, X, windows7) / \
                 asymptotics.mertens_prediction(q, X, bundle)
             devs.append(abs(ratio - 1.0))
         assert devs[1] <= 0.05, (q, devs)
@@ -65,15 +65,15 @@ def test_criterion_04_mertens_in_progression(table7):
     assert time.perf_counter() - start < 60.0
 
 
-def test_criterion_05_restricted_count(table7, spf5):
+def test_criterion_05_restricted_count(table7, windows7, spf5):
     start = time.perf_counter()
     for q, Y in ((3, 1), (3, 10), (4, 1)):
         bundle = constants.constants_bundle(q)
         ratios = []
         for X in (10**4, 10**7):
             ratios.append(
-                asymptotics.count_restricted(X, q, Y, table7)
-                / asymptotics.lemma33_prediction(X, q, Y, bundle, table7)
+                asymptotics.count_restricted(X, q, Y, windows7)
+                / asymptotics.lemma33_prediction(X, q, Y, bundle, windows7)
             )
         assert 0.8 <= ratios[1] <= 1.2, (q, Y, ratios)
         assert abs(ratios[1] - 1.0) < abs(ratios[0] - 1.0), (q, Y, ratios)
@@ -115,12 +115,12 @@ def test_criterion_07_effective_perron():
     assert time.perf_counter() - start < 60.0
 
 
-def test_criterion_08_shiu_construction(table5):
+def test_criterion_08_shiu_construction(table5, windows5):
     start = time.perf_counter()
     for H in (10**4, 10**5):
         for q, a in ((3, 1), (3, 2), (4, 1), (4, 3), (6, 1), (6, 5)):
-            con = shiu.build_construction(H, q, a, 1, table5)
-            sets = shiu.compute_S_T(con, table5)
+            con = shiu.build_construction(H, q, a, 1, windows5)
+            sets = shiu.compute_S_T(con, windows5)
             # brute-force oracle: strike multiples of every modulus prime
             keep = np.ones(H + 1, dtype=bool)
             keep[0] = False
@@ -144,15 +144,15 @@ def test_criterion_08_shiu_construction(table5):
             assert tb.passed is None and tb.ratio > 0
     # rejection of invalid removed primes
     with pytest.raises(Exception):
-        shiu.build_construction(10**4, 3, 1, 8, table5)
+        shiu.build_construction(10**4, 3, 1, 8, windows5)
     with pytest.raises(Exception):
-        shiu.build_construction(10**5, 3, 1, 7, table5)
+        shiu.build_construction(10**5, 3, 1, 7, windows5)
     assert time.perf_counter() - start < 120.0
 
 
-def test_criterion_09_census(table5, table7):
+def test_criterion_09_census(windows5, windows7):
     start = time.perf_counter()
-    res = census.find_congruent_pairs(10**5, 3, 2, 2.0, table5)
+    res = census.find_congruent_pairs(10**5, 3, 2, 2.0, windows5)
 
     def trial_is_prime(n):
         return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
@@ -167,7 +167,7 @@ def test_criterion_09_census(table5, table7):
         prev, n = n, n + 1
     assert res.pair_count == recount
 
-    pairs = listed(census.congruent_pairs(10**5, 3, 2, 2.0, table5))
+    pairs = listed(census.congruent_pairs(10**5, 3, 2, 2.0, windows5))
     assert len(pairs) == recount
     for p, nxt in pairs:
         assert trial_is_prime(p) and trial_is_prime(nxt)
@@ -175,9 +175,9 @@ def test_criterion_09_census(table5, table7):
         assert p % 3 == 2 and nxt % 3 == 2
         assert (nxt - p) < 2.0 * math.log(p)
 
-    big = census.find_congruent_pairs(10**7, 3, 2, 2.0, table7)
+    big = census.find_congruent_pairs(10**7, 3, 2, 2.0, windows7)
     assert big.pair_count >= res.pair_count
-    wide = census.find_congruent_pairs(10**5, 3, 2, 3.0, table5)
+    wide = census.find_congruent_pairs(10**5, 3, 2, 3.0, windows5)
     assert wide.pair_count >= res.pair_count
     assert time.perf_counter() - start < 60.0
 

@@ -10,25 +10,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from congaps import asymptotics, constants, primes
-from congaps.errors import DegenerateComparisonError, DomainError, OutOfRangeError
+from congaps.errors import DegenerateComparisonError, DomainError
 from oracles import enumerate_restricted
 
 
-def test_mertens_product_small(table5):
+def test_mertens_product_small(windows5):
     # direct loop over the primes = 1 mod 3 up to 100
     expect = 1.0
     for p in (7, 13, 19, 31, 37, 43, 61, 67, 73, 79, 97):
         expect /= 1.0 - 1.0 / p
-    got = asymptotics.mertens_ap_product(3, 100, table5)
+    got = asymptotics.mertens_ap_product(3, 100, windows5)
     assert got == pytest.approx(expect, rel=1e-12)
-    assert asymptotics.mertens_ap_product(3, 5, table5) == 1.0
+    assert asymptotics.mertens_ap_product(3, 5, windows5) == 1.0
 
 
-def test_mertens_product_errors(table5):
+def test_mertens_product_errors(windows5):
     with pytest.raises(DomainError):
-        asymptotics.mertens_ap_product(2, 100, table5)
-    with pytest.raises(OutOfRangeError):
-        asymptotics.mertens_ap_product(3, table5.limit + 1, table5)
+        asymptotics.mertens_ap_product(2, 100, windows5)
 
 
 def test_mertens_prediction():
@@ -40,38 +38,36 @@ def test_mertens_prediction():
         asymptotics.mertens_prediction(3, 1.0, b)
 
 
-def test_mertens_ratio_near_one(table5):
+def test_mertens_ratio_near_one(windows5):
     b = constants.constants_bundle(3)
-    ratio = asymptotics.mertens_ap_product(3, 10**5, table5) / \
+    ratio = asymptotics.mertens_ap_product(3, 10**5, windows5) / \
         asymptotics.mertens_prediction(3, 10**5, b)
     assert abs(ratio - 1.0) < 0.01
 
 
-def test_count_restricted_examples(table5):
-    assert asymptotics.count_restricted(50, 3, 1, table5) == 8
+def test_count_restricted_examples(table5, windows5):
+    assert asymptotics.count_restricted(50, 3, 1, windows5) == 8
     assert enumerate_restricted(50, 3, 1, table5) == [
         1, 7, 13, 19, 31, 37, 43, 49,
     ]
-    assert asymptotics.count_restricted(100, 3, 10, table5) == 11
-    assert asymptotics.count_restricted(0, 3, 1, table5) == 0
-    assert asymptotics.count_restricted(6, 3, 1, table5) == 1  # just n = 1
+    assert asymptotics.count_restricted(100, 3, 10, windows5) == 11
+    assert asymptotics.count_restricted(0, 3, 1, windows5) == 0
+    assert asymptotics.count_restricted(6, 3, 1, windows5) == 1  # just n = 1
 
 
-def test_count_restricted_errors(table5):
+def test_count_restricted_errors(windows5):
     with pytest.raises(DomainError):
-        asymptotics.count_restricted(50, 2, 1, table5)
+        asymptotics.count_restricted(50, 2, 1, windows5)
     with pytest.raises(DomainError):
-        asymptotics.count_restricted(50, 3, 0.5, table5)
+        asymptotics.count_restricted(50, 3, 0.5, windows5)
     with pytest.raises(DomainError):
-        asymptotics.count_restricted(50, 3, math.nan, table5)
-    with pytest.raises(OutOfRangeError):
-        asymptotics.count_restricted(table5.limit + 1, 3, 1, table5)
+        asymptotics.count_restricted(50, 3, math.nan, windows5)
 
 
-def test_count_matches_enumeration(table5):
+def test_count_matches_enumeration(table5, windows5):
     for X in (1, 10, 500, 12345):
         members = enumerate_restricted(X, 3, 1, table5)
-        assert len(members) == asymptotics.count_restricted(X, 3, 1, table5)
+        assert len(members) == asymptotics.count_restricted(X, 3, 1, windows5)
         assert members == sorted(set(members))
         assert members[0] == 1
 
@@ -110,17 +106,17 @@ def strike_count(X, q, Y):
 @pytest.mark.parametrize(
     "q, Y", [(3, 1), (3, 7), (3, 10), (4, 1), (5, 1), (7, 1000), (12, 1)]
 )
-def test_count_against_strike_oracle(table7, q, Y):
-    assert asymptotics.count_restricted(10**6, q, Y, table7) == strike_count(10**6, q, Y)
+def test_count_against_strike_oracle(windows7, q, Y):
+    assert asymptotics.count_restricted(10**6, q, Y, windows7) == strike_count(10**6, q, Y)
 
 
-def test_count_at_leaf_boundaries(table5):
+def test_count_at_leaf_boundaries(table5, windows5):
     # at X = p^2 the prime p stops being a leaf of n = 1 and becomes a node
     for p in (7, 13, 31):
         for X in (p * p - 1, p * p, p * p + 1):
-            assert asymptotics.count_restricted(X, 3, 1, table5) == strike_count(X, 3, 1)
+            assert asymptotics.count_restricted(X, 3, 1, windows5) == strike_count(X, 3, 1)
     X = table5.limit
-    assert asymptotics.count_restricted(X, 3, 1, table5) == strike_count(X, 3, 1)
+    assert asymptotics.count_restricted(X, 3, 1, windows5) == strike_count(X, 3, 1)
 
 
 @settings(max_examples=40, deadline=None)
@@ -128,10 +124,10 @@ def test_count_at_leaf_boundaries(table5):
        y_over_root=st.floats(0, 2), segment=st.sampled_from([256, 4096, 1 << 20]))
 def test_count_walk_against_the_old_walk(table5, X, q, y_over_root, segment):
     # Y on either side of sqrt(X), where the walk's first leaves begin; the
-    # primes from a table whose limit is X, and from a stream of windows
+    # primes as one window that ends at X, and as a stream of windows
     Y = max(1.0, y_over_root * math.sqrt(X))
     want = len(enumerate_restricted(X, q, Y, table5))
-    at_limit = primes.PrimeTable(X, table5.primes[:np.searchsorted(table5.primes, X, "right")])
+    at_limit = (table5.primes[:np.searchsorted(table5.primes, X, "right")],)
     assert asymptotics.count_restricted(X, q, Y, at_limit) == want
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(primes, "SEGMENT_SIZE", segment)
@@ -148,34 +144,33 @@ def test_restricted_nodes_and_leaves_partition_the_members(table5):
     assert not set(n.tolist()) & set(leaves)
 
 
-def test_count_restricted_budget(table7):
-    table7.residue_class(3, 1)  # the class index is built once per table
+def test_count_restricted_budget(windows7):
     start = time.perf_counter()
-    asymptotics.count_restricted(10**7, 3, 1, table7)
+    asymptotics.count_restricted(10**7, 3, 1, windows7)
     assert time.perf_counter() - start < 0.25
 
 
-def test_count_monotone(table5):
-    counts = [asymptotics.count_restricted(x, 4, 1, table5)
+def test_count_monotone(windows5):
+    counts = [asymptotics.count_restricted(x, 4, 1, windows5)
               for x in (10, 100, 1000, 10**4)]
     assert counts == sorted(counts)
 
 
-def test_lemma33_prediction(table5):
+def test_lemma33_prediction(windows5):
     b = constants.constants_bundle(3)
-    p1 = asymptotics.lemma33_prediction(10**4, 3, 1, b, table5)
-    p10 = asymptotics.lemma33_prediction(10**4, 3, 10, b, table5)
+    p1 = asymptotics.lemma33_prediction(10**4, 3, 1, b, windows5)
+    p10 = asymptotics.lemma33_prediction(10**4, 3, 10, b, windows5)
     # the Y = 10 prediction removes the p = 7 factor
     assert p10 == pytest.approx(p1 * (1.0 - 1.0 / 7.0), rel=1e-12)
     assert p1 > 0
     with pytest.raises(DomainError):
-        asymptotics.lemma33_prediction(2, 3, 1, b, table5)
+        asymptotics.lemma33_prediction(2, 3, 1, b, windows5)
 
 
-def test_lemma33_ratio_small_scale(table5):
+def test_lemma33_ratio_small_scale(windows5):
     b = constants.constants_bundle(3)
-    ratio = asymptotics.count_restricted(10**5, 3, 1, table5) / \
-        asymptotics.lemma33_prediction(10**5, 3, 1, b, table5)
+    ratio = asymptotics.count_restricted(10**5, 3, 1, windows5) / \
+        asymptotics.lemma33_prediction(10**5, 3, 1, b, windows5)
     assert 0.9 < ratio < 1.1
 
 
@@ -248,16 +243,16 @@ def test_mertens_fold_same_from_sieve_and_cache(tmp_path, monkeypatch):
     terms = [math.log1p(-1.0 / p) for p in table.residue_class(7, 1).tolist()]
     eps = np.finfo(float).eps
     bound = (math.log2(len(terms)) + 6) * eps * math.fsum(map(abs, terms)) + 4 * eps
-    for product in (sieved, asymptotics.mertens_ap_product(7, X, table)):
+    for product in (sieved, asymptotics.mertens_ap_product(7, X, (table.primes,))):
         assert abs(math.log(product) + math.fsum(terms)) <= bound
 
 
 @pytest.mark.parametrize("q, Y", [(3, 1), (3, 10.0), (4, 7.5), (5, 1000)])
-def test_count_and_prediction_from_a_stream(table7, q, Y, monkeypatch):
+def test_count_and_prediction_from_a_stream(windows7, q, Y, monkeypatch):
     X = 2 * 10**6
     monkeypatch.setattr(primes, "SEGMENT_SIZE", 1 << 16)  # 31 windows
     b = constants.constants_bundle(q)
     assert asymptotics.count_restricted(X, q, Y, primes.segments(X)) == \
-        asymptotics.count_restricted(X, q, Y, table7)
+        asymptotics.count_restricted(X, q, Y, windows7)
     assert asymptotics.lemma33_prediction(X, q, Y, b, primes.segments(X)) == \
-        asymptotics.lemma33_prediction(X, q, Y, b, table7)
+        asymptotics.lemma33_prediction(X, q, Y, b, windows7)

@@ -65,9 +65,9 @@ def test_counter_reads_only_real_parameters(entry, monkeypatch):
     assert isinstance(counter(bound, mock.MagicMock()), dict)
 
 
-def test_pair_counters_read_a_census_without_pairs(table5):
+def test_pair_counters_read_a_census_without_pairs(windows5):
     # the census builds only the sample pairs; a traced run counts them
-    res = census.find_congruent_pairs(10**5, 3, 2, 2.0, table5)
+    res = census.find_congruent_pairs(10**5, 3, 2, 2.0, windows5)
     assert TRACING._pairs_seen({}, res) == {
         "census.pairs_found": 1710, "census.pairs_materialised": 100}
     (to_dict_counter,) = [e[4] for e in TRACED if e[:2] == ("census", "CensusResult.to_dict")]

@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from congaps import census, primes
-from congaps.errors import DomainError, OutOfRangeError
+from congaps.errors import DomainError
 from oracles import listed
 
 
@@ -32,9 +32,9 @@ def trial_pairs(X, q, a, epsilon):
     return out
 
 
-def test_small_census_against_trial_division(table5):
-    res = census.find_congruent_pairs(600, 3, 2, 1.0, table5)
-    pairs = listed(census.congruent_pairs(600, 3, 2, 1.0, table5))
+def test_small_census_against_trial_division(windows5):
+    res = census.find_congruent_pairs(600, 3, 2, 1.0, windows5)
+    pairs = listed(census.congruent_pairs(600, 3, 2, 1.0, windows5))
     expect = trial_pairs(600, 3, 2, 1.0)
     assert res.pair_count == len(expect) == 6
     assert pairs == tuple(expect)
@@ -42,15 +42,15 @@ def test_small_census_against_trial_division(table5):
 
 
 @pytest.mark.filterwarnings("error")
-def test_census_huge_epsilon_admits_every_pair_without_warnings(table5):
+def test_census_huge_epsilon_admits_every_pair_without_warnings(windows5):
     # epsilon * log p overflows to inf, so every pair in the class passes
-    res = census.find_congruent_pairs(1000, 3, 2, 1e308, table5)
+    res = census.find_congruent_pairs(1000, 3, 2, 1e308, windows5)
     assert res.pair_count == len(trial_pairs(1000, 3, 2, math.inf)) == 29
 
 
-def test_census_pair_properties(table5):
-    res = census.find_congruent_pairs(10**5, 3, 2, 2.0, table5)
-    pairs = listed(census.congruent_pairs(10**5, 3, 2, 2.0, table5))
+def test_census_pair_properties(table5, windows5):
+    res = census.find_congruent_pairs(10**5, 3, 2, 2.0, windows5)
+    pairs = listed(census.congruent_pairs(10**5, 3, 2, 2.0, windows5))
     assert res.pair_count == len(pairs) == 1710
     primes = table5.primes
     import numpy as np
@@ -65,33 +65,31 @@ def test_census_pair_properties(table5):
         assert gap >= 6  # even multiple of q for odd q
 
 
-def test_census_monotone(table5):
-    base = census.find_congruent_pairs(10**5, 3, 2, 2.0, table5)
-    smaller_x = census.find_congruent_pairs(10**4, 3, 2, 2.0, table5)
-    smaller_eps = census.find_congruent_pairs(10**5, 3, 2, 1.0, table5)
+def test_census_monotone(windows5):
+    base = census.find_congruent_pairs(10**5, 3, 2, 2.0, windows5)
+    smaller_x = census.find_congruent_pairs(10**4, 3, 2, 2.0, windows5)
+    smaller_eps = census.find_congruent_pairs(10**5, 3, 2, 1.0, windows5)
     assert smaller_x.pair_count <= base.pair_count
     assert smaller_eps.pair_count <= base.pair_count
 
 
-def test_census_errors(table5):
+def test_census_errors(windows5):
     # the stream checks its inputs when called, before any pair is asked for
     for q, a, epsilon, constants in ((3, 3, 1.0, {}), (2, 1, 1.0, {}), (3, 2, 0.0, {}),
                                      (3, 2, math.inf, {}), (3, 2, 1.0, {"thm11_c": 0.0}),
                                      (3, 2, 1.0, {"shiu_C": math.nan})):
         with pytest.raises(DomainError):
-            census.congruent_pairs(100, q, a, epsilon, table5, **constants)
+            census.congruent_pairs(100, q, a, epsilon, windows5, **constants)
     with pytest.raises(DomainError):
-        census.find_congruent_pairs(100, 3, 3, 1.0, table5)
+        census.find_congruent_pairs(100, 3, 3, 1.0, windows5)
     with pytest.raises(DomainError):
-        census.find_congruent_pairs(100, 2, 1, 1.0, table5)
+        census.find_congruent_pairs(100, 2, 1, 1.0, windows5)
     with pytest.raises(DomainError):
-        census.find_congruent_pairs(100, 3, 2, 0.0, table5)
-    with pytest.raises(OutOfRangeError):
-        census.find_congruent_pairs(table5.limit + 1, 3, 2, 1.0, table5)
+        census.find_congruent_pairs(100, 3, 2, 0.0, windows5)
 
 
-def test_census_result_dict(table5):
-    res = census.find_congruent_pairs(10**5, 3, 2, 2.0, table5)
+def test_census_result_dict(windows5):
+    res = census.find_congruent_pairs(10**5, 3, 2, 2.0, windows5)
     d = res.to_dict()
     assert d["pair_count"] == 1710
     assert len(d["sample_pairs"]) == 100  # capped
@@ -100,15 +98,15 @@ def test_census_result_dict(table5):
     assert d["X"] == 10**5 and d["q"] == 3 and d["a"] == 2
 
 
-def test_census_sample_without_pairs(table5):
+def test_census_sample_without_pairs(windows5):
     # the census builds only the report's sample: the same first pairs, as
     # Python ints, that the stream starts with
-    res = census.find_congruent_pairs(10**5, 3, 2, 2.0, table5)
-    pairs = listed(census.congruent_pairs(10**5, 3, 2, 2.0, table5))
+    res = census.find_congruent_pairs(10**5, 3, 2, 2.0, windows5)
+    pairs = listed(census.congruent_pairs(10**5, 3, 2, 2.0, windows5))
     assert len(res.pairs) == census.SAMPLE_PAIRS == 100
     assert res.pairs == pairs[:100]
     assert all(type(p) is int for pair in res.pairs for p in pair)
-    few = census.find_congruent_pairs(600, 3, 2, 1.0, table5)
+    few = census.find_congruent_pairs(600, 3, 2, 1.0, windows5)
     assert few.pairs == tuple(trial_pairs(600, 3, 2, 1.0))
 
 
@@ -135,8 +133,8 @@ def test_shiu_bound_branches():
         census.shiu_bound(X, 5, 4, 0.0)
 
 
-def test_census_reports_null_bound_when_undefined(table5):
-    res = census.find_congruent_pairs(10**4, 5, 2, 1.0, table5)
+def test_census_reports_null_bound_when_undefined(windows5):
+    res = census.find_congruent_pairs(10**4, 5, 2, 1.0, windows5)
     assert res.bound_shiu is None  # fourth iterated log undefined here
     assert "loglogloglog" in res.bound_reasons["bound_shiu"]
     assert math.isfinite(res.bound_thm11)
@@ -152,22 +150,20 @@ def test_census_needs_successor_of_last_prime():
     expect = trial_pairs(131, 3, 2, 10.0)
     assert len(expect) == 5 and expect[-1] == (131, 137)
     for limit in (131, 136, 137):
-        table = primes.sieve_primes(limit)
-        assert listed(census.congruent_pairs(131, 3, 2, 10.0, table)) == tuple(expect)
-        assert census.find_congruent_pairs(131, 3, 2, 10.0, table).pair_count == 5
-    with pytest.raises(OutOfRangeError):
-        census.find_congruent_pairs(132, 3, 2, 10.0, primes.sieve_primes(131))
+        windows = (primes.sieve_primes(limit).primes,)
+        assert listed(census.congruent_pairs(131, 3, 2, 10.0, windows)) == tuple(expect)
+        assert census.find_congruent_pairs(131, 3, 2, 10.0, windows).pair_count == 5
 
 
 @settings(max_examples=60, deadline=None)
 @given(X=st.integers(0, 3000), q=st.sampled_from((3, 4, 5)), a=st.integers(1, 4),
        epsilon=st.sampled_from((0.5, 1.0, 2.0, 10.0)))
-def test_census_on_table_at_x_equals_larger_table(table5, X, q, a, epsilon):
+def test_census_on_table_at_x_equals_larger_table(windows5, X, q, a, epsilon):
     a %= q
     assume(math.gcd(a, q) == 1)
     expect = tuple(trial_pairs(X, q, a, epsilon))
-    at_x = listed(census.congruent_pairs(X, q, a, epsilon, primes.sieve_primes(X)))
-    larger = listed(census.congruent_pairs(X, q, a, epsilon, table5))
+    at_x = listed(census.congruent_pairs(X, q, a, epsilon, (primes.sieve_primes(X).primes,)))
+    larger = listed(census.congruent_pairs(X, q, a, epsilon, windows5))
     assert at_x == larger == expect
 
 
@@ -177,9 +173,10 @@ BOUNDARY_PAIR = (1048573, 1048583)
 
 
 def fold_and_whole(X, q, a, epsilon):
-    """The census's pairs folded over segments(X), and over one whole table."""
+    """The census's pairs folded over segments(X), and over the whole table
+    to X as one window."""
     folded = listed(census.congruent_pairs(X, q, a, epsilon, primes.segments(X)))
-    whole = listed(census.congruent_pairs(X, q, a, epsilon, primes.sieve_primes(X)))
+    whole = listed(census.congruent_pairs(X, q, a, epsilon, (primes.sieve_primes(X).primes,)))
     return folded, whole
 
 
@@ -207,8 +204,8 @@ def test_census_fold_completes_the_last_pair_by_next_prime(X):
     assert folded == whole
 
 
-def test_census_fold_keeps_only_the_sample(table5):
-    full = listed(census.congruent_pairs(10**5, 3, 2, 2.0, table5))
+def test_census_fold_keeps_only_the_sample(windows5):
+    full = listed(census.congruent_pairs(10**5, 3, 2, 2.0, windows5))
     lean = census.find_congruent_pairs(10**5, 3, 2, 2.0, primes.segments(10**5))
     assert lean.pairs == full[: census.SAMPLE_PAIRS]
     assert lean.pair_count == len(full) == 1710
@@ -217,10 +214,10 @@ def test_census_fold_keeps_only_the_sample(table5):
 @settings(max_examples=60, deadline=None)
 @given(X=st.integers(0, 3000), q=st.sampled_from((3, 4, 5)), a=st.integers(1, 4),
        epsilon=st.sampled_from((0.5, 1.0, 2.0, 10.0)), segment=st.integers(2, 200))
-def test_census_fold_over_any_windows_equals_whole_table(table5, X, q, a, epsilon, segment):
+def test_census_fold_over_any_windows_equals_whole_table(windows5, X, q, a, epsilon, segment):
     a %= q
     assume(math.gcd(a, q) == 1)
-    whole = listed(census.congruent_pairs(X, q, a, epsilon, table5))
+    whole = listed(census.congruent_pairs(X, q, a, epsilon, windows5))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(primes, "SEGMENT_SIZE", segment)
         folded = listed(census.congruent_pairs(X, q, a, epsilon, primes.segments(X)))

@@ -147,13 +147,13 @@ def test_census_list_pairs(capsys):
     assert len(lines) == 7
 
 
-def test_census_json_equals_full_report(capsys, table5):
+def test_census_json_equals_full_report(capsys, windows5):
     # the CLI builds only the sample pairs; its report is unchanged
     rc, out, _ = run(capsys, "census", "--q", "3", "--a", "2", "--x", "100000",
                      "--epsilon", "2")
     assert rc == 0
-    full = census.find_congruent_pairs(10**5, 3, 2, 2.0, table5)
-    pairs = listed(census.congruent_pairs(10**5, 3, 2, 2.0, table5))
+    full = census.find_congruent_pairs(10**5, 3, 2, 2.0, windows5)
+    pairs = listed(census.congruent_pairs(10**5, 3, 2, 2.0, windows5))
     payload, expect = json.loads(out), full.to_dict()
     del payload["wall_time_ms"], expect["wall_time_ms"]
     assert payload == expect
@@ -385,6 +385,15 @@ def test_perron_term_count_capped(capsys):
     assert rc == 2
     assert out == ""
     assert "exceeds configured maximum" in err
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_perron_rejects_fewer_than_one_term(capsys, n):
+    # checked before any work: a negative N reaching np.broadcast_to raised ValueError
+    rc, out, err = run(capsys, "contour", "--mode", "perron", "--n", n)
+    assert rc == 2
+    assert out == ""
+    assert "N must be >= 1" in err
 
 
 @pytest.mark.parametrize("entry, argv", [

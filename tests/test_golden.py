@@ -63,8 +63,7 @@ def report(name: str, out: pathlib.Path):
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_report_matches_golden(name, tmp_path, monkeypatch):
-    monkeypatch.delenv(primes.CACHE_ENV, raising=False)
+def test_report_matches_golden(name, tmp_path):
     golden = (GOLDEN / name).read_text()
     want = golden if name.endswith(".csv") else json.loads(golden)
     assert report(name, tmp_path / name) == want

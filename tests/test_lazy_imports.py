@@ -42,7 +42,6 @@ def run_fresh(script, argv):
     """The JSON that `script` prints, run in a fresh interpreter with argv."""
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    env.pop("CONGAPS_CACHE_DIR", None)
     proc = subprocess.run([sys.executable, "-c", script, json.dumps(argv)],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

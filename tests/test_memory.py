@@ -19,8 +19,6 @@ import sys
 
 import pytest
 
-from congaps import primes
-
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 # From 10^4 to 10^8: census 4.2 MB, mertens 3.2, count 4.4 and shiu 5.7; a
 # count holding its class-1 primes grows 25, a shiu holding the table 160
@@ -47,7 +45,6 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 
 def peak_rss_mb(*argv: str) -> float:
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    env.pop(primes.CACHE_ENV, None)
     proc = subprocess.run([sys.executable, "-c", LAUNCHER, sys.executable, "-m", "congaps.cli",
                            *argv], env=env, capture_output=True, text=True, check=True)
     code, kib = map(int, proc.stdout.split())

@@ -2,6 +2,7 @@ import bisect
 import math
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -144,6 +145,19 @@ def test_log_euler_against_fsum(table5):
         bound = (math.log2(p.size) + 2) * eps * math.fsum(map(abs, terms))
         assert abs(primes.log_euler(p, d) - math.fsum(terms)) <= bound
     assert primes.log_euler(np.empty(0, dtype=np.int64)) == 0.0
+
+
+def test_log_euler_makes_one_temporary():
+    # the Mertens case divides into one float array and takes log1p in place:
+    # a float copy of p and a second temporary would each add p.nbytes
+    p = primes.sieve_primes(2 * 10**7).primes  # 1,270,607 primes, 10.2 MB
+    tracemalloc.start()
+    try:
+        primes.log_euler(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * p.nbytes
 
 
 def test_spf_values(spf5):
@@ -383,13 +397,11 @@ def test_consumer_raising_midway_leaves_no_file(tmp_path, monkeypatch):
     assert os.listdir(tmp_path) == ["primes_100000.bin"]
 
 
-def test_windows_upto_of_a_table_and_of_a_stream(table5):
+def test_windows_upto_of_a_table_and_of_a_stream(table5, windows5):
     for q, a, x in ((1, 0, 1000), (3, 2, 1000), (4, 1, 99_991), (7, 3, 10.5)):
         want = [p for p in table5.primes.tolist() if p % q == a and p <= x]
-        assert primes.joined(primes.windows_upto(table5, x, q, a)).tolist() == want
+        assert primes.joined(primes.windows_upto(windows5, x, q, a)).tolist() == want
         assert primes.joined(primes.windows_upto(primes.segments(10**5), x, q, a)).tolist() == want
-    with pytest.raises(OutOfRangeError):
-        list(primes.windows_upto(table5, table5.limit + 1))
 
 
 def test_windows_upto_reads_a_stream_no_further_than_x():
