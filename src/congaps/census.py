@@ -53,8 +53,10 @@ def congruent_pairs(X: int, q: int, a: int, epsilon: float, windows: Windows,
                     thm11_c: float = 1.0, shiu_C: float = 1.0):
     """The consecutive prime pairs with p_r <= X (p_next may pass X), both
     = a mod q and gap below epsilon * log p_r: one (p_r, p_next) pair of
-    int64 arrays per window of primes.segments(X), the last prime of each
-    carried into the next. The inputs, the reference bounds' constants
+    arrays per window of primes.segments(X), the last prime of each
+    carried into the next. They are uint32, as the windows are, but the
+    last pair is int64: it ends at next_prime(X), which may pass 2^32.
+    The inputs, the reference bounds' constants
     among them, are checked when this is called, so a census with a bad
     one writes nothing.
     """
@@ -69,8 +71,9 @@ def congruent_pairs(X: int, q: int, a: int, epsilon: float, windows: Windows,
 
 
 def _pairs(X: int, q: int, a: int, epsilon: float, windows: Windows):
-    last = np.empty(0, dtype=np.int64)  # the last prime of the windows so far
-    # next_prime(X), the successor no window holds, comes last; map defers finding it till then
+    last = np.empty(0, dtype=np.uint32)  # the last prime of the windows so far
+    # next_prime(X), the successor no window holds, comes last, as int64: joined to
+    # the last window it widens only that one. map defers finding it till then
     successor = map(lambda x: np.array([next_prime(x)], dtype=np.int64), [X])
     for window in itertools.chain(windows_upto(windows, X), successor):
         primes = np.concatenate((last, window))

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import json
 import math
 import sys
@@ -164,11 +163,11 @@ def cmd_census(args) -> int:
         pairs = census.congruent_pairs(args.x, args.q, args.a, args.epsilon, stream,
                                        thm11_c=args.c, shiu_C=args.big_c)
         with _output(args) as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["p_r", "p_next", "gap", "log_p", "q", "a"])
-            for p_r, p_next in pairs:
-                for p, nxt in zip(p_r.tolist(), p_next.tolist()):
-                    writer.writerow([p, nxt, nxt - p, repr(math.log(p)), args.q, args.a])
+            fh.write("p_r,p_next,gap,log_p,q,a\n")
+            q, a = args.q, args.a
+            for p_r, p_next in pairs:  # math.log, not np.log: the two differ in the last bit
+                fh.write("".join([f"{p},{n},{n - p},{math.log(p)!r},{q},{a}\n"
+                                  for p, n in zip(p_r.tolist(), p_next.tolist())]))
     return 0
 
 

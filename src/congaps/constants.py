@@ -170,7 +170,8 @@ def theta_at_one(q: int) -> float:
     group = _unit_group(q)
     orders, dlog, _ = group
     p = _split_primes()
-    d = element_orders(dlog[p % q], orders)  # 1 for p = 1 mod q and for p | q
+    cls, inv = np.unique(p % q, return_inverse=True)  # one order per class that occurs
+    d = element_orders(dlog[cls], orders)[inv]  # 1 for p = 1 mod q and for p | q
     return math.exp(log_euler(p[d > 1], d[d > 1]) + _theta_tail(q, group, p, d))
 
 

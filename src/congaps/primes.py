@@ -6,8 +6,8 @@ multiples of 3, 5, 7, 11 and 13 struck, and processes fixed-size segments,
 so memory stays O(segment) + O(primes up to sqrt(limit)) during
 construction. segments() hands the primes on one segment's window at a
 time, from the sieve or the cache, so a fold over them never holds all the
-primes; every fold reads such a stream of windows. A PrimeTable is the
-same windows joined.
+primes; every fold reads such a stream of windows, each a uint32 array.
+A PrimeTable is the same windows joined into one int64 array.
 """
 
 from __future__ import annotations
@@ -23,13 +23,14 @@ import numpy as np
 
 from .errors import CacheError, CapacityError, DomainError, OutOfRangeError
 
-# every subcommand folds over windows. To 2^32, fresh CLI, no cache, 2 vCPUs:
-# census 21 s, 35 MB; mertens 19 s, 35 MB; count 20 s, 45 MB; shiu 22 s, 92 MB. A whole
-# table to it (sieve_primes, load_cache) holds 203 M primes in 1.6 GB, as its cache file does
+# every subcommand folds over windows. To 2^32, fresh CLI, no cache, 2 vCPUs (a noisy
+# host): census 22 s, 33 MB; mertens 27 s, 34 MB; count 24-28 s, 44 MB; shiu 23 s, 90 MB. A uint32
+# holds every prime below it, so a window or the cache file spends 4 bytes a prime (0.81 GB
+# for the 203 M primes to 2^32); a whole int64 table (sieve_primes, load_cache) 1.6 GB
 MAX_SIEVE_LIMIT = 2**32
 MAX_SPF_LIMIT = 10**8  # build_spf's table: 8 bytes per integer, 0.8 GB here
 SEGMENT_SIZE = 1 << 20  # integers per segment; cache-friendly default
-CACHE_MAGIC = b"PRIMTBL2"
+CACHE_MAGIC = b"PRIMTBL3"
 _CACHE_HEADER = struct.Struct("<8sQQ")  # magic, limit, prime count
 CACHE_ENV = "CONGAPS_CACHE_DIR"
 _READ_BLOCK = 1 << 16  # primes per read from a cache file
@@ -41,7 +42,7 @@ class PrimeTable:
     """All primes up to `limit`, ascending."""
 
     limit: int
-    primes: np.ndarray  # int64, strictly increasing
+    primes: np.ndarray  # int64, strictly increasing: the windows joined and widened
 
     def residue_class(self, q: int, a: int) -> np.ndarray:
         """Subsequence of primes congruent to a mod q."""
@@ -50,8 +51,12 @@ class PrimeTable:
         return np.compress(self.primes % q == a, self.primes)
 
 
-# what a fold over the primes reads: a stream of int64 windows, ascending
+# what a fold over the primes reads: a stream of uint32 windows, ascending
 Windows = Iterable[np.ndarray]
+# the greatest search key into a window: above every prime below MAX_SIEVE_LIMIT, and
+# a uint32. searchsorted copies a uint32 window into the dtype of a wider key, and a
+# Python int is one, so every key into a window is a uint32 clipped here
+KEY_MAX = np.iinfo(np.uint32).max
 
 
 # the odd numbers 1, 3, 5, ... over one period of the wheel 3*5*7*11*13 = 15015:
@@ -78,7 +83,10 @@ def _odd_primes(low: int, high: int, base: np.ndarray | None = None) -> np.ndarr
     start += base * (start % 2 == 0)  # the first odd multiple
     for p, offset in zip(base.tolist(), ((start - first) // 2).tolist()):
         mask[offset::p] = False
-    return first + 2 * np.flatnonzero(mask).astype(np.int64)
+    out = np.flatnonzero(mask)  # int64: next_prime's primes may pass 2^32
+    out *= 2
+    out += first
+    return out
 
 
 def _check_limit(limit: int) -> None:
@@ -99,10 +107,11 @@ def _bounds(limit: int):
 
 
 def _sieved(limit: int):
-    """The primes <= limit, window by window, sieved one segment at a time."""
+    """The primes <= limit as uint32 windows, sieved one segment at a time."""
     base = _odd_primes(3, math.isqrt(limit) + 1) if limit >= 2 else None
     for low, high in _bounds(limit):
-        yield np.array([2], dtype=np.int64) if low == 2 else _odd_primes(low, high, base)
+        window = np.array([2]) if low == 2 else _odd_primes(low, high, base)
+        yield window.astype(np.uint32)
 
 
 def joined(windows) -> np.ndarray:
@@ -122,8 +131,8 @@ def sieve_primes(limit: int) -> PrimeTable:
 
 
 def segments(limit: int):
-    """The primes <= limit as a stream of windows: [2], then the primes of
-    each sieve segment [3 + k*SEGMENT_SIZE, 3 + (k + 1)*SEGMENT_SIZE).
+    """The primes <= limit as a stream of uint32 windows: [2], then the
+    primes of each sieve segment [3 + k*SEGMENT_SIZE, 3 + (k + 1)*SEGMENT_SIZE).
 
     The windows come from the cache file for `limit` in the directory
     $CONGAPS_CACHE_DIR names, when it exists, read a block at a time;
@@ -149,7 +158,7 @@ def windows_upto(windows: Windows, x: float, q: int = 1, a: int = 0):
     """The primes = a mod q and <= x of a stream of windows such as
     segments, window by window, read no further than the first window
     that passes x."""
-    key = math.floor(x)  # an integer key: a float one makes searchsorted cast the array
+    key = np.uint32(min(max(math.floor(x), 0), KEY_MAX))
     for window in windows:
         chosen = window if q == 1 else np.compress(window % q == a, window)
         yield chosen[: np.searchsorted(chosen, key, side="right")]
@@ -219,9 +228,10 @@ def build_spf(limit: int) -> SpfTable:
 
 # --- binary prime cache -------------------------------------------------
 #
-# File layout: 8-byte magic "PRIMTBL2", little-endian u64 limit, u64 count
-# of primes, then the primes as little-endian u64, ascending. The count
-# lets a load tell a truncated file from a complete one.
+# File layout: 8-byte magic "PRIMTBL3", little-endian u64 limit, u64 count
+# of primes, then the primes as little-endian u32, ascending. The count
+# lets a load tell a truncated file from a complete one. A file of another
+# magic (PRIMTBL2 held u64 primes) fails the header check.
 
 
 def cache_path(limit: int, directory: str) -> str:
@@ -239,7 +249,7 @@ def _written(windows, limit: int, path: str):
             fh.write(_CACHE_HEADER.pack(CACHE_MAGIC, limit, 0))
             count = 0
             for window in windows:
-                fh.write(window.astype("<u8").tobytes())
+                fh.write(window.astype("<u4", copy=False))
                 count += window.size
                 yield window
             fh.seek(0)
@@ -270,7 +280,7 @@ def _read_header(fh, path: str, expected_limit: int | None) -> tuple[int, int]:
             f"cache {path!r} holds limit {limit}, requested {expected_limit}"
         )
     body = os.fstat(fh.fileno()).st_size - _CACHE_HEADER.size
-    if body != 8 * count:
+    if body != 4 * count:
         raise CacheError(
             f"cache {path!r} is truncated: header promises {count} primes, "
             f"body holds {body} bytes"
@@ -281,17 +291,16 @@ def _read_header(fh, path: str, expected_limit: int | None) -> tuple[int, int]:
 def _read_windows(fh, path: str, limit: int, count: int):
     """The count primes after the header, read _READ_BLOCK at a time,
     checked as they are read, and split into the windows of segments(limit)."""
-    held, last = np.empty(0, dtype=np.int64), 1
+    held, last = np.empty(0, dtype=np.uint32), 1
     for _, high in _bounds(limit):
         while count and (not held.size or held[-1] < high):
-            block = np.frombuffer(fh.read(8 * min(count, _READ_BLOCK)), dtype="<i8")
+            block = np.fromfile(fh, dtype="<u4", count=min(count, _READ_BLOCK))
             count -= block.size
-            # a word >= 2^63 reads as negative: ascending from at least 2 rules it out
-            if block[0] <= last or block[-1] > limit or np.any(np.diff(block) <= 0):
+            if block[0] <= last or block[-1] > limit or np.any(block[1:] <= block[:-1]):
                 raise CacheError(f"cache {path!r} body is not ascending primes in [2, limit]")
             last = block[-1]
             held = np.concatenate((held, block))
-        cut = np.searchsorted(held, high)
+        cut = np.searchsorted(held, np.uint32(min(high, KEY_MAX)))
         yield held[:cut]
         held = held[cut:]
     if count:

@@ -134,7 +134,8 @@ def compute_S_T(c: ShiuConstruction, windows: Windows,
 
     def allowed(window):  # the window less the modulus primes, all of which it holds
         i, j = np.searchsorted(modulus, (window[0], window[-1] + 1)) if window.size else (0, 0)
-        return np.delete(window, np.searchsorted(window, modulus[i:j])) if j > i else window
+        keys = modulus[i:j].astype(window.dtype)  # int64 keys would copy a uint32 window
+        return np.delete(window, np.searchsorted(window, keys)) if j > i else window
 
     n, lo, hi = restricted_nodes(c.H, allowed(sieve_primes(math.isqrt(c.H)).primes), 1)
     windows = map(allowed, windows_upto(windows, c.H))

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from congaps import primes
@@ -37,3 +38,11 @@ def table7():
 @pytest.fixture(scope="session")
 def windows7(table7):
     return (table7.primes,)
+
+
+@pytest.fixture(scope="session")
+def top_windows():
+    # the 4,455 primes in the last 10^5 below 2^32 as three uint32 windows, as the
+    # stream holds them: the folds' bounds and the census's successor pass 2^32
+    top = primes._odd_primes(2**32 - 10**5, 2**32).astype(np.uint32)
+    return tuple(np.array_split(top, 3))

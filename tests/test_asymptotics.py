@@ -3,6 +3,7 @@ import io
 import json
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -256,3 +257,33 @@ def test_count_and_prediction_from_a_stream(windows7, q, Y, monkeypatch):
         asymptotics.count_restricted(X, q, Y, windows7)
     assert asymptotics.lemma33_prediction(X, q, Y, b, primes.segments(X)) == \
         asymptotics.lemma33_prediction(X, q, Y, b, windows7)
+
+
+@pytest.mark.parametrize("X", [4294967291, 2**32])
+def test_count_restricted_over_uint32_windows_to_2_32(top_windows, X):
+    # above Y = 2^32 - 10^5 the members are 1 and the primes = 1 mod 3 in (Y, X],
+    # all in the windows; at Y = 1000 the walk has 6,958 leaf bounds, the
+    # greatest X itself, past every uint32 at X = 2^32
+    wide = tuple(w.astype(np.int64) for w in top_windows)
+    Y = 2**32 - 10**5
+    assert asymptotics.count_restricted(X, 3, Y, top_windows) == \
+        asymptotics.count_restricted(X, 3, Y, wide) == \
+        1 + np.count_nonzero(np.concatenate(wide) % 3 == 1)
+    assert asymptotics.count_restricted(X, 3, 1000, top_windows) == \
+        asymptotics.count_restricted(X, 3, 1000, wide)
+
+
+def test_leaf_counts_copies_no_window():
+    # an int64 bound as a search key into a uint32 window makes searchsorted copy
+    # the window to int64, 2 * window.nbytes, at every class of every window
+    window = primes.sieve_primes(2 * 10**7).primes.astype(np.uint32)  # 5.1 MB
+    lo = np.array([0, 10**6, 10**7], dtype=np.int64)
+    hi = np.array([10**6, 10**7, 2**32], dtype=np.int64)
+    tracemalloc.start()
+    try:
+        counts = asymptotics.leaf_counts((window,), 3, lo, hi, -1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert counts.tolist() == [78498, 664579 - 78498, window.size - 664579]
+    assert peak < window.nbytes / 4

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -224,3 +225,18 @@ def test_census_fold_over_any_windows_equals_whole_table(windows5, X, q, a, epsi
         count = census.find_congruent_pairs(X, q, a, epsilon, primes.segments(X)).pair_count
     assert folded == whole
     assert count == len(whole)
+
+
+@pytest.mark.parametrize("X", [4294967291, 2**32])
+@pytest.mark.parametrize("q, a", [(4, 3), (3, 2)])
+def test_census_over_uint32_windows_to_2_32(top_windows, X, q, a):
+    # 4294967291, the last prime below 2^32, and its successor 4294967311 are
+    # both 3 mod 4 and 20 apart: that pair ends past every uint32
+    wide = tuple(w.astype(np.int64) for w in top_windows)
+    pairs = listed(census.congruent_pairs(X, q, a, 1.0, top_windows))
+    assert pairs == listed(census.congruent_pairs(X, q, a, 1.0, wide))
+    assert ((4294967291, 4294967311) in pairs) == (q == 4)
+    res = census.find_congruent_pairs(X, q, a, 1.0, top_windows)
+    assert res.to_dict() | {"wall_time_ms": 0} == \
+        census.find_congruent_pairs(X, q, a, 1.0, wide).to_dict() | {"wall_time_ms": 0}
+    assert res.pair_count == len(pairs) > 0

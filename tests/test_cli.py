@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import time
@@ -163,6 +165,20 @@ def test_census_json_equals_full_report(capsys, windows5):
     rows = out.strip().split("\n")[1:]
     assert len(rows) == full.pair_count == len(pairs) == 1710
     assert tuple(tuple(map(int, r.split(",")[:2])) for r in rows) == pairs
+
+
+def test_census_list_pairs_rows_are_csv_writer_rows(capsys):
+    # 11,483 rows formatted one f-string each: csv.writer, which they replace, is the reference
+    X = 10**6
+    rc, out, _ = run(capsys, "census", "--q", "3", "--a", "2", "--x", str(X),
+                     "--epsilon", "2", "--list-pairs")
+    assert rc == 0
+    want = io.StringIO()
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow(["p_r", "p_next", "gap", "log_p", "q", "a"])
+    for p, nxt in listed(census.congruent_pairs(X, 3, 2, 2.0, primes.segments(X))):
+        writer.writerow([p, nxt, nxt - p, repr(math.log(p)), 3, 2])
+    assert out == want.getvalue()
 
 
 def test_census_list_pairs_out_file(tmp_path, capsys):
@@ -449,7 +465,8 @@ def rerun_on_damaged_cache(tmp_path, capsys, monkeypatch, command, damage):
     return run(capsys, *argv)
 
 
-@pytest.mark.parametrize("cut", [8 * 600, 8 * 600 + 3])
+# 1,200 of the file's 1,229 four-byte words cut, and three bytes of one more
+@pytest.mark.parametrize("cut", [4 * 1200, 4 * 1200 + 3])
 def test_truncated_cache_exit_code(tmp_path, capsys, monkeypatch, cut):
     rc, out, err = rerun_on_damaged_cache(tmp_path, capsys, monkeypatch, "mertens",
                                           lambda raw: raw[:-cut])
@@ -459,7 +476,7 @@ def test_truncated_cache_exit_code(tmp_path, capsys, monkeypatch, cut):
 
 
 @pytest.mark.parametrize("command", ["count", "census"])
-@pytest.mark.parametrize("cut", [8 * 600, 8 * 600 + 3])
+@pytest.mark.parametrize("cut", [4 * 1200, 4 * 1200 + 3])
 def test_truncated_cache_exit_code_of_every_fold(tmp_path, capsys, monkeypatch, cut, command):
     rc, out, err = rerun_on_damaged_cache(tmp_path, capsys, monkeypatch, command,
                                           lambda raw: raw[:-cut])
@@ -486,7 +503,7 @@ def test_truncated_cache_list_pairs_writes_nothing(tmp_path, capsys, monkeypatch
 
 def out_of_order_late(raw):
     """The body with its 600th word from the end made 7: out of order."""
-    return raw[: -8 * 600] + (7).to_bytes(8, "little") + raw[-8 * 599 :]
+    return raw[: -4 * 600] + (7).to_bytes(4, "little") + raw[-4 * 599 :]
 
 
 @pytest.mark.parametrize("command", sorted(CACHED_COMMANDS))
@@ -499,6 +516,19 @@ def test_garbled_cache_exit_code(tmp_path, capsys, monkeypatch, command):
     assert rc == 2
     assert out == ""
     assert "not ascending primes" in err
+
+
+@pytest.mark.parametrize("command", sorted(CACHED_COMMANDS))
+def test_cache_of_the_old_format_exit_code(tmp_path, capsys, monkeypatch, command):
+    # a PRIMTBL2 file holds the same primes in 8-byte words: it fails the header check
+    monkeypatch.setenv(primes.CACHE_ENV, str(tmp_path))
+    table = primes.sieve_primes(10_000).primes
+    path = tmp_path / "primes_10000.bin"
+    path.write_bytes(primes._CACHE_HEADER.pack(b"PRIMTBL2", 10_000, table.size)
+                     + table.astype("<u8").tobytes())
+    rc, out, err = run(capsys, *CACHED_COMMANDS[command])
+    assert (rc, out) == (2, "")
+    assert "bad header" in err and str(path) in err
 
 
 def test_fold_failing_midway_leaves_no_cache_file(tmp_path, capsys, monkeypatch):

@@ -24,6 +24,7 @@ def trial_primes(limit):
 
 def test_sieve_small():
     assert primes.sieve_primes(10).primes.tolist() == [2, 3, 5, 7]
+    assert primes.sieve_primes(10).primes.dtype == np.int64  # the windows joined and widened
     assert primes.sieve_primes(2).primes.tolist() == [2]
     assert primes.sieve_primes(1).primes.tolist() == []
     assert primes.sieve_primes(0).primes.tolist() == []
@@ -84,6 +85,8 @@ def test_next_prime_against_trial_division():
     (31397, 31469),  # record gaps, wider than the first window
     (370261, 370373),
     (10**9, 10**9 + 7),
+    (4294967291, 4294967311),  # from the last prime below 2^32 past it: no uint32 holds it
+    (2**32, 4294967311),
 ])
 def test_next_prime_across_wide_gaps(n, expect):
     assert primes.next_prime(n) == expect
@@ -205,6 +208,7 @@ def test_cache_roundtrip(tmp_path):
     loaded = primes.load_cache(path, expected_limit=5000)
     assert loaded.limit == table.limit
     assert np.array_equal(loaded.primes, table.primes)
+    assert loaded.primes.dtype == np.int64
     assert not loaded.primes.flags.writeable  # a table read from a cache is read-only
 
 
@@ -224,13 +228,14 @@ def test_cache_limit_mismatch(tmp_path):
 
 def test_cache_rejects_garbled_body(tmp_path):
     path = tmp_path / "p.bin"
-    # not ascending; below 2; a first word of 2^64 - 5, which reads as -5;
-    # above the limit; a prime under a limit below 2, which has no windows
+    # not ascending; below 2; a first word of 2^32 - 5, which as int32 reads
+    # as -5 and as uint32 above the limit; above the limit; a prime under a
+    # limit below 2, which has no windows
     for limit, body in ((100, [2, 3, 5, 0]), (100, [0, 2, 3]), (100, [1, 3]),
-                        (100, [2**64 - 5, 3]), (100, [2**64 - 5, 3, 5]),
+                        (100, [2**32 - 5]), (100, [2**32 - 5, 3]), (100, [2**32 - 5, 3, 5]),
                         (100, [2, 3, 101]), (1, [2])):
         header = primes._CACHE_HEADER.pack(primes.CACHE_MAGIC, limit, len(body))
-        path.write_bytes(header + np.array(body, dtype="<u8").tobytes())
+        path.write_bytes(header + np.array(body, dtype="<u4").tobytes())
         with pytest.raises(CacheError, match="not ascending primes"):
             primes.load_cache(str(path))
 
@@ -244,13 +249,13 @@ def _cut_cache(tmp_path, cut_bytes):
 
 
 def test_cache_rejects_truncation_at_word_boundary(tmp_path):
-    path = _cut_cache(tmp_path, 8 * 4796)  # half the primes
+    path = _cut_cache(tmp_path, 4 * 4796)  # half the primes, 4 bytes each
     with pytest.raises(CacheError, match="truncated"):
         primes.load_cache(path, expected_limit=100_000)
 
 
 def test_cache_rejects_truncation_mid_word(tmp_path):
-    path = _cut_cache(tmp_path, 8 * 4796 + 3)
+    path = _cut_cache(tmp_path, 4 * 4796 + 3)
     with pytest.raises(CacheError, match="truncated"):
         primes.load_cache(path, expected_limit=100_000)
 
@@ -284,10 +289,10 @@ def sieved_and_cached(limit, directory, mp):
 
 
 def assert_windows(sieved, cached, limit):
-    """Equal arrays window by window, each within its segment."""
+    """Equal uint32 arrays window by window, each within its segment."""
     assert len(sieved) == len(cached)
     for s, c in zip(sieved, cached):
-        assert s.dtype == c.dtype == np.int64
+        assert s.dtype == c.dtype == np.uint32
         assert np.array_equal(s, c)
     size = primes.SEGMENT_SIZE
     if limit >= 2:
@@ -314,6 +319,7 @@ def spf_primes():
 def test_segments_from_sieve_and_cache_agree(tmp_path, monkeypatch, spf_primes, limit):
     sieved, cached = sieved_and_cached(limit, tmp_path, monkeypatch)
     assert_windows(sieved, cached, limit)
+    assert primes.joined(cached).dtype == np.int64
     assert np.array_equal(primes.joined(cached), spf_primes[spf_primes <= limit])
 
 
@@ -402,6 +408,21 @@ def test_windows_upto_of_a_table_and_of_a_stream(table5, windows5):
         want = [p for p in table5.primes.tolist() if p % q == a and p <= x]
         assert primes.joined(primes.windows_upto(windows5, x, q, a)).tolist() == want
         assert primes.joined(primes.windows_upto(primes.segments(10**5), x, q, a)).tolist() == want
+
+
+def test_windows_upto_copies_no_window():
+    # a search key of a wider dtype than the window's, a Python int among them,
+    # makes searchsorted copy the window into that dtype: 2 * window.nbytes
+    window = primes.sieve_primes(2 * 10**7).primes.astype(np.uint32)  # 5.1 MB
+    tracemalloc.start()
+    try:
+        for x in (10**7, 2**32, 2**40):
+            list(primes.windows_upto((window,), x))  # views of the window
+            _, peak = tracemalloc.get_traced_memory()
+            assert peak < window.nbytes / 4, x
+            tracemalloc.reset_peak()
+    finally:
+        tracemalloc.stop()
 
 
 def test_windows_upto_reads_a_stream_no_further_than_x():
