@@ -2,20 +2,15 @@
 non-principal characters, the prime-power correction factor Theta(1), the
 Mertens-in-progression constant c(q), and 1/Gamma(1/phi(q)).
 
-Both L-value families go through one discrete-log grid transform: a
-function of the units r mod q laid out at their exponent vectors, and one
-inverse FFT gives its character sums sum_r chi(r) f(r) for every chi.
-
-The digamma values psi(r/q) behind L(1, chi) come from Gauss's digamma
-theorem (DLMF 5.4.19), whose cosine sums are one real FFT of
-log sin(pi n/q); cot(pi r/q) is taken at min(r, q - r) with its sign
-flipped above q/2, so no argument near pi is rounded.
+Every L(s, chi), s = 1, 2, 3, comes from one kernel and one transform:
+q^-s zeta(s, r/q) from Euler-Maclaurin (at s = 1 the constant term
+-psi(r/q)/q at the pole, DLMF 25.11), laid out on the discrete-log grid,
+and one inverse FFT gives sum_r chi(r) q^-s zeta(s, r/q) for every chi.
 
 Theta(1) sums its Euler factors at the primes p < M = THETA_SPLIT = 2^16
 one by one, and gets the rest from log L(t, chi) at t = 2 and 3 (Languasco
 and Zaccagnini, arXiv:0906.2132; Ettahri, Ramare and Surel, Math. Comp. 90,
-2021), with q^-t zeta(t, r/q) from an Euler-Maclaurin kernel on the same
-grid. One path serves every q <= MAX_MODULUS, within THETA_TOL. numpy does
+2021). One path serves every q <= MAX_MODULUS, within THETA_TOL. numpy does
 it all: this module loads no scipy.
 """
 
@@ -41,19 +36,6 @@ _EM_DIRECT = 9  # Hurwitz zeta terms summed directly before Euler-Maclaurin
 _BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510)
 
 
-def _character_sums(group, values) -> np.ndarray:
-    """sum_r chi(r) f(r) over the units r of the unit group (orders, dlog,
-    units), for every chi, where values(r) is f at the units r, ascending:
-    F[x(r)] = f(r) on the d_1 x ... x d_k discrete-log grid, and
-    phi(q) * ifftn(F)[e] is the sum for the character with exponent
-    vector e, every e at once. The result has shape (d_1..d_k)."""
-    orders, dlog, units = group
-    r = np.flatnonzero(units)
-    grid = np.zeros(orders)
-    grid[tuple(dlog[r].T)] = values(r)
-    return r.size * np.fft.ifftn(grid)
-
-
 @functools.lru_cache(maxsize=1)
 def _unit_group(q: int):
     """unit_group(q), read-only, kept for the last q asked: the l_one and
@@ -64,53 +46,33 @@ def _unit_group(q: int):
     return group
 
 
-def _psi_fractions(q: int) -> np.ndarray:
-    """psi(r/q) for r = 0..q-1 (entry 0 is nan), by Gauss's digamma theorem:
-    psi(r/q) = -gamma - log 2q - (pi/2) cot(pi r/q)
-               + 2 sum_{0<n<q/2} cos(2 pi n r/q) log sin(pi n/q).
-
-    The cosine sums are the real part of one rfft, and r and q - r share
-    theirs. cot(pi r/q) = -cot(pi (q - r)/q) is used above q/2: rounding
-    pi r/q near pi would cost 1e-5 absolute at r = q - 1, q = 999983.
-    """
-    n = np.arange(1, (q + 1) // 2)  # 0 < n < q/2
-    log_sin = np.zeros(q)
-    log_sin[n] = np.log(np.sin(np.pi * n / q))
-    cos_sums = np.fft.rfft(log_sin).real
-    r = np.arange(1, q)
-    m = np.minimum(r, q - r)
-    psi = np.full(q, np.nan)
-    psi[1:] = (-EULER_GAMMA - math.log(2 * q) + 2 * cos_sums[m]
-               - (np.pi / 2) * np.sign(q - 2 * r) / np.tan(np.pi * m / q))
-    return psi
-
-
-def l_one(q: int) -> np.ndarray:
-    """L(1, chi) for every non-principal chi mod q, in table order.
-
-    Exact up to rounding (within L_TOL), from the identity
-    L(1, chi) = -(1/q) sum_r chi(r) psi(r/q): one grid transform
-    (_character_sums) of -psi(r/q)/q, with psi(r/q) from Gauss's digamma
-    theorem and the cot fold (_psi_fractions).
-    """
-    if q < 3:
-        raise DomainError(f"every character mod {q} is principal; L(1, chi) needs q >= 3")
-    return _character_sums(_unit_group(q), lambda r: -_psi_fractions(q)[r] / q).ravel()[1:]
-
-
 def _hurwitz_zeta(s: int, r, q: int) -> np.ndarray:
     """q^-s zeta(s, r/q) = sum_{n>=0} (nq + r)^-s for an integer s >= 2,
-    elementwise over the integers r in [1, q].
+    elementwise over the integers r in [1, q]; at s = 1, the constant term
+    -psi(r/q)/q of its Laurent series at the pole.
 
     The terms n < N = _EM_DIRECT are summed directly, smallest first; each
     nq + r is an exact integer, so each term is one pow. The rest is
     Euler-Maclaurin at b = N + r/q, scaled by q^-s:
-    (Nq + r)^-s (b/(s-1) + 1/2 + sum_{j=1}^{8} B_2j/(2j)! (s)_(2j-1) b^(1-2j)).
-    (Nq + r)^-s is completely monotone in b, so the remainder is below the
-    first omitted term, B_18/18! (s)_17 b^(-s-17), which is 0.2 ulp of the
-    sum at s = 2 and less for larger s. With one pow per term (< 1 ulp)
+    (Nq + r)^-s (b/(s-1) + 1/2 + sum_{j=1}^{8} B_2j/(2j)! (s)_(2j-1) b^(1-2j)),
+    where b/(s-1) becomes -b log b at s = 1, the constant term of
+    b^(1-s)/(s-1).
+
+    s >= 2: (Nq + r)^-s is completely monotone in b, so the remainder is
+    below the first omitted term, B_18/18! (s)_17 b^(-s-17), which is 0.2 ulp
+    of the sum at s = 2 and less for larger s. With one pow per term (< 1 ulp)
     and nine additions of positive terms (<= 4.5 ulps), the result is
     within 6 ulps.
+
+    s = 1: the tail T = -psi(b)/q < 0 cancels against the direct terms, which
+    sum to R + |T| for the result R = -psi(r/q)/q >= gamma/q; |T|/R is at most
+    psi(10)/gamma = 3.90, at r = q. T is within 5 ulps (b's rounding, 0.56
+    ulp, moves b psi(b) by 1.5 times that; the pow 1 ulp, the log 1 times
+    1.03 for its cancellation against 1/2; four roundings 2), each direct
+    term within 1, and the nine additions within half an ulp each of
+    max(|T|, R), as the partial sums rise from T to R. So 6|T| + R +
+    4.5 max(|T|, R) ulps of R, at most 42, and the remainder
+    (B_18/18 b^-18/q) adds 0.16: within 43 ulps.
     """
     s = float(s)
     r = np.asarray(r, dtype=float)
@@ -124,10 +86,32 @@ def _hurwitz_zeta(s: int, r, q: int) -> np.ndarray:
     poly = 0.0
     for c in reversed(terms):  # Horner in b^-2
         poly = poly * w + c
-    total = (_EM_DIRECT * q + r) ** -s * (b / (s - 1) + 0.5 + poly / b)
+    lead = -b * np.log(b) if s == 1 else b / (s - 1)
+    total = (_EM_DIRECT * q + r) ** -s * (lead + 0.5 + poly / b)
     for n in range(_EM_DIRECT - 1, -1, -1):
         total = total + (n * q + r) ** -s
     return total
+
+
+def _l_values(group, q: int, s: int) -> np.ndarray:
+    """L(s, chi) = sum_r chi(r) q^-s zeta(s, r/q) for every chi mod q, given
+    q's unit group (orders, dlog, units): phi(q) * ifftn(F)[e], with
+    F[x(r)] = _hurwitz_zeta(s, r, q) on the d_1 x ... x d_k discrete-log grid,
+    is the sum for the character with exponent vector e. At s = 1, entry 0
+    (chi_0) is no L-value."""
+    orders, dlog, units = group
+    r = np.flatnonzero(units)
+    grid = np.zeros(orders)
+    grid[tuple(dlog[r].T)] = _hurwitz_zeta(s, r, q)
+    return r.size * np.fft.ifftn(grid)
+
+
+def l_one(q: int) -> np.ndarray:
+    """L(1, chi) for every non-principal chi mod q, in table order, within
+    L_TOL: _l_values at s = 1, that is -(1/q) sum_r chi(r) psi(r/q)."""
+    if q < 3:
+        raise DomainError(f"every character mod {q} is principal; L(1, chi) needs q >= 3")
+    return _l_values(_unit_group(q), q, 1).ravel()[1:]
 
 
 @functools.cache
@@ -187,20 +171,20 @@ def _theta_tail(q: int, group, p: np.ndarray, d: np.ndarray) -> float:
     -sum_t (1/t) [A_t(t) - A_t(1)], with A_t(j) the mean over chi of
     log L_M(t, chi^j), of size M^-t.
 
-    log L(t, chi) for every chi comes from one grid transform of
-    q^-t zeta(t, r/q) (_hurwitz_zeta) per t. chi -> chi^t maps the exponent
-    vectors onto the multiples of gcd(t, d_i) on each axis, evenly, so the
-    mean over chi of log L(t, chi^t) is the mean over that strided
-    subgrid. The Euler factor at p takes the values chi^j(p), which run
-    evenly over the roots of unity of order d_j = d / gcd(d, j), so its
-    mean over chi is log(1 - p^(-t d_j)) / d_j: one term per prime. t is
-    prime, so d_t = d_1 = d unless t | d, and only those primes enter.
+    log L(t, chi) for every chi comes from one grid transform (_l_values)
+    per t. chi -> chi^t maps the exponent vectors onto the multiples of
+    gcd(t, d_i) on each axis, evenly, so the mean over chi of
+    log L(t, chi^t) is the mean over that strided subgrid. The Euler factor
+    at p takes the values chi^j(p), which run evenly over the roots of unity
+    of order d_j = d / gcd(d, j), so its mean over chi is
+    log(1 - p^(-t d_j)) / d_j: one term per prime. t is prime, so
+    d_t = d_1 = d unless t | d, and only those primes enter.
     """
     orders = group[0]
     total = 0.0
     for t in _TAIL_T:
-        sums = _character_sums(group, lambda r: _hurwitz_zeta(t, r, q))
-        log_l = np.log(np.abs(sums))  # the real part of log L: the means are real
+        # the real part of log L: the means are real
+        log_l = np.log(np.abs(_l_values(group, q, t)))
         powers = log_l[tuple(slice(None, None, math.gcd(t, n)) for n in orders)]
         pt, dt = p[d % t == 0], d[d % t == 0]
         euler = t * (log_euler(pt, dt) - log_euler(pt, t * dt))
@@ -239,7 +223,7 @@ def constants_bundle(q: int) -> ConstantsBundle:
     theta1 = None
     c_q = 1.0 if q == 1 else 0.5
     if q >= 3:
-        theta1 = theta_at_one(q)  # before l_one: `constants --q 99991` then peaks 2 MB lower
+        theta1 = theta_at_one(q)  # before l_one: `constants --q 99991` then peaks 3.5 MB lower
         l_values = l_one(q)
         _unit_group.cache_clear()  # built once for both, and held no longer
         phase = math.remainder(float(np.angle(l_values).sum()), 2 * math.pi)

@@ -32,38 +32,6 @@ def test_l_one_against_digamma_identity(q):
     assert np.abs(constants.l_one(q) - want).max() <= constants.L_TOL
 
 
-def psi_bound(q, psi):
-    # The cosine sums are one length-q FFT of values |log sin(pi n/q)| <=
-    # log q, so their rounding grows about like eps * q (1.2e-10 measured at
-    # q = 999983, where 1e-15 * q is 1e-9); the cot term, about q/r near
-    # r = 1, carries a relative rounding of a few eps, hence max(1, |psi|).
-    return 1e-15 * q * np.maximum(1.0, np.abs(psi))
-
-
-def psi_mpmath(q, r):
-    with mpmath.workdps(30):
-        return np.array([float(mpmath.digamma(mpmath.mpf(int(k)) / q)) for k in r])
-
-
-@pytest.mark.parametrize("q", [3, 4, 5, 12, 1009, 1024])
-def test_psi_fractions_against_mpmath(q):
-    psi = constants._psi_fractions(q)
-    want = psi_mpmath(q, range(1, q))
-    assert psi.shape == (q,) and np.isnan(psi[0])
-    assert np.all(np.abs(psi[1:] - want) <= psi_bound(q, want))
-
-
-def test_psi_fractions_against_mpmath_q999983():
-    # both ends, where pi r/q is near 0 or pi and the cot fold matters,
-    # the middle, where cot(pi r/q) is 0, and a seeded sample
-    q = 999983
-    r = np.array([1, 2, q // 2, q - 2, q - 1,
-                  *np.random.default_rng(1).integers(1, q, 200)])
-    want = psi_mpmath(q, r)
-    got = constants._psi_fractions(q)[r]
-    assert np.all(np.abs(got - want) <= psi_bound(q, want))
-
-
 @pytest.mark.parametrize("q", [10007, 99991])
 def test_l_one_against_scipy_digamma_route(q):
     # the route before Gauss's theorem: psi(r/q) from scipy.special.digamma
@@ -93,7 +61,7 @@ def class_number(q):
     return h
 
 
-@pytest.mark.parametrize("q", [7, 11, 23, 1019, 10007, 100003])
+@pytest.mark.parametrize("q", [7, 11, 23, 1019, 10007, 100003, 999983])
 def test_l_one_class_number_formula(q):
     # L(1, (./q)) = pi h(-q) / sqrt(q); the Legendre symbol has exponent
     # (q - 1)/2 over a primitive root, so index (q - 1)/2 - 1 past chi_0
@@ -145,29 +113,52 @@ def test_theta_against_double_sum(table5):
 
 
 EPS = float(np.finfo(float).eps)
-# _hurwitz_zeta's stated bound: one pow per term, nine additions of positive
-# terms and the Euler-Maclaurin remainder (its docstring)
+# _hurwitz_zeta's stated bounds (its docstring): for s >= 2, one pow per
+# term, nine additions of positive terms and the Euler-Maclaurin remainder;
+# at s = 1, the same roundings scaled by the cancellation of the negative
+# tail against the direct terms, worst at r = q
 HURWITZ_ULPS = 6
+HURWITZ_ULPS_AT_ONE = 43
 LANDAU_RAMANUJAN = "0.764223653589220662990698731250092328116790541"
 
 
 def hurwitz_cases():
-    # s = 2..9 against moduli from 1 (zeta(s) itself) to near MAX_MODULUS,
-    # at both ends of r, the middle and a seeded sample
+    # s = 2..9, then s = 1, against moduli from 1 (zeta(s) itself) to near
+    # MAX_MODULUS, at both ends of r, the middle and a seeded sample; s = 1
+    # adds r = 2 and q - 2, next to the ends
     rng = np.random.default_rng(5)
-    for q in (1, 2, 3, 4, 7, 30, 1009, 16381, 999983):
-        r = np.unique([1, q, max(1, q - 1), max(1, q // 2), *rng.integers(1, q + 1, 8)])
+    cases = {q: np.unique([1, q, max(1, q - 1), max(1, q // 2), *rng.integers(1, q + 1, 8)])
+             for q in (1, 2, 3, 4, 7, 30, 1009, 16381, 999983)}
+    for q, r in cases.items():
         for s in range(2, 10):
             yield s, q, r
+    for q, r in cases.items():
+        yield 1, q, np.unique([*r, min(2, q), max(1, q - 2)])
+
+
+def hurwitz_ulps(s, q, r):
+    # _hurwitz_zeta's relative deviation in ulps from q^-s zeta(s, r/q) at 30
+    # digits, and at s = 1 from the constant term -psi(r/q)/q of its Laurent
+    # series at the pole
+    got = constants._hurwitz_zeta(s, r, q)
+    with mpmath.workdps(30):
+        x = [mpmath.mpf(int(k)) / q for k in r]
+        want = ([-mpmath.digamma(a) / q for a in x] if s == 1
+                else [mpmath.zeta(s, a) / mpmath.mpf(q) ** s for a in x])
+        return np.array([float(abs(g / w - 1)) for g, w in zip(got, want)]) / EPS
 
 
 @pytest.mark.parametrize("s, q, r", hurwitz_cases())
 def test_hurwitz_zeta_against_mpmath(s, q, r):
-    got = constants._hurwitz_zeta(s, r, q)
-    with mpmath.workdps(30):
-        want = [mpmath.zeta(s, mpmath.mpf(int(k)) / q) / mpmath.mpf(q) ** s for k in r]
-        rel = np.array([float(abs(g / w - 1)) for g, w in zip(got, want)])
-    assert np.all(rel <= HURWITZ_ULPS * EPS), rel.max() / EPS
+    ulps = hurwitz_ulps(s, q, r)
+    assert np.all(ulps <= (HURWITZ_ULPS_AT_ONE if s == 1 else HURWITZ_ULPS)), ulps.max()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, MAX_MODULUS).flatmap(lambda q: st.tuples(st.just(q), st.integers(1, q))))
+def test_hurwitz_zeta_at_one_property(qr):
+    q, r = qr
+    assert hurwitz_ulps(1, q, [r])[0] <= HURWITZ_ULPS_AT_ONE
 
 
 @pytest.mark.parametrize("q", [1, 3, 4, 30, 1009, 16381])
