@@ -1,13 +1,12 @@
 """Segmented prime sieve, residue-class subsequences, log Euler products,
 smallest-prime-factor tables (a test oracle), and an on-disk prime cache.
 
-The sieve is odd-only, starts each segment from a pattern with the
-multiples of 3, 5, 7, 11 and 13 struck, and processes fixed-size segments,
-so memory stays O(segment) + O(primes up to sqrt(limit)) during
-construction. segments() hands the primes on one segment's window at a
-time, from the sieve or the cache, so a fold over them never holds all the
-primes; every fold reads such a stream of windows, each a uint32 array.
-A PrimeTable is the same windows joined into one int64 array.
+The sieve is odd-only and processes fixed-size segments, so memory stays
+O(segment) + O(primes up to sqrt(limit)) during construction. segments()
+hands the primes on one segment's window at a time, from the sieve or the
+cache, so a fold over them never holds all the primes; every fold reads
+such a stream of windows, each a uint32 array. A PrimeTable is the same
+windows joined into one int64 array.
 """
 
 from __future__ import annotations
@@ -59,26 +58,15 @@ Windows = Iterable[np.ndarray]
 KEY_MAX = np.iinfo(np.uint32).max
 
 
-# the odd numbers 1, 3, 5, ... over one period of the wheel 3*5*7*11*13 = 15015:
-# True where coprime to it. A segment's mask starts as this pattern, rotated
-_WHEEL_PRIMES = (3, 5, 7, 11, 13)
-_WHEEL = np.gcd(np.arange(1, 2 * math.prod(_WHEEL_PRIMES), 2), math.prod(_WHEEL_PRIMES)) == 1
-
-
 def _odd_primes(low: int, high: int, base: np.ndarray | None = None) -> np.ndarray:
     """The odd primes in [low, high), for low >= 3, struck by `base`: the odd
-    primes up to sqrt(high - 1), found by this same kernel when not given.
-    The multiples of the wheel primes come pre-struck from _WHEEL."""
+    primes up to sqrt(high - 1), found by this same kernel when not given."""
     if base is None:
         root = math.isqrt(high - 1)
         base = _odd_primes(3, root + 1) if root >= 3 else np.empty(0, dtype=np.int64)
     first = low | 1
     size = max(0, (high - first + 1) // 2)  # first, first + 2, ...
-    mask = np.resize(np.roll(_WHEEL, -((first // 2) % _WHEEL.size)), size)
-    for p in _WHEEL_PRIMES:
-        if first <= p < high:
-            mask[(p - first) // 2] = True
-    base = base[base > _WHEEL_PRIMES[-1]]
+    mask = np.ones(size, dtype=bool)
     start = np.maximum(base * base, -(-first // base) * base)
     start += base * (start % 2 == 0)  # the first odd multiple
     for p, offset in zip(base.tolist(), ((start - first) // 2).tolist()):

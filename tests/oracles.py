@@ -2,7 +2,9 @@
 a faster one replaced it: the restricted counts, from before the
 restricted-product walk counted the leaves in a fold over the primes,
 which hold whole arrays and so serve at test sizes only, and the segment
-sieve's kernel, from before the wheel pre-sieve. listed joins a census
+sieve's kernel with each base prime's first odd multiple found one prime
+at a time, a scalar reference for the kernel's array arithmetic (trial
+division and build_spf check both independently). listed joins a census
 pair stream the same way, into the one tuple of pairs that trial division
 gives."""
 

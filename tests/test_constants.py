@@ -13,36 +13,58 @@ from congaps.characters import MAX_MODULUS, build_character_table, totient, unit
 from congaps.errors import DomainError
 
 
+EPS = float(np.finfo(float).eps)
+
+
 def nonprincipal(q):
     return build_character_table(q).characters[1:]
 
 
+def l_one_bound(q):
+    # l_one's derived error bound (its docstring): each -psi(r/q)/q within
+    # (24/q + 5.5 R) eps, and the transform within (7 + 3 log2 phi) eps of
+    # their sum, at most gamma + log q
+    phi = totient(q)
+    return EPS * (24 * phi / q + (7 + 3 * math.log2(phi)) * (constants.EULER_GAMMA + math.log(q)))
+
+
 def test_l_one_closed_forms():
-    assert abs(constants.l_one(3)[0] - math.pi / (3 * math.sqrt(3))) <= constants.L_TOL
-    assert abs(constants.l_one(4)[0] - math.pi / 4) <= constants.L_TOL
+    # each closed form is within 2 eps of itself: pi and three roundings
+    for q, want in ((3, math.pi / (3 * math.sqrt(3))), (4, math.pi / 4)):
+        assert abs(constants.l_one(q)[0] - want) <= l_one_bound(q) + 2 * EPS * want
 
 
 @pytest.mark.parametrize("q", [*range(3, 61), 720, 840, 1009, 1024])
 def test_l_one_against_digamma_identity(q):
     # L(1, chi) = -(1/q) sum_r chi(r) psi(r/q) for non-principal chi, with
-    # psi from mpmath at 25 digits and chi from the character table: no FFT
+    # psi from mpmath at 25 digits and chi from the character table, summed
+    # exactly by fsum: no FFT. chi's float phase 2 pi k/m is off by at most
+    # 1.5 eps 2 pi, so each chi(r) by 10.5 eps; psi and each product add 1,
+    # and the sum and the division 1 of |L|: within 13 eps (gamma + log q)
     with mpmath.workdps(25):
         psi = np.array([float(mpmath.digamma(mpmath.mpf(r) / q)) for r in range(1, q)])
-    want = np.array([-(chi.values()[1:] @ psi) / q for chi in nonprincipal(q)])
-    assert np.abs(constants.l_one(q) - want).max() <= constants.L_TOL
+    want = []
+    for chi in nonprincipal(q):
+        terms = chi.values()[1:] * psi
+        want.append(-complex(math.fsum(terms.real), math.fsum(terms.imag)) / q)
+    oracle = 13 * EPS * (constants.EULER_GAMMA + math.log(q))
+    assert np.abs(constants.l_one(q) - want).max() <= l_one_bound(q) + oracle
 
 
 @pytest.mark.parametrize("q", [10007, 99991])
 def test_l_one_against_scipy_digamma_route(q):
     # the route before Gauss's theorem: psi(r/q) from scipy.special.digamma
-    # laid on the same discrete-log grid
+    # laid on the same discrete-log grid. Each input is within 4 eps R (r/q's
+    # rounding moves psi by at most 2.85 times its half eps, scipy's own
+    # evaluation 2, the division by q a half), inside l_one's (24/q + 5.5 R)
+    # eps, and the transform is the same: the oracle is within l_one_bound too
     from scipy.special import digamma
     orders, dlog, units = unit_group(q)
     r = np.flatnonzero(units)
     grid = np.zeros(orders)
     grid[tuple(dlog[r].T)] = -digamma(r / q) / q
     want = len(r) * np.fft.ifftn(grid).ravel()[1:]
-    assert np.abs(constants.l_one(q) - want).max() <= constants.L_TOL
+    assert np.abs(constants.l_one(q) - want).max() <= 2 * l_one_bound(q)
 
 
 def class_number(q):
@@ -112,9 +134,9 @@ def test_theta_against_double_sum(table5):
         assert abs(got - theta_oracle(q, table5)) <= 1e-4
 
 
-EPS = float(np.finfo(float).eps)
 # _hurwitz_zeta's stated bounds (its docstring): for s >= 2, one pow per
-# term, nine additions of positive terms and the Euler-Maclaurin remainder;
+# direct term, nine additions of positive terms, the tail's roundings (b's
+# and the bracket's) and the Euler-Maclaurin remainder;
 # at s = 1, the same roundings scaled by the cancellation of the negative
 # tail against the direct terms, worst at r = q
 HURWITZ_ULPS = 6

@@ -334,8 +334,9 @@ def test_segments_any_segment_and_block_size(limit, segment, block):
         assert primes.joined(cached).tolist() == TRIAL_5000[: bisect.bisect_right(TRIAL_5000, limit)]
 
 
-# low near the wheel primes 3..13, near the square of a base prime (where
-# its striking starts), and in the last 10^5 below 2^32, past build_spf's reach
+# low in 3..20, where a window holds the smallest base primes, which stay unstruck,
+# near the square of a base prime (where its striking starts), and in the last
+# 10^5 below 2^32, past build_spf's reach
 WINDOW_LOWS = st.one_of(
     st.integers(3, 20),
     st.builds(lambda p, d: max(3, p * p + d), st.sampled_from(TRIAL_5000[1:] + [65521]),
