@@ -50,7 +50,7 @@ def totient(n: int) -> int:
     return phi
 
 
-def _smallest_primitive_root(pe: int, p: int) -> int:
+def _smallest_primitive_root(pe: int) -> int:
     """Smallest primitive root mod p^e for odd prime p."""
     phi = totient(pe)
     prime_divs = [f for f, _ in factorize(phi)]
@@ -69,7 +69,7 @@ def _local_generators(pe: int, p: int, e: int) -> list[tuple[int, int]]:
         if e == 2:
             return [(3, 2)]  # -1 mod 4
         return [(pe - 1, 2), (5, 2 ** (e - 2))]  # {-1, 5}
-    return [(_smallest_primitive_root(pe, p), totient(pe))]
+    return [(_smallest_primitive_root(pe), totient(pe))]
 
 
 def _crt_lift(residue: int, pe: int, q: int) -> int:

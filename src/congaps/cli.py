@@ -26,7 +26,11 @@ def _config_flags(path: str) -> list[str]:
     subcommand, so that argparse checks and types each value as it does a
     flag. A switch such as --members is turned on by `members = true`."""
     flags = []
-    with open(path) as fh:
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise OSError(f"cannot read config: {exc}") from exc
+    with fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -325,17 +329,9 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.config:
-        try:
-            flags = _config_flags(args.config)
-        except OSError as exc:
-            print(f"congaps: cannot read config: {exc}", file=sys.stderr)
-            return 3
-        except CongapsError as exc:
-            print(f"congaps: {exc}", file=sys.stderr)
-            return 2
-        args = parser.parse_args(_with_config(argv, flags))
     try:
+        if args.config:
+            args = parser.parse_args(_with_config(argv, _config_flags(args.config)))
         return args.func(args)
     except CongapsError as exc:
         print(f"congaps: {exc}", file=sys.stderr)

@@ -5,11 +5,12 @@ reflection identity, and the truncated Perron integral on finite Dirichlet
 polynomials (in closed form through E1).
 
 Both special functions are evaluated here, in numpy, from standard
-formulas. The regularized incomplete Gamma P(a, x): the power series
-(DLMF 8.7.1) below x = a + 1, and above it 1 - Q with the continued
-fraction for Q (DLMF 8.9.2) by modified Lentz. The exponential integral
-E1(z): the power series (DLMF 6.6.2) where its terms cannot cancel badly,
-and elsewhere the continued fraction (DLMF 6.9.1) evaluated bottom up.
+formulas, and share one continued fraction, that of Gamma(a, z) (DLMF
+8.9.2), evaluated bottom up. The regularized incomplete Gamma P(a, x): the
+power series (DLMF 8.7.1) below x = a + 1, and above it 1 - Q with Q from
+the fraction. The exponential integral E1(z) = Gamma(0, z): the power
+series (DLMF 6.6.2) where its terms cannot cancel badly, and elsewhere the
+fraction at a = 0 (DLMF 6.9.1).
 """
 
 from __future__ import annotations
@@ -92,20 +93,7 @@ def _gamma_p(a: float, x: float) -> float:
             term *= x / k
             total += term
         return prefactor * total
-    # Q = prefactor / (x+1-a- 1(1-a)/(x+3-a- 2(2-a)/(x+5-a- ...))), DLMF 8.9.2
-    b = x + 1.0 - a
-    c, d = math.inf, 1.0 / b
-    h = d
-    for i in range(1, _MAX_DEPTH + 1):
-        an = -i * (i - a)
-        b += 2.0
-        d = 1.0 / (an * d + b)
-        c = b + an / c
-        delta = c * d
-        h *= delta
-        if abs(delta - 1.0) <= _EPS:
-            break
-    return 1.0 - prefactor * h
+    return 1.0 - prefactor / _upper_fraction(a, np.array([x])).item()  # Q, DLMF 8.9.2
 
 
 def _e1(z: np.ndarray) -> np.ndarray:
@@ -115,10 +103,8 @@ def _e1(z: np.ndarray) -> np.ndarray:
     axis on which the continued fraction converges slowly, the power series
     E1 = -gamma - log z - sum_{k>=1} (-z)^k / (k k!) (DLMF 6.6.2): its
     terms outgrow E1 there by at most about e^(|z| + Re z) <= e^2, where
-    on the disc |z| <= 5 they outgrow it by up to e^10. Elsewhere the
-    continued fraction E1 = e^-z / (z+1- 1/(z+3- 4/(z+5- ...))) (DLMF
-    6.9.1, contracted), evaluated bottom up at depths 2, 4, 8, ... until two
-    depths agree, which rounds far less than a forward (Lentz) evaluation."""
+    on the disc |z| <= 5 they outgrow it by up to e^10. Elsewhere
+    E1 = Gamma(0, z) = e^-z / _upper_fraction(0, z)."""
     size = np.abs(z)
     series = (size + z.real <= 2.0) & (size < 40.0)
     out = np.empty_like(z)
@@ -127,10 +113,23 @@ def _e1(z: np.ndarray) -> np.ndarray:
     total = _until_converged(_e1_series_step, _MAX_DEPTH, w, one, one)
     out[series] = -np.euler_gamma - np.log(w) + w * total
     w = z[~series]
-    depth_one = w + 1.0 - 1.0 / (w + 3.0)
-    out[~series] = np.exp(-w) / _until_converged(
-        _e1_fraction_step, _MAX_DEPTH.bit_length() - 1, w, depth_one)
+    out[~series] = np.exp(-w) / _upper_fraction(0.0, w)
     return out
+
+
+def _upper_fraction(a: float, z: np.ndarray) -> np.ndarray:
+    """z+1-a- 1(1-a)/(z+3-a- 2(2-a)/(z+5-a- ...)), elementwise: the
+    continued fraction of Gamma(a, z) = z^a e^-z / (this) (DLMF 8.9.2; at
+    a = 0, E1's contracted DLMF 6.9.1). Evaluated bottom up at depths
+    2, 4, 8, ... until two depths agree to 8 ulps, which rounds far less
+    than a forward (Lentz) evaluation."""
+    def step(i, z, previous):  # the fraction cut at depth 2^i
+        f = z + (2 * 2**i + 1 - a)
+        for j in range(2**i - 1, -1, -1):
+            f = z + (2 * j + 1 - a) - (j + 1) * (j + 1 - a) / f
+        return (z, f), f, np.abs(f - previous) <= 8 * _EPS * np.abs(f)
+    depth_one = z + (1 - a) - (1 - a) / (z + (3 - a))
+    return _until_converged(step, _MAX_DEPTH.bit_length() - 1, z, depth_one)
 
 
 def _until_converged(step, steps: int, *state: np.ndarray) -> np.ndarray:
@@ -158,16 +157,6 @@ def _e1_series_step(k: int, z, term, total):
     term = term * z * (-k / (k + 1) ** 2)
     total = total + term
     return (z, term, total), total, np.abs(term) <= _EPS * np.abs(total)
-
-
-def _e1_fraction_step(i: int, z, previous):
-    """z+1- 1/(z+3- 4/(z+5- ...)) cut at depth 2^i, bottom up; done once it
-    agrees with depth 2^(i-1) to 8 ulps."""
-    depth = 2**i
-    f = z + (2 * depth + 1)
-    for j in range(depth - 1, -1, -1):
-        f = z + (2 * j + 1) - (j + 1) ** 2 / f
-    return (z, f), f, np.abs(f - previous) <= 8 * _EPS * np.abs(f)
 
 
 def hankel_closed_form(X: float, beta: float) -> float:

@@ -67,6 +67,20 @@ def test_l_one_against_scipy_digamma_route(q):
     assert np.abs(constants.l_one(q) - want).max() <= 2 * l_one_bound(q)
 
 
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 60, 1009, 1024])
+def test_l_values_principal_entry(q):
+    # entry 0 of the s = 1 transform, which l_one drops, is
+    # -(1/q) sum_{(r,q)=1} psi(r/q): a sum of positive inputs, so the s = 1
+    # lead term of _hurwitz_zeta does not cancel in it as it does in every
+    # non-principal sum. It is within l_one_bound too. unit_group, not the
+    # cached _unit_group, leaves the count in test_bundle_builds_unit_group_once
+    got = constants._l_values(unit_group(q), q, 1).ravel()[0]
+    with mpmath.workdps(40):
+        units = [r for r in range(1, q) if math.gcd(r, q) == 1]
+        want = -sum(mpmath.digamma(mpmath.mpf(r) / q) for r in units) / q
+        assert abs(mpmath.mpc(got) - want) <= l_one_bound(q)
+
+
 def class_number(q):
     """h(-q) for a prime q = 3 mod 4 (q > 3): the reduced forms (a, b, c) of
     discriminant b^2 - 4ac = -q, |b| <= a <= c, counted in integers

@@ -281,6 +281,19 @@ def test_gamma_p_against_mpmath_and_scipy(a):
         assert abs(got - gammainc(a, x)) <= 2 * KERNEL_TOL * got, x
 
 
+def test_gamma_p_fraction_within_one_eps():
+    # Q's continued fraction, evaluated bottom up, keeps P(a, x) for
+    # x >= a + 1 within 1 eps of itself on this sample (0.52 eps measured),
+    # where a forward (modified Lentz) evaluation of it reaches 3.12 eps
+    rng = np.random.default_rng(1)
+    a = rng.uniform(0.0, 1.0, 4000)
+    x = (a + 1.0) * rng.uniform(1.0, 50.0, 4000)
+    with mpmath.workdps(40):
+        for ai, xi in zip(a.tolist(), x.tolist()):
+            want = mp_gamma_p(ai, xi)
+            assert abs(contour._gamma_p(ai, xi) - want) <= np.finfo(float).eps * want, (ai, xi)
+
+
 def test_gamma_p_at_infinity():
     # eta log X overflows to inf at a finite eta: the whole slit, P = 1
     assert contour._gamma_p(0.5, math.inf) == 1.0
