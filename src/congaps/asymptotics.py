@@ -100,16 +100,31 @@ def restricted_nodes(X: int, small: np.ndarray, low: int):
     p >= n's largest factor with p <= isqrt(X // n). Returns arrays
     (n, lo, hi): the leaves of n, the members n * p that no allowed prime
     extends, are the allowed p with lo < p <= hi = X // n. Every member
-    <= X is a node or one leaf, once."""
-    rows, stack = [], [(1, 0, low)]  # (n, index of the least prime n may take, lo)
-    while stack:
-        n, start, low = stack.pop()
+    <= X is a node or one leaf, once.
+
+    The walk goes level by level, the nodes with k prime factors at
+    level k, each level in array passes: isqrt(X // n) as a float square
+    root corrected by one either way (the float root is off by at most
+    one far beyond MAX_SIEVE_LIMIT = 2^32), one searchsorted of those
+    roots into small, and the children laid out by np.repeat and a cumsum.
+    So the rows come in level order, not in any depth-first order; every
+    use sums or sorts them."""
+    small = np.asarray(small, dtype=np.int64)
+    n = np.ones(1, dtype=np.int64)
+    start = np.zeros(1, dtype=np.int64)  # index in small of the least prime n may take
+    low = np.full(1, low, dtype=np.int64)
+    levels = []
+    while n.size:
         cap = X // n
-        root = math.isqrt(cap)
-        rows.append((n, min(max(low, root), cap), cap))
-        children = small[start:np.searchsorted(small, root, side="right")].tolist()
-        stack += [(n * p, i, p - 1) for i, p in enumerate(children, start)]
-    return np.array(rows, dtype=np.int64).T
+        root = np.sqrt(cap).astype(np.int64)
+        root -= root * root > cap
+        root += (root + 1) * (root + 1) <= cap
+        levels.append((n, np.minimum(np.maximum(low, root), cap), cap))
+        count = np.maximum(np.searchsorted(small, root, side="right") - start, 0)
+        first = np.cumsum(count) - count  # each node's first child, in the next level
+        index = np.arange(count.sum()) + np.repeat(start - first, count)
+        n, start, low = np.repeat(n, count) * small[index], index, small[index] - 1
+    return np.concatenate(levels, axis=1)
 
 
 def leaf_counts(windows, q: int, lo: np.ndarray, hi: np.ndarray, cls) -> np.ndarray:

@@ -38,11 +38,10 @@ def _check_l_closed_forms() -> dict:
             "dev_q3": d3, "dev_q4": d4}
 
 
-def _check_c_anchors() -> dict:
+def _check_c_anchors(bundles) -> dict:
     ok = constants.c_of_q(1) == 1.0 and constants.c_of_q(2) == 0.5
     values = {}
-    for q in range(3, 31):
-        bundle = constants.constants_bundle(q)
+    for q, bundle in bundles.items():
         c, th = bundle.c_q, bundle.theta1
         values[str(q)] = c
         ok = ok and c > 0 and 0 < th <= 1
@@ -82,12 +81,12 @@ def _check_perron() -> dict:
     return {"name": "perron_truncation", "ok": bool(ok), "abs_errors": errs}
 
 
-def _check_mertens(windows, limit: int) -> dict:
+def _check_mertens(windows, limit: int, bundles) -> dict:
     out = {}
     ok = True
     xs = [10**4, limit]
     for q in (3, 4, 5):
-        bundle = constants.constants_bundle(q)
+        bundle = bundles[q]
         devs = []
         for X in xs:
             ratio = asymptotics.mertens_ap_product(q, X, windows) / \
@@ -101,11 +100,11 @@ def _check_mertens(windows, limit: int) -> dict:
     return {"name": "mertens_in_progression", "ok": bool(ok), "abs_dev": out}
 
 
-def _check_lemma33(windows, limit: int) -> dict:
+def _check_lemma33(windows, limit: int, bundles) -> dict:
     ok = True
     out = {}
     for q, Y in ((3, 1), (3, 10), (4, 1)):
-        bundle = constants.constants_bundle(q)
+        bundle = bundles[q]
         devs = []
         for X in (10**4, limit):
             ratio = asymptotics.count_restricted(X, q, Y, windows) / \
@@ -134,9 +133,9 @@ def _check_shiu(windows, limit: int) -> dict:
         con = shiu.build_construction(H, q, a, 1, windows)
         sets = shiu.compute_S_T(con, windows)
         h = np.arange(1, H + 1)
-        coprime = np.ones(H, dtype=bool)
-        for p in con.modulus_primes():
-            coprime &= h % p != 0
+        coprime = np.ones(H, dtype=bool)  # h - 1 for h in [1, H]
+        for p in con.modulus_primes().tolist():
+            coprime[p - 1::p] = False
         brute_s = int(np.count_nonzero(coprime & (h % q == a % q)))
         brute_t = int(np.count_nonzero(coprime)) - brute_s
         ok = ok and (brute_s, brute_t) == (sets.S_count, sets.T_count)
@@ -170,18 +169,19 @@ def run_suite(scale: str = "small") -> list[dict]:
     if scale not in SCALE_LIMITS:
         raise ValueError(f"scale must be one of {sorted(SCALE_LIMITS)}")
     limit = SCALE_LIMITS[scale]
+    bundles = {q: constants.constants_bundle(q) for q in range(3, 31)}
     results = [
         _check_orthogonality(),
         _check_l_closed_forms(),
-        _check_c_anchors(),
+        _check_c_anchors(bundles),
         _check_gamma_identities(),
         _check_hankel(),
         _check_perron(),
     ]
     # the windows of the primes up to limit, held for the four folds below
     windows = tuple(primes.segments(limit))
-    results.append(_check_mertens(windows, limit))
-    results.append(_check_lemma33(windows, limit))
+    results.append(_check_mertens(windows, limit, bundles))
+    results.append(_check_lemma33(windows, limit, bundles))
     results.append(_check_shiu(windows, limit))
     results.append(_check_census(windows))
     return results

@@ -1,12 +1,13 @@
 """Reference implementations, each the algorithm the program used before
 a faster one replaced it: the restricted counts, from before the
 restricted-product walk counted the leaves in a fold over the primes,
-which hold whole arrays and so serve at test sizes only, and the segment
-sieve's kernel with each base prime's first odd multiple found one prime
-at a time, a scalar reference for the kernel's array arithmetic (trial
-division and build_spf check both independently). listed joins a census
-pair stream the same way, into the one tuple of pairs that trial division
-gives."""
+which hold whole arrays and so serve at test sizes only; the walk's nodes
+found depth first, one node at a time, from before the walk went level by
+level in array passes; and the segment sieve's kernel with each base
+prime's first odd multiple found one prime at a time, a scalar reference
+for the kernel's array arithmetic (trial division and build_spf check
+both independently). listed joins a census pair stream the same way,
+into the one tuple of pairs that trial division gives."""
 
 import math
 
@@ -34,6 +35,21 @@ def enumerate_restricted(X, q, Y, table):
         for i, p in enumerate(allowed[start:mid].tolist(), start):
             stack.append((n * p, i))
     return sorted(members)
+
+
+def depth_first_nodes(X, small, low):
+    """asymptotics.restricted_nodes's rows (n, lo, hi) as a (3, k) array,
+    found by a depth-first walk that pops one node at a time, takes
+    math.isqrt(X // n) and bisects small for the node's children."""
+    rows, stack = [], [(1, 0, low)]  # (n, index of the least prime n may take, lo)
+    while stack:
+        n, start, low = stack.pop()
+        cap = X // n
+        root = math.isqrt(cap)
+        rows.append((n, min(max(low, root), cap), cap))
+        children = small[start:np.searchsorted(small, root, side="right")].tolist()
+        stack += [(n * p, i, p - 1) for i, p in enumerate(children, start)]
+    return np.array(rows, dtype=np.int64).T
 
 
 def strike_S_T(c):

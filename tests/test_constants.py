@@ -462,7 +462,8 @@ def test_c_anchors_compute_theta_once_per_q(monkeypatch):
         return 0.5
 
     monkeypatch.setattr(constants, "theta_at_one", counting_theta)
-    record = suite._check_c_anchors()
+    # the whole battery: the Mertens and Lemma 3.3 checks read the same bundles
+    record = next(r for r in suite.run_suite("small") if r["name"] == "c_of_q_anchors")
     assert sorted(calls) == list(range(3, 31))
     assert record["c_values"]["3"] == pytest.approx(
         0.5 * math.sqrt((2.0 / 3.0) * math.pi / (3 * math.sqrt(3))), abs=1e-8

@@ -42,6 +42,7 @@ CASES = {
     "contour_perron.json": ["contour", "--mode", "perron"],
     "contour_gamma.json": ["contour", "--mode", "gamma"],
     "suite_small.json": ["suite", "--scale", "small"],
+    "suite_full.json": ["suite", "--scale", "full"],
 }
 
 
