@@ -40,9 +40,6 @@ class ComparisonReport:
             "pass": self.passed,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), allow_nan=False)
-
     def to_csv(self) -> str:
         """to_dict as a CSV header and one row: floats as repr, params as sorted JSON."""
         row = {k: repr(v) if isinstance(v, float) else v for k, v in self.to_dict().items()}

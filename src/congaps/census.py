@@ -72,9 +72,8 @@ def congruent_pairs(X: int, q: int, a: int, epsilon: float, windows: Windows,
 
 def _pairs(X: int, q: int, a: int, epsilon: float, windows: Windows):
     last = np.empty(0, dtype=np.uint32)  # the last prime of the windows so far
-    # next_prime(X), the successor no window holds, comes last, as int64: joined to
-    # the last window it widens only that one. map defers finding it till then
-    successor = map(lambda x: np.array([next_prime(x)], dtype=np.int64), [X])
+    # next_prime(X), which no window holds, comes last as int64: it widens the last window only
+    successor = (np.array([next_prime(X)], dtype=np.int64),)
     for window in itertools.chain(windows_upto(windows, X), successor):
         primes = np.concatenate((last, window))
         in_class = primes % q == a % q

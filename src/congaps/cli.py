@@ -27,19 +27,21 @@ def _config_flags(path: str) -> list[str]:
     flag. A switch such as --members is turned on by `members = true`."""
     flags = []
     try:
-        fh = open(path)
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
     except OSError as exc:
         raise OSError(f"cannot read config: {exc}") from exc
-    with fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise CongapsError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            flag = "--" + key.replace("_", "-")
-            flags.append(flag if value.lower() == "true" else f"{flag}={value}")
+    except UnicodeDecodeError as exc:
+        raise CongapsError(f"{path}: config is not UTF-8: {exc}") from exc
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise CongapsError(f"{path}:{lineno}: expected key=value, got {raw!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        flag = "--" + key.replace("_", "-")
+        flags.append(flag if value.lower() == "true" else f"{flag}={value}")
     return flags
 
 
@@ -65,8 +67,7 @@ def _emit(payload, args) -> None:
         text = payload.to_csv()
     else:
         try:
-            text = (payload.to_json() if is_report
-                    else json.dumps(payload, allow_nan=False)) + "\n"
+            text = json.dumps(payload.to_dict() if is_report else payload, allow_nan=False) + "\n"
         except ValueError as exc:  # NaN or infinity, which JSON cannot carry
             raise NumericsError(f"report holds a non-finite number: {exc}") from exc
     with _output(args) as fh:

@@ -126,10 +126,8 @@ def l_one(q: int) -> np.ndarray:
 
 @functools.cache
 def _split_primes() -> np.ndarray:
-    """The primes below THETA_SPLIT, sieved once per process (read-only).
-    Copied out of the sieve's growable buffer: held for the process, that
-    buffer raised a later `count --x 1e8`'s peak RSS by 1 MB."""
-    primes = sieve_primes(THETA_SPLIT - 1).primes.copy()
+    """The primes below THETA_SPLIT, sieved once per process (read-only)."""
+    primes = sieve_primes(THETA_SPLIT - 1).primes
     primes.flags.writeable = False
     return primes
 

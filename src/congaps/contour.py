@@ -32,11 +32,6 @@ MAX_PERRON_TERMS = 10**7
 
 _EPS = float(np.finfo(float).eps)
 _MAX_DEPTH = 1024  # cap on series terms and continued-fraction depth
-# the |z| up to which _upper_fraction has yet to settle to 8 ulps between
-# depths 1 and 2, 2 and 4, ..., 64 and 128, for every a in [0, 1) on the
-# positive real axis, where it settles fastest (measured on grids of a, |z|
-# from 1 to 10^6 and arg z; the bounds lie 1-5% inside the measured ones)
-_UNSETTLED = (1000.0, 130.0, 28.0, 9.2, 3.8, 1.7, 0.84)
 _PERRON_BLOCK = 1 << 16  # terms per block of perron_check's fold
 
 
@@ -126,40 +121,32 @@ def _upper_fraction(a: float, z):
     """z+1-a- 1(1-a)/(z+3-a- 2(2-a)/(z+5-a- ...)), elementwise for an array
     z and in Python floats for a float z: the continued fraction of
     Gamma(a, z) = z^a e^-z / (this) (DLMF 8.9.2; at a = 0, E1's contracted
-    DLMF 6.9.1). Evaluated bottom up, which rounds far less than a forward
-    (Lentz) evaluation, at depths D, 2D, 4D, ... until two depths agree to
-    8 ulps. D = 2^k, where the least |z| lies below k of the bounds in
-    _UNSETTLED: no pair of depths below D agrees, so the first depths to
-    agree are those that a doubling from depth 1 would find."""
-    def at_depth(i, z):  # the fraction cut at depth 2^i
+    DLMF 6.9.1). Evaluated bottom up at depths 1, 2, 4, ... until two
+    depths agree to 8 ulps, which rounds far less than a forward (Lentz)
+    evaluation."""
+    def step(i, z, previous):  # the fraction cut at depth 2^i
         f = z + (2 * 2**i + 1 - a)
         for j in range(2**i - 1, -1, -1):
             f = z + (2 * j + 1 - a) - (j + 1) * (j + 1 - a) / f
-        return f
-
-    def step(i, z, previous):
-        f = at_depth(i, z)
         return (z, f), f, abs(f - previous) <= 8 * _EPS * abs(f)
-    size = float(np.min(abs(z), initial=math.inf))
-    first = sum(size <= bound for bound in _UNSETTLED)
-    return _until_converged(step, _MAX_DEPTH.bit_length() - 1, z, at_depth(first, z),
-                            first=first + 1)
+    depth_one = z + (1 - a) - (1 - a) / (z + (3 - a))
+    return _until_converged(step, _MAX_DEPTH.bit_length() - 1, z, depth_one)
 
 
-def _until_converged(step, steps: int, *state, first: int = 1):
-    """Each entry's value from the first of step(first, ...),
-    step(first + 1, ...), ..., step(steps, ...) that marks it done. A step
-    maps the state arrays of the entries not yet done to (new state, value,
-    done). State of Python floats is one entry, stepped without arrays."""
+def _until_converged(step, steps: int, *state):
+    """Each entry's value from the first of step(1, ...), step(2, ...), ...,
+    step(steps, ...) that marks it done. A step maps the state arrays of the
+    entries not yet done to (new state, value, done). State of Python floats
+    is one entry, stepped without arrays."""
     if np.ndim(state[0]) == 0:
-        for i in range(first, steps + 1):
+        for i in range(1, steps + 1):
             state, value, done = step(i, *state)
             if done:
                 break
         return value
     out = np.empty_like(state[0])
     todo = np.arange(out.size)
-    for i in range(first, steps + 1):
+    for i in range(1, steps + 1):
         if not todo.size:
             break
         state, value, done = step(i, *state)

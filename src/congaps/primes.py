@@ -170,11 +170,12 @@ def next_prime(n: int) -> int:
 def log_euler(p, d=1) -> float:
     """sum_p log(1 - p^-d) / d over the primes p, pairwise summed: the log
     of prod_p (1 - p^-d)^(1/d). d is 1 or an array of one exponent per p."""
-    if np.ndim(d) == 0 and d == 1:  # the Mertens product's case: one temporary, no copy of p
-        t = np.divide(-1.0, p)
-        return float(np.sum(np.log1p(t, out=t)))
-    p = np.asarray(p, dtype=float)
-    return float(np.sum(np.log1p(-(p ** -d)) / d))
+    # one path for every d: one temporary, in place; for d = 1, ** -1 is numpy's reciprocal
+    t = np.array(p, dtype=float)
+    t **= -d
+    np.log1p(np.negative(t, out=t), out=t)
+    t /= d
+    return float(np.sum(t))
 
 
 @dataclass

@@ -240,7 +240,6 @@ def test_report_serialization():
     assert d["ratio"] == 0.5
     assert d["pass"] is False
     assert d["params"] == {"q": 3}
-    assert "\"pass\": false" in rep.to_json()
 
 
 def test_reports_to_csv_roundtrip():

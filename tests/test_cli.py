@@ -45,6 +45,12 @@ def test_mertens_report(capsys):
     assert abs(payload["ratio"] - 1.0) < 0.05
 
 
+def test_failing_report_json(capsys):
+    rc, out, _ = run(capsys, "mertens", "--q", "3", "--x", "10000", "--tol", "0")
+    assert rc == 0
+    assert '"pass": false' in out
+
+
 def test_count_csv(capsys):
     rc, out, _ = run(capsys, "count", "--q", "3", "--x", "10000", "--format", "csv")
     assert rc == 0
@@ -331,6 +337,15 @@ def test_malformed_config(tmp_path, capsys):
     rc, _, err = run(capsys, "--config", str(cfg), "constants", "--q", "3")
     assert rc == 2
     assert "key=value" in err
+
+
+def test_config_not_utf8(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"\xff\xfe")
+    rc, out, err = run(capsys, "--config", str(cfg), "mertens", "--q", "3", "--x", "100")
+    assert rc == 2
+    assert out == ""
+    assert str(cfg) in err and "not UTF-8" in err
 
 
 @pytest.mark.parametrize("q", ["0", "-3"])

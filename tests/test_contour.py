@@ -296,9 +296,9 @@ def test_gamma_p_fraction_within_one_eps():
 
 
 def test_gamma_p_fraction_time_budget():
-    # one P(a, x) from the fraction, in Python floats from the first depth
-    # _UNSETTLED gives: 17-22 us measured at these points (best of 7, 2 vCPUs),
-    # against 184-304 us for numpy arrays of one entry doubled from depth 1
+    # one P(a, x) from the fraction, in Python floats doubled from depth 1:
+    # 14-27 us measured at these points (best of 7, 2 vCPUs), against
+    # 184-304 us for numpy arrays of one entry
     for a, x in ((0.75, 12.0), (0.5, 3.53)):
         best = min(timeit.repeat(lambda: contour._gamma_p(a, x), number=200, repeat=7))
         assert best / 200 < 100e-6, (a, x)
@@ -311,22 +311,13 @@ def test_gamma_p_at_infinity():
     assert contour.hankel_main(p) == contour.hankel_closed_form(1e308, 0.5)
 
 
-def test_fraction_first_depth_moves_no_bit(monkeypatch):
-    # started at the depth _UNSETTLED gives, the fraction compares the same
-    # depths as a doubling from depth 1, which an empty _UNSETTLED gives: off
-    # and on the real axis (arrays of one |z| each, and floats), at every a
-    # of a grid unlike the one the bounds were measured on
-    rays = np.exp(1j * np.linspace(-3.1, 3.1, 9))
-    grid = [(a, r) for a in np.linspace(0.0, 0.995, 5).tolist()
-            for r in np.geomspace(0.7, 2e3, 24).tolist()]
-
-    def values():
-        return ([contour._upper_fraction(a, r * rays) for a, r in grid],
-                [contour._upper_fraction(a, r) for a, r in grid])
-    first = values()
-    monkeypatch.setattr(contour, "_UNSETTLED", ())
-    doubled = values()
-    assert np.array_equal(first[0], doubled[0]) and first[1] == doubled[1]
+def test_fraction_float_and_array_agree():
+    # the fraction in Python floats gives the bits of the same fraction in
+    # numpy arrays, at every a and x of a grid from 0.5 to 10^6
+    xs = np.geomspace(0.5, 1e6, 300)
+    for a in np.linspace(0.0, 0.995, 40).tolist():
+        array = contour._upper_fraction(a, xs)
+        assert [contour._upper_fraction(a, x) for x in xs.tolist()] == array.tolist(), a
 
 
 def perron_points(kappa, T, sizes):

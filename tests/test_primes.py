@@ -242,10 +242,10 @@ def test_cache_rejects_garbled_body(tmp_path):
 
 def _cut_cache(tmp_path, cut_bytes):
     """A cache of the 9,592 primes below 10^5 with its last cut_bytes removed."""
-    path = primes.save_cache(primes.sieve_primes(100_000), str(tmp_path / "p.bin"))
-    raw = open(path, "rb").read()
-    open(path, "wb").write(raw[:-cut_bytes])
-    return path
+    path = tmp_path / "p.bin"
+    primes.save_cache(primes.sieve_primes(100_000), str(path))
+    path.write_bytes(path.read_bytes()[:-cut_bytes])
+    return str(path)
 
 
 def test_cache_rejects_truncation_at_word_boundary(tmp_path):
