@@ -13,10 +13,6 @@ class CapacityError(CongapsError, ValueError):
     """A requested limit exceeds the configured maximum."""
 
 
-class OutOfRangeError(CongapsError, ValueError):
-    """A query exceeds the range covered by a precomputed table."""
-
-
 class DegenerateComparisonError(CongapsError, ValueError):
     """A ratio comparison against a zero prediction was requested."""
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CacheError, CapacityError, DomainError, OutOfRangeError
+from .errors import CacheError, CapacityError, DomainError
 
 # every subcommand folds over windows. To 2^32, fresh CLI, no cache, 2 vCPUs (a noisy
 # host): census 22 s, 33 MB; mertens 27 s, 34 MB; count 24-28 s, 44 MB; shiu 23 s, 90 MB. A uint32
@@ -29,10 +29,9 @@ from .errors import CacheError, CapacityError, DomainError, OutOfRangeError
 MAX_SIEVE_LIMIT = 2**32
 MAX_SPF_LIMIT = 10**8  # build_spf's table: 8 bytes per integer, 0.8 GB here
 SEGMENT_SIZE = 1 << 20  # integers per segment; cache-friendly default
-CACHE_MAGIC = b"PRIMTBL3"
+CACHE_MAGIC = b"PRIMTBL4"
 _CACHE_HEADER = struct.Struct("<8sQQ")  # magic, limit, prime count
 CACHE_ENV = "CONGAPS_CACHE_DIR"
-_READ_BLOCK = 1 << 16  # primes per read from a cache file
 _TEMP_SERIAL = itertools.count()  # tells apart the temp files of one process
 
 
@@ -123,7 +122,7 @@ def segments(limit: int):
     primes of each sieve segment [3 + k*SEGMENT_SIZE, 3 + (k + 1)*SEGMENT_SIZE).
 
     The windows come from the cache file for `limit` in the directory
-    $CONGAPS_CACHE_DIR names, when it exists, read a block at a time;
+    $CONGAPS_CACHE_DIR names, when it exists, read a window at a time;
     otherwise from the sieve, written through to that file when the
     variable is set. Both sources yield the same arrays. The limit, and
     the header of any cache file, are checked here, before any window is
@@ -135,9 +134,8 @@ def segments(limit: int):
         return _sieved(limit)
     path = cache_path(limit, directory)
     if os.path.exists(path):
-        with open(path, "rb") as fh:  # a bad header fails here, before the caller writes
-            _read_header(fh, path, limit)
-        return _cached(path, limit)
+        _, count = _read_header(path, limit)  # a bad header fails here, before the caller writes
+        return _read_windows(path, limit, count)
     os.makedirs(directory, exist_ok=True)
     return _written(_sieved(limit), limit, path)
 
@@ -178,29 +176,8 @@ def log_euler(p, d=1) -> float:
     return float(np.sum(t))
 
 
-@dataclass
-class SpfTable:
-    """spf[n] = smallest prime factor of n (spf[1] = 1)."""
-
-    limit: int
-    spf: np.ndarray  # int64, length limit + 1
-
-    def factor(self, n: int) -> list[int]:
-        """Distinct prime factors of n, ascending."""
-        if not 1 <= n <= self.limit:
-            raise OutOfRangeError(f"n={n} outside [1, {self.limit}]")
-        out = []
-        spf = self.spf
-        while n > 1:
-            p = int(spf[n])
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        return out
-
-
-def build_spf(limit: int) -> SpfTable:
-    """Smallest-prime-factor table for every n <= limit."""
+def build_spf(limit: int) -> np.ndarray:
+    """spf[n] = smallest prime factor of n <= limit (spf[1] = 1), int64."""
     if limit < 1:
         raise DomainError(f"limit must be >= 1, got {limit}")
     if limit > MAX_SPF_LIMIT:
@@ -212,15 +189,16 @@ def build_spf(limit: int) -> SpfTable:
             view[view == 0] = p
     untouched = np.flatnonzero(spf == 0)
     spf[untouched] = untouched  # primes above sqrt(limit), plus 0 and 1
-    return SpfTable(limit, spf)
+    return spf
 
 
 # --- binary prime cache -------------------------------------------------
 #
-# File layout: 8-byte magic "PRIMTBL3", little-endian u64 limit, u64 count
-# of primes, then the primes as little-endian u32, ascending. The count
-# lets a load tell a truncated file from a complete one. A file of another
-# magic (PRIMTBL2 held u64 primes) fails the header check.
+# File layout: 8-byte magic "PRIMTBL4", little-endian u64 limit, u64 count
+# of primes, then one record per window of segments(limit): a u32 size and
+# that many u32 primes, ascending, all little-endian. The count lets a load
+# tell a truncated file from a complete one. A file of another magic
+# (PRIMTBL3 held one list of primes, PRIMTBL2 u64 primes) fails the header check.
 
 
 def cache_path(limit: int, directory: str) -> str:
@@ -238,6 +216,7 @@ def _written(windows, limit: int, path: str):
             fh.write(_CACHE_HEADER.pack(CACHE_MAGIC, limit, 0))
             count = 0
             for window in windows:
+                fh.write(window.size.to_bytes(4, "little"))
                 fh.write(window.astype("<u4", copy=False))
                 count += window.size
                 yield window
@@ -252,15 +231,19 @@ def _written(windows, limit: int, path: str):
 def save_cache(table: PrimeTable, path: str) -> str:
     """Write the table to path atomically: a reader sees the old file or
     the complete new one, never a partial write."""
-    for _ in _written((table.primes,), table.limit, path):
+    p = table.primes
+    windows = (p[slice(*np.searchsorted(p, bounds))] for bounds in _bounds(table.limit))
+    for _ in _written(windows, table.limit, path):
         pass
     return path
 
 
-def _read_header(fh, path: str, expected_limit: int | None) -> tuple[int, int]:
-    """(limit, prime count) from the header of an open cache file, whose
-    body must hold exactly that many primes."""
-    header = fh.read(_CACHE_HEADER.size)
+def _read_header(path: str, expected_limit: int | None) -> tuple[int, int]:
+    """(limit, prime count) from the header of a cache file, whose body
+    must hold exactly that many primes and a size word per window."""
+    with open(path, "rb") as fh:
+        header = fh.read(_CACHE_HEADER.size)
+        body = os.fstat(fh.fileno()).st_size - _CACHE_HEADER.size
     if len(header) < _CACHE_HEADER.size or header[:8] != CACHE_MAGIC:
         raise CacheError(f"bad header in {path!r}: {header[:8]!r}")
     _, limit, count = _CACHE_HEADER.unpack(header)
@@ -268,46 +251,38 @@ def _read_header(fh, path: str, expected_limit: int | None) -> tuple[int, int]:
         raise CacheError(
             f"cache {path!r} holds limit {limit}, requested {expected_limit}"
         )
-    body = os.fstat(fh.fileno()).st_size - _CACHE_HEADER.size
-    if body != 4 * count:
+    windows = (limit >= 2) + len(range(3, limit + 1, SEGMENT_SIZE))  # of _bounds(limit)
+    if body != 4 * (count + windows):
         raise CacheError(
-            f"cache {path!r} is truncated: header promises {count} primes, "
-            f"body holds {body} bytes"
+            f"cache {path!r} is truncated: header promises {count} primes "
+            f"in {windows} windows, body holds {body} bytes"
         )
     return limit, count
 
 
-def _read_windows(fh, path: str, limit: int, count: int):
-    """The count primes after the header, read _READ_BLOCK at a time,
-    checked as they are read, and split into the windows of segments(limit)."""
-    held, last = np.empty(0, dtype=np.uint32), 1
-    for _, high in _bounds(limit):
-        while count and (not held.size or held[-1] < high):
-            block = np.fromfile(fh, dtype="<u4", count=min(count, _READ_BLOCK))
-            count -= block.size
-            if block[0] <= last or block[-1] > limit or np.any(block[1:] <= block[:-1]):
+def _read_windows(path: str, limit: int, count: int):
+    """The windows of segments(limit), one record each from the cache file
+    at path, each checked as it is read: strictly ascending, inside its
+    segment [low, high), and the count primes of the header in all."""
+    with open(path, "rb") as fh:
+        fh.seek(_CACHE_HEADER.size)
+        for low, high in _bounds(limit):
+            size = int.from_bytes(fh.read(4), "little")
+            # a window holds at most high - low primes: a larger size is never allocated
+            window = np.fromfile(fh, dtype="<u4", count=min(size, high - low))
+            count -= size
+            inside = not window.size or low <= window[0] <= window[-1] < high
+            if window.size != size or not inside or np.any(window[1:] <= window[:-1]):
                 raise CacheError(f"cache {path!r} body is not ascending primes in [2, limit]")
-            last = block[-1]
-            held = np.concatenate((held, block))
-        cut = np.searchsorted(held, np.uint32(min(high, KEY_MAX)))
-        yield held[:cut]
-        held = held[cut:]
+            yield window
     if count:
         raise CacheError(f"cache {path!r} body is not ascending primes in [2, limit]")
 
 
-def _cached(path: str, limit: int):
-    """The windows of segments(limit), read from the cache file at path."""
-    with open(path, "rb") as fh:
-        _, count = _read_header(fh, path, limit)
-        yield from _read_windows(fh, path, limit, count)
-
-
 def load_cache(path: str, expected_limit: int | None = None) -> PrimeTable:
     """Load a prime cache file; header limit must match any expected limit."""
-    with open(path, "rb") as fh:
-        limit, count = _read_header(fh, path, expected_limit)
-        primes = joined(_read_windows(fh, path, limit, count))
+    limit, count = _read_header(path, expected_limit)
+    primes = joined(_read_windows(path, limit, count))
     primes.flags.writeable = False
     return PrimeTable(int(limit), primes)
 

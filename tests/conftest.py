@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from congaps import primes
+from oracles import SpfTable
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -26,7 +27,7 @@ def windows5(table5):
 
 @pytest.fixture(scope="session")
 def spf5():
-    return primes.build_spf(100_000)
+    return SpfTable(100_000, primes.build_spf(100_000))
 
 
 @pytest.fixture(scope="session")

@@ -7,9 +7,11 @@ level in array passes; and the segment sieve's kernel with each base
 prime's first odd multiple found one prime at a time, a scalar reference
 for the kernel's array arithmetic (trial division and build_spf check
 both independently). listed joins a census pair stream the same way,
-into the one tuple of pairs that trial division gives."""
+into the one tuple of pairs that trial division gives. SpfTable factors
+over primes.build_spf's table, apart from characters.factorize."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,3 +88,24 @@ def strike_odd_primes(low, high):
             start += p
         mask[(start - first) // 2 :: p] = False
     return first + 2 * np.flatnonzero(mask).astype(np.int64)
+
+
+@dataclass
+class SpfTable:
+    """spf[n] = smallest prime factor of n (spf[1] = 1): primes.build_spf(limit)."""
+
+    limit: int
+    spf: np.ndarray  # int64, length limit + 1
+
+    def factor(self, n: int) -> list[int]:
+        """Distinct prime factors of n, ascending."""
+        if not 1 <= n <= self.limit:
+            raise ValueError(f"n={n} outside [1, {self.limit}]")
+        out = []
+        spf = self.spf
+        while n > 1:
+            p = int(spf[n])
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        return out

@@ -4,6 +4,7 @@ import json
 import math
 import time
 
+import numpy as np
 import pytest
 
 from congaps import asymptotics, census, cli, primes, shiu
@@ -480,7 +481,8 @@ def rerun_on_damaged_cache(tmp_path, capsys, monkeypatch, command, damage):
     return run(capsys, *argv)
 
 
-# 1,200 of the file's 1,229 four-byte words cut, and three bytes of one more
+# 1,200 of the file's 1,231 four-byte words (1,229 primes and two size words)
+# cut, and three bytes of one more
 @pytest.mark.parametrize("cut", [4 * 1200, 4 * 1200 + 3])
 def test_truncated_cache_exit_code(tmp_path, capsys, monkeypatch, cut):
     rc, out, err = rerun_on_damaged_cache(tmp_path, capsys, monkeypatch, "mertens",
@@ -506,26 +508,31 @@ def test_truncated_cache_list_pairs_writes_nothing(tmp_path, capsys, monkeypatch
     argv = ["census", "--q", "3", "--a", "2", "--x", "100000", "--list-pairs"]
     assert run(capsys, *argv)[0] == 0
     path = tmp_path / "primes_100000.bin"
-    path.write_bytes(path.read_bytes()[:1000])
-    rc, out, err = run(capsys, *argv)
-    assert (rc, out) == (2, "")
-    assert "truncated" in err
-    target = tmp_path / "pairs.csv"
-    rc, out, _ = run(capsys, *argv, "--out", str(target))
-    assert (rc, out) == (2, "")
-    assert not target.exists()
+    whole = path.read_bytes()
+    for cut in (whole[:1000], whole[:-4]):  # most of the file, or only its last prime
+        path.write_bytes(cut)
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (2, "")
+        assert "truncated" in err
+        target = tmp_path / "pairs.csv"
+        rc, out, _ = run(capsys, *argv, "--out", str(target))
+        assert (rc, out) == (2, "")
+        assert not target.exists()
 
 
 def out_of_order_late(raw):
-    """The body with its 600th word from the end made 7: out of order."""
-    return raw[: -4 * 600] + (7).to_bytes(4, "little") + raw[-4 * 599 :]
+    """The body with the second prime of its fifth window made 7: out of order."""
+    offset = primes._CACHE_HEADER.size
+    for _ in range(4):  # past the first four records: a size word, then its primes
+        offset += 4 + 4 * int.from_bytes(raw[offset : offset + 4], "little")
+    offset += 8  # past the fifth record's size word and first prime
+    return raw[:offset] + (7).to_bytes(4, "little") + raw[offset + 4 :]
 
 
 @pytest.mark.parametrize("command", sorted(CACHED_COMMANDS))
 def test_garbled_cache_exit_code(tmp_path, capsys, monkeypatch, command):
-    # small windows and blocks: the bad word is read after four windows are folded
+    # small windows: the bad word is read after four windows are folded
     monkeypatch.setattr(primes, "SEGMENT_SIZE", 1000)
-    monkeypatch.setattr(primes, "_READ_BLOCK", 100)
     rc, out, err = rerun_on_damaged_cache(tmp_path, capsys, monkeypatch, command,
                                           out_of_order_late)
     assert rc == 2
@@ -535,15 +542,56 @@ def test_garbled_cache_exit_code(tmp_path, capsys, monkeypatch, command):
 
 @pytest.mark.parametrize("command", sorted(CACHED_COMMANDS))
 def test_cache_of_the_old_format_exit_code(tmp_path, capsys, monkeypatch, command):
-    # a PRIMTBL2 file holds the same primes in 8-byte words: it fails the header check
+    # a PRIMTBL2 file holds the same primes as one list of 8-byte words, a
+    # PRIMTBL3 file as one list of 4-byte words: each fails the header check
     monkeypatch.setenv(primes.CACHE_ENV, str(tmp_path))
     table = primes.sieve_primes(10_000).primes
     path = tmp_path / "primes_10000.bin"
-    path.write_bytes(primes._CACHE_HEADER.pack(b"PRIMTBL2", 10_000, table.size)
-                     + table.astype("<u8").tobytes())
-    rc, out, err = run(capsys, *CACHED_COMMANDS[command])
+    for magic, word in ((b"PRIMTBL2", "<u8"), (b"PRIMTBL3", "<u4")):
+        path.write_bytes(primes._CACHE_HEADER.pack(magic, 10_000, table.size)
+                         + table.astype(word).tobytes())
+        rc, out, err = run(capsys, *CACHED_COMMANDS[command])
+        assert (rc, out) == (2, "")
+        assert "bad header" in err and str(path) in err
+
+
+def rewritten(edit):
+    """A damage that replaces the words after the header with edit(words),
+    and the header's count with what they hold less the two size words, so
+    that the file passes the header check."""
+    def damage(raw):
+        size = primes._CACHE_HEADER.size
+        magic, limit, _ = primes._CACHE_HEADER.unpack(raw[:size])
+        words = edit(np.frombuffer(raw[size:], dtype="<u4").tolist())
+        return (primes._CACHE_HEADER.pack(magic, limit, len(words) - 2)
+                + np.array(words, dtype="<u4").tobytes())
+    return damage
+
+
+# the file's words are [1, 2] and [1228, 3, 5, ..., 9973]: the records of [2]
+# and of the 1,228 odd primes below 10^4
+@pytest.mark.parametrize("edit", [
+    lambda w: w[:2] + [w[2] + 1] + w[3:],  # a size word larger than the rest of the file
+    lambda w: [2, 2, 3, w[2] - 1] + w[4:],  # the primes split at the wrong edge: [2, 3]
+    lambda w: w[:2] + [w[2] - 1] + w[3:],  # sizes that sum to one less than the count
+    lambda w: w + [10007],  # a word after the last record
+], ids=["size-past-end", "wrong-edge", "sizes-short", "trailing-word"])
+def test_garbled_records_exit_code(tmp_path, capsys, monkeypatch, edit):
+    rc, out, err = rerun_on_damaged_cache(tmp_path, capsys, monkeypatch, "mertens",
+                                          rewritten(edit))
     assert (rc, out) == (2, "")
-    assert "bad header" in err and str(path) in err
+    assert "not ascending primes in [2, limit]" in err
+
+
+def test_prime_under_a_limit_below_2_exit_code(tmp_path, capsys, monkeypatch):
+    # X = 1 has no windows, so the one prime of this file is one too many
+    monkeypatch.setenv(primes.CACHE_ENV, str(tmp_path))
+    path = tmp_path / "primes_1.bin"
+    path.write_bytes(primes._CACHE_HEADER.pack(primes.CACHE_MAGIC, 1, 1)
+                     + (2).to_bytes(4, "little"))
+    rc, out, err = run(capsys, "census", "--q", "3", "--a", "2", "--x", "1")
+    assert (rc, out) == (2, "")
+    assert "not ascending primes in [2, limit]" in err
 
 
 def test_fold_failing_midway_leaves_no_cache_file(tmp_path, capsys, monkeypatch):

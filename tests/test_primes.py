@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from congaps import primes
-from congaps.errors import CacheError, CapacityError, DomainError, OutOfRangeError
+from congaps.errors import CacheError, CapacityError, DomainError
 from oracles import strike_odd_primes
 
 
@@ -151,8 +151,8 @@ def test_log_euler_against_fsum(table5):
 
 
 def test_log_euler_makes_one_temporary():
-    # the Mertens case divides into one float array and takes log1p in place:
-    # a float copy of p and a second temporary would each add p.nbytes
+    # one float copy of p, raised to -d, negated and taken log1p of in place:
+    # a second temporary would add another p.nbytes
     p = primes.sieve_primes(2 * 10**7).primes  # 1,270,607 primes, 10.2 MB
     tracemalloc.start()
     try:
@@ -176,9 +176,9 @@ def test_spf_factor(spf5):
     assert spf5.factor(1) == []
     assert spf5.factor(360) == [2, 3, 5]
     assert spf5.factor(97) == [97]
-    with pytest.raises(OutOfRangeError):
+    with pytest.raises(ValueError):
         spf5.factor(0)
-    with pytest.raises(OutOfRangeError):
+    with pytest.raises(ValueError):
         spf5.factor(spf5.limit + 1)
 
 
@@ -202,14 +202,20 @@ def test_build_spf_errors(monkeypatch):
             primes.build_spf(limit)
 
 
-def test_cache_roundtrip(tmp_path):
-    table = primes.sieve_primes(5000)
-    path = primes.save_cache(table, str(tmp_path / "p.bin"))
-    loaded = primes.load_cache(path, expected_limit=5000)
-    assert loaded.limit == table.limit
-    assert np.array_equal(loaded.primes, table.primes)
-    assert loaded.primes.dtype == np.int64
-    assert not loaded.primes.flags.writeable  # a table read from a cache is read-only
+def test_cache_roundtrip(tmp_path, monkeypatch):
+    # a saved table is the file a stream writes: one record per window, none below 2
+    for limit in (0, 1, 2, 3, 10**5):
+        table = primes.sieve_primes(limit)
+        path = primes.save_cache(table, str(tmp_path / "p.bin"))
+        loaded = primes.load_cache(path, expected_limit=limit)
+        assert loaded.limit == table.limit
+        assert np.array_equal(loaded.primes, table.primes)
+        assert loaded.primes.dtype == np.int64
+        assert not loaded.primes.flags.writeable  # a table read from a cache is read-only
+        monkeypatch.setenv(primes.CACHE_ENV, str(tmp_path))
+        list(primes.segments(limit))
+        written = tmp_path / f"primes_{limit}.bin"
+        assert written.read_bytes() == (tmp_path / "p.bin").read_bytes()
 
 
 def test_cache_bad_magic(tmp_path):
@@ -226,18 +232,60 @@ def test_cache_limit_mismatch(tmp_path):
         primes.load_cache(path, expected_limit=6000)
 
 
+ODD_TO_100 = trial_primes(100)[1:]  # the second window of limit 100, 24 primes
+
+
+# (limit, header count, words after the header); each body is as long as its
+# header says, 4 bytes a prime and a size word a window, so that only the
+# records' own checks can fail
+GARBLED_BODIES = [
+    # windows [2] and [3, 5, 0]: not ascending
+    (100, 4, [1, 2, 3, 3, 5, 0]),
+    # a first window below 2: [0] and [1]
+    (100, 2, [1, 0, 1, 3]),
+    (100, 2, [1, 1, 1, 3]),
+    # 2^32 - 5, which as int32 reads as -5 and as uint32 lies above the limit
+    (100, 3, [1, 2**32 - 5, 2, 3, 5]),
+    (100, 2, [1, 2, 1, 2**32 - 5]),
+    # 101, above the limit
+    (100, 4, [1, 2, 3, 3, 5, 101]),
+    # a size word larger than the rest of the file, by one and by 2^32 - 25
+    (100, 25, [1, 2, 25, *ODD_TO_100]),
+    (100, 25, [1, 2, 2**32 - 1, *ODD_TO_100]),
+    # the same ascending primes split at the wrong segment edge: [2, 3] and [5, ..., 97]
+    (100, 25, [2, 2, 3, 23, *ODD_TO_100[1:]]),
+    # sizes that sum to 24, not the header's 25: 97 is left over
+    (100, 25, [1, 2, 23, *ODD_TO_100]),
+    # a word after the last record
+    (100, 26, [1, 2, 24, *ODD_TO_100, 101]),
+    # a prime under a limit below 2, which has no windows
+    (1, 1, [2]),
+    (0, 1, [2]),
+]
+
+
+def write_records(path, limit, count, words):
+    header = primes._CACHE_HEADER.pack(primes.CACHE_MAGIC, limit, count)
+    path.write_bytes(header + np.array(words, dtype="<u4").tobytes())
+
+
 def test_cache_rejects_garbled_body(tmp_path):
     path = tmp_path / "p.bin"
-    # not ascending; below 2; a first word of 2^32 - 5, which as int32 reads
-    # as -5 and as uint32 above the limit; above the limit; a prime under a
-    # limit below 2, which has no windows
-    for limit, body in ((100, [2, 3, 5, 0]), (100, [0, 2, 3]), (100, [1, 3]),
-                        (100, [2**32 - 5]), (100, [2**32 - 5, 3]), (100, [2**32 - 5, 3, 5]),
-                        (100, [2, 3, 101]), (1, [2])):
-        header = primes._CACHE_HEADER.pack(primes.CACHE_MAGIC, limit, len(body))
-        path.write_bytes(header + np.array(body, dtype="<u4").tobytes())
-        with pytest.raises(CacheError, match="not ascending primes"):
+    for limit, count, words in GARBLED_BODIES:
+        write_records(path, limit, count, words)
+        with pytest.raises(CacheError, match=r"not ascending primes in \[2, limit\]"):
             primes.load_cache(str(path))
+
+
+def test_cache_passes_on_no_window_short_of_its_size(tmp_path, monkeypatch):
+    # the record that runs past the end of the file fails as it is read, not
+    # once the stream has passed on what it holds
+    monkeypatch.setenv(primes.CACHE_ENV, str(tmp_path))
+    write_records(tmp_path / "primes_100.bin", 100, 25, [1, 2, 25, *ODD_TO_100])
+    stream = primes.segments(100)
+    assert next(stream).tolist() == [2]
+    with pytest.raises(CacheError, match="not ascending primes"):
+        next(stream)
 
 
 def _cut_cache(tmp_path, cut_bytes):
@@ -249,15 +297,17 @@ def _cut_cache(tmp_path, cut_bytes):
 
 
 def test_cache_rejects_truncation_at_word_boundary(tmp_path):
-    path = _cut_cache(tmp_path, 4 * 4796)  # half the primes, 4 bytes each
-    with pytest.raises(CacheError, match="truncated"):
-        primes.load_cache(path, expected_limit=100_000)
+    for cut in (4, 4 * 4796):  # the last prime; half the primes, 4 bytes each
+        path = _cut_cache(tmp_path, cut)
+        with pytest.raises(CacheError, match="truncated"):
+            primes.load_cache(path, expected_limit=100_000)
 
 
 def test_cache_rejects_truncation_mid_word(tmp_path):
-    path = _cut_cache(tmp_path, 4 * 4796 + 3)
-    with pytest.raises(CacheError, match="truncated"):
-        primes.load_cache(path, expected_limit=100_000)
+    for cut in (3, 4 * 4796 + 3):
+        path = _cut_cache(tmp_path, cut)
+        with pytest.raises(CacheError, match="truncated"):
+            primes.load_cache(path, expected_limit=100_000)
 
 
 def test_cache_rejects_short_header(tmp_path):
@@ -310,7 +360,7 @@ S = primes.SEGMENT_SIZE
 @pytest.fixture(scope="module")
 def spf_primes():
     """The primes up to 3 + 2 * SEGMENT_SIZE + 1 from the smallest-prime-factor table."""
-    spf = primes.build_spf(3 + 2 * S + 1).spf
+    spf = primes.build_spf(3 + 2 * S + 1)
     n = np.arange(spf.size)
     return n[(spf == n) & (n >= 2)]
 
@@ -324,11 +374,10 @@ def test_segments_from_sieve_and_cache_agree(tmp_path, monkeypatch, spf_primes, 
 
 
 @settings(max_examples=100, deadline=None)
-@given(limit=st.integers(0, 5000), segment=st.integers(2, 300), block=st.integers(1, 40))
-def test_segments_any_segment_and_block_size(limit, segment, block):
+@given(limit=st.integers(0, 5000), segment=st.integers(2, 300))
+def test_segments_any_segment_size(limit, segment):
     with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as directory:
         mp.setattr(primes, "SEGMENT_SIZE", segment)
-        mp.setattr(primes, "_READ_BLOCK", block)
         sieved, cached = sieved_and_cached(limit, directory, mp)
         assert_windows(sieved, cached, limit)
         assert primes.joined(cached).tolist() == TRIAL_5000[: bisect.bisect_right(TRIAL_5000, limit)]
