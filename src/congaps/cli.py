@@ -107,6 +107,8 @@ def cmd_mertens(args) -> int:
 def cmd_count(args) -> int:
     if not math.isfinite(args.y):
         raise DomainError(f"Y must be finite, got {args.y}")
+    if args.y > primes.MAX_SIEVE_LIMIT:  # else the sieve's check names ceil(Y), all its digits
+        raise CapacityError(f"Y {args.y} exceeds configured maximum {primes.MAX_SIEVE_LIMIT}")
     # two passes over the primes up to max(X, Y): the walk's fold counts its
     # leaves; the prediction's Euler product stops at the first window past Y
     limit = max(args.x, math.ceil(args.y))

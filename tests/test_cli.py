@@ -265,6 +265,18 @@ def test_count_rejects_non_finite_y(capsys, monkeypatch, y):
     assert "Y must be finite" in err
 
 
+def test_count_rejects_y_past_sieve_limit(capsys, monkeypatch):
+    def no_primes(*args):
+        raise AssertionError("a prime stream was sized for a Y past the sieve's limit")
+
+    monkeypatch.setattr(primes, "segments", no_primes)
+    rc, out, err = run(capsys, "count", "--q", "3", "--x", "10", "--y", "1e300")
+    assert rc == 2
+    assert out == ""
+    assert "Y 1e+300" in err and str(primes.MAX_SIEVE_LIMIT) in err
+    assert len(err) < 200, err
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--t-height", "nan"), ("--t-height", "inf"), ("--x", "inf"), ("--kappa", "nan"),
 ])

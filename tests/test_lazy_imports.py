@@ -1,6 +1,8 @@
 """The program loads no scipy: importing the CLI and running each
 subcommand, the Perron and Hankel checks and the suite among them, loads
-no module of scipy, and every subcommand runs with scipy blocked. Checked
+no module of scipy, and every subcommand runs with scipy blocked. And
+importing the CLI loads every congaps module that the benchmark's tracer
+wraps, as its install looks each one up right after that import. Checked
 by the modules loaded in a fresh interpreter, not by timings."""
 
 import json
@@ -35,6 +37,21 @@ from congaps import cli
 with contextlib.redirect_stdout(io.StringIO()):
     rcs = [cli.main(argv) for argv in json.loads(sys.argv[1])]
 print(json.dumps(rcs))
+"""
+
+
+# the congaps modules loaded by importing the CLI, taken before the tracer
+# (perfbench/tracing.py, its path the one argument) is loaded, and the
+# modules of its TRACED entries
+TRACED_MODULES = """
+import importlib.util, json, sys
+import congaps.cli
+loaded = sorted(m for m in sys.modules if m.startswith("congaps."))
+spec = importlib.util.spec_from_file_location("tracing", json.loads(sys.argv[1]))
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+print(json.dumps({"loaded": loaded,
+                  "traced": sorted({f"congaps.{m}" for m, *_ in tracing.TRACED})}))
 """
 
 
@@ -79,3 +96,10 @@ def test_runs_without_scipy():
         ["suite", "--scale", "small"],
     ]
     assert run_fresh(NO_SCIPY, argvs) == [0] * len(argvs)
+
+
+def test_cli_import_loads_every_traced_module():
+    tracing = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    seen = run_fresh(TRACED_MODULES, str(tracing))
+    assert seen["traced"]
+    assert set(seen["traced"]) <= set(seen["loaded"]), seen

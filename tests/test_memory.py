@@ -3,14 +3,13 @@ shiu fold over the windows of primes.segments, so at X = 10^8 (5.76 M
 primes, 46 MB as one array) each holds a few windows at a time, plus
 count's walk over the primes up to sqrt(X) and shiu's 135 k modulus primes
 (1 MB): its peak RSS stays within MAX_GROWTH_MB of the same command's at
-X = 10^4. suite holds the windows of the primes to 10^7 (5.3 MB) for its
-folds, so its full scale stays within MAX_GROWTH_MB of its small one. The
-Perron check folds over fixed blocks
-of its terms, and the CLI's coefficients are one broadcast value, so at
-N = 10^6 it holds one block's work arrays: its peak RSS stays within
-PERRON_GROWTH_MB of that at N = 20. Each
-command runs in a fresh interpreter with no prime cache, spawned from a
-bare one that reads its peak RSS from os.wait4."""
+X = 10^4. suite holds the windows of the primes to 10^7 (2.7 MB as uint32)
+for its folds, so its full scale stays within MAX_GROWTH_MB of its small
+one. The Perron check folds over fixed blocks of its terms, and the CLI's
+coefficients are one broadcast value, so at N = 10^6 it holds one block's
+work arrays: its peak RSS stays within PERRON_GROWTH_MB of that at N = 20.
+Each command runs in a fresh interpreter with no prime cache, spawned from
+a bare one that reads its peak RSS from os.wait4."""
 
 import os
 import pathlib
@@ -20,9 +19,9 @@ import sys
 import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
-# From 10^4 to 10^8: census 4.2 MB, mertens 3.2, count 4.4 and shiu 5.7; a
-# count holding its class-1 primes grows 25, a shiu holding the table 160
-# (2 vCPUs, peak RSS from os.wait4)
+# From 10^4 to 10^8, three runs each: census 1.9-2.2 MB, mertens 1.3-1.4, count
+# 1.6-1.8 and shiu 3.5-3.7; a count holding its class-1 primes grows 25, a shiu
+# holding the table 160 (2 vCPUs, peak RSS from os.wait4)
 MAX_GROWTH_MB = 10
 # The blocked fold grows 10.7 MB from N = 20 to 10^6; a fold that builds n
 # and log(X/n) for all N at once grows 26 MB, as any N-length float array
@@ -86,7 +85,8 @@ def test_perron_peak_rss_at_1e6_close_to_20():
 def test_suite_full_peak_rss_close_to_small():
     """Catches a suite that holds a table with cached residue classes: its
     table to 10^7 and the classes mod 3, 4 and 5 it cached grew 18.3 MB
-    from small to full scale, where the windows grow 7.4 MB (2 vCPUs)."""
+    from small to full scale, where the suite that holds the windows grows
+    3.1-3.2 MB (32.2-32.4 to 35.4-35.6 MB, three runs, 2 vCPUs)."""
     small = peak_rss_mb("suite", "--scale", "small")
     full = peak_rss_mb("suite", "--scale", "full")
     assert full - small <= MAX_GROWTH_MB, (small, full)

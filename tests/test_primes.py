@@ -398,8 +398,37 @@ WINDOW_LOWS = st.one_of(
 @given(low=WINDOW_LOWS, width=st.integers(1, 3000))
 def test_odd_primes_against_strike_oracle(low, width):
     got = primes._odd_primes(low, low + width)
-    assert got.dtype == np.int64
+    assert got.dtype == (np.uint32 if low + width <= 2**32 else np.int64)
     assert np.array_equal(got, strike_odd_primes(low, low + width))
+
+
+def test_stream_holds_one_mask_and_the_window_it_makes():
+    # the mask (512 KB), the largest window to 10^7 (82 k primes, 328 KB) and the
+    # indices of one chunk of the mask: about 1,020 KB. Each window also made as
+    # int64 peaks at 1,737 KB; the last window kept while the next is made, 1,276 KB
+    mask = (primes.SEGMENT_SIZE + 1) // 2
+    largest = 4 * len(strike_odd_primes(3, 3 + primes.SEGMENT_SIZE))
+    tracemalloc.start()
+    try:
+        for w in primes._sieved(10**7):
+            del w
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= mask + largest + 400 * 1024, peak
+
+
+def test_stream_windows_own_their_memory():
+    # the suite keeps a stream's windows in a tuple and the census carries the last
+    # prime of one into the next: a window that viewed the reused mask would change
+    limit = 5 * primes.SEGMENT_SIZE + 10**5  # six segments
+    kept = list(primes.segments(limit))
+    want = [np.array([2])] + [strike_odd_primes(low, min(low + primes.SEGMENT_SIZE, limit + 1))
+                              for low in range(3, limit + 1, primes.SEGMENT_SIZE)]
+    assert len(kept) == len(want) == 7
+    for got, w in zip(kept, want):
+        assert got.base is None and got.dtype == np.uint32
+        assert np.array_equal(got, w)
 
 
 @pytest.mark.parametrize("segment", [101, 1000, 15013, 15017, 1 << 20])
