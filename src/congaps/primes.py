@@ -57,27 +57,24 @@ Windows = Iterable[np.ndarray]
 KEY_MAX = np.iinfo(np.uint32).max
 
 
-def _odd_primes(low: int, high: int, base: np.ndarray | None = None,
-                mask: np.ndarray | None = None) -> np.ndarray:
-    """The odd primes in [low, high), for low >= 3: uint32 below 2^32, as
-    every window's are, else int64 (next_prime's may pass it). They are
-    struck by `base`, the odd primes up to sqrt(high - 1) as int64 (found
-    by this same kernel when not given), in `mask`: a bool buffer of at
-    least (high - low + 1) // 2 entries that a stream reuses for every
-    segment, allocated here when not given."""
+def _odd_primes(low: int, high: int, base: np.ndarray | None = None) -> np.ndarray:
+    """The odd primes in [low, high), for low >= 3: uint32 when every odd
+    number below high fits one, as in every window, else int64 (next_prime's
+    may pass 2^32). They are struck by `base`, the odd primes up to
+    sqrt(high - 1) as int64, found by this same kernel when not given."""
     if base is None:
         root = math.isqrt(high - 1)
         base = (_odd_primes(3, root + 1) if root >= 3 else np.empty(0)).astype(np.int64)
     first = low | 1
     size = max(0, (high - first + 1) // 2)  # first, first + 2, ...
-    mask = np.empty(size, dtype=bool) if mask is None else mask[:size]
-    mask.fill(True)
+    mask = np.ones(size, dtype=bool)
     # int64: a negative Python int meeting a uint32 array raises
     start = np.maximum(base * base, -(-first // base) * base)
     start += base * (start % 2 == 0)  # the first odd multiple
     for p, offset in zip(base.tolist(), ((start - first) // 2).tolist()):
         mask[offset::p] = False
-    out = np.empty(np.count_nonzero(mask), dtype=np.uint32 if high - 1 <= KEY_MAX else np.int64)
+    last = first + 2 * (size - 1)  # the greatest odd number below high
+    out = np.empty(np.count_nonzero(mask), dtype=np.uint32 if last <= KEY_MAX else np.int64)
     done = 0
     chunk = 1 << 16  # the int64 indices of one chunk of the mask at a time, never a window's
     for i in range(0, size, chunk):
@@ -107,12 +104,10 @@ def _bounds(limit: int):
 
 
 def _sieved(limit: int):
-    """The primes <= limit as uint32 windows, sieved one segment at a time
-    in one mask; each window owns its memory."""
+    """The primes <= limit as uint32 windows, sieved one segment at a time."""
     base = _odd_primes(3, math.isqrt(limit) + 1).astype(np.int64)
-    mask = np.empty((SEGMENT_SIZE + 1) // 2, dtype=bool)
     for low, high in _bounds(limit):
-        yield np.array([2], dtype=np.uint32) if low == 2 else _odd_primes(low, high, base, mask)
+        yield np.array([2], dtype=np.uint32) if low == 2 else _odd_primes(low, high, base)
 
 
 def joined(windows) -> np.ndarray:

@@ -19,8 +19,8 @@ import sys
 import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
-# From 10^4 to 10^8, three runs each: census 1.9-2.2 MB, mertens 1.3-1.4, count
-# 1.6-1.8 and shiu 3.5-3.7; a count holding its class-1 primes grows 25, a shiu
+# From 10^4 to 10^8, three runs each: census 1.9-2.0 MB, mertens 1.1-1.5, count
+# 1.8-2.0 and shiu 3.7-3.8; a count holding its class-1 primes grows 25, a shiu
 # holding the table 160 (2 vCPUs, peak RSS from os.wait4)
 MAX_GROWTH_MB = 10
 # The blocked fold grows 10.7 MB from N = 20 to 10^6; a fold that builds n
@@ -86,7 +86,7 @@ def test_suite_full_peak_rss_close_to_small():
     """Catches a suite that holds a table with cached residue classes: its
     table to 10^7 and the classes mod 3, 4 and 5 it cached grew 18.3 MB
     from small to full scale, where the suite that holds the windows grows
-    3.1-3.2 MB (32.2-32.4 to 35.4-35.6 MB, three runs, 2 vCPUs)."""
+    2.6-3.0 MB (32.2-32.3 to 35.0-35.2 MB, three runs, 2 vCPUs)."""
     small = peak_rss_mb("suite", "--scale", "small")
     full = peak_rss_mb("suite", "--scale", "full")
     assert full - small <= MAX_GROWTH_MB, (small, full)

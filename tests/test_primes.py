@@ -398,8 +398,18 @@ WINDOW_LOWS = st.one_of(
 @given(low=WINDOW_LOWS, width=st.integers(1, 3000))
 def test_odd_primes_against_strike_oracle(low, width):
     got = primes._odd_primes(low, low + width)
-    assert got.dtype == (np.uint32 if low + width <= 2**32 else np.int64)
+    # uint32 while every odd number below high fits one: 2^32 itself is even
+    assert got.dtype == (np.uint32 if low + width <= 2**32 + 1 else np.int64)
     assert np.array_equal(got, strike_odd_primes(low, low + width))
+
+
+def test_last_window_to_the_sieve_limit_is_uint32():
+    # the last window of segments(MAX_SIEVE_LIMIT) ends at high = 2^32 + 1
+    low, high = list(primes._bounds(primes.MAX_SIEVE_LIMIT))[-1]
+    assert high == 2**32 + 1
+    got = primes._odd_primes(low, high)
+    assert got.dtype == np.uint32 and got[-1] == 4294967291
+    assert primes._odd_primes(2**32 - 10**5, 2**32 + 1).dtype == np.uint32
 
 
 def test_stream_holds_one_mask_and_the_window_it_makes():
@@ -420,7 +430,8 @@ def test_stream_holds_one_mask_and_the_window_it_makes():
 
 def test_stream_windows_own_their_memory():
     # the suite keeps a stream's windows in a tuple and the census carries the last
-    # prime of one into the next: a window that viewed the reused mask would change
+    # prime of one into the next: a window that viewed a buffer shared by the
+    # segments would change
     limit = 5 * primes.SEGMENT_SIZE + 10**5  # six segments
     kept = list(primes.segments(limit))
     want = [np.array([2])] + [strike_odd_primes(low, min(low + primes.SEGMENT_SIZE, limit + 1))
