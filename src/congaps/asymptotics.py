@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .characters import totient
+from .characters import check_modulus, totient
 from .constants import EULER_GAMMA, ConstantsBundle
 from .errors import DegenerateComparisonError, DomainError
 from .primes import KEY_MAX, Windows, log_euler, sieve_primes, windows_upto
@@ -73,8 +73,7 @@ def compare(
 def mertens_ap_product(q: int, X: float, windows: Windows) -> float:
     """prod_{p <= X, p = 1 mod q} (1 - 1/p)^-1, accumulated in log space:
     one log_euler per window of primes.segments."""
-    if q < 3:
-        raise DomainError(f"q must be >= 3, got {q}")
+    check_modulus(q)
     return math.exp(-sum(map(log_euler, windows_upto(windows, X, q, 1))))
 
 
@@ -82,12 +81,10 @@ def mertens_prediction(q: int, X: float, bundle: ConstantsBundle) -> float:
     """Main term e^(gamma/phi(q)) * c(q) * (log X)^(1/phi(q))."""
     if X <= 1:
         raise DomainError(f"X must be > 1, got {X}")
+    if bundle.q != q:
+        raise DomainError(f"the constants bundle is for q={bundle.q}, not q={q}")
     phi_q = totient(q)
-    return (
-        math.exp(EULER_GAMMA / phi_q)
-        * bundle.c_q
-        * math.log(X) ** (1.0 / phi_q)
-    )
+    return math.exp(EULER_GAMMA / phi_q) * bundle.c_q * math.log(X) ** (1.0 / phi_q)
 
 
 def restricted_nodes(X: int, small: np.ndarray, low: int):
@@ -156,8 +153,7 @@ def count_restricted(X: int, q: int, Y: float, windows: Windows) -> int:
     restricted-product walk over those primes up to isqrt(X), sieved here,
     and their leaves, counted in one fold over the windows of
     primes.segments."""
-    if q < 3:
-        raise DomainError(f"q must be >= 3, got {q}")
+    check_modulus(q)
     if not Y >= 1:
         raise DomainError(f"Y must be >= 1, got {Y}")
     if X < 1:
@@ -175,6 +171,8 @@ def lemma33_prediction(
     times prod_{p <= Y, p = 1 mod q} (1 - 1/p)."""
     if X < 3:
         raise DomainError(f"X must be >= 3, got {X}")
+    if bundle.q != q:
+        raise DomainError(f"the constants bundle is for q={bundle.q}, not q={q}")
     phi_q = totient(q)
     log_x = math.log(X)
     main = bundle.c_q * bundle.gamma_recip * X * log_x ** (1.0 / phi_q - 1.0)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .characters import totient
+from .characters import check_modulus, totient
 from .errors import DomainError
 from .primes import Windows, next_prime, windows_upto
 
@@ -60,10 +60,7 @@ def congruent_pairs(X: int, q: int, a: int, epsilon: float, windows: Windows,
     among them, are checked when this is called, so a census with a bad
     one writes nothing.
     """
-    if math.gcd(a, q) != 1:
-        raise DomainError(f"a={a} and q={q} must be coprime")
-    if q < 3:
-        raise DomainError(f"q must be >= 3, got {q}")
+    check_modulus(q, a)
     for name, value in (("epsilon", epsilon), ("c", thm11_c), ("C", shiu_C)):
         if not 0 < value < math.inf:
             raise DomainError(f"{name} must be > 0 and finite, got {value}")

@@ -26,6 +26,16 @@ from .errors import DomainError
 MAX_MODULUS = 10**6
 
 
+def check_modulus(q: int, a: int | None = None) -> None:
+    """The paper's modulus, one rule for every fold and constant: raise
+    DomainError unless 3 <= q <= MAX_MODULUS and, when a class a is given,
+    gcd(a, q) = 1."""
+    if not 3 <= q <= MAX_MODULUS:
+        raise DomainError(f"q must satisfy 3 <= q <= {MAX_MODULUS}, got {q}")
+    if a is not None and gcd(a, q) != 1:
+        raise DomainError(f"a={a} and q={q} must be coprime")
+
+
 def factorize(n: int) -> list[tuple[int, int]]:
     """Prime factorization of n as (p, e) pairs, ascending."""
     out = []

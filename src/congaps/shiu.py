@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotics import ComparisonReport, leaf_counts, restricted_nodes
-from .characters import factorize, totient
+from .characters import check_modulus, factorize, totient
 from .errors import DomainError
 from .primes import Windows, joined, log_euler, sieve_primes, windows_upto
 
@@ -64,10 +64,7 @@ def build_construction(
     primes above log H. The primes come from a stream of windows, read up
     to max(H/(log H)^2, log H, H/t(H)).
     """
-    if math.gcd(a, q) != 1:
-        raise DomainError(f"a={a} and q={q} must be coprime")
-    if q < 3:
-        raise DomainError(f"q must be >= 3, got {q}")
+    check_modulus(q, a)
     if H < 100:
         raise DomainError(f"H must be >= 100, got {H}")
     log_h = math.log(H)

@@ -8,7 +8,10 @@ prime's first odd multiple found one prime at a time, a scalar reference
 for the kernel's array arithmetic (trial division and build_spf check
 both independently). listed joins a census pair stream the same way,
 into the one tuple of pairs that trial division gives. SpfTable factors
-over primes.build_spf's table, apart from characters.factorize."""
+over primes.build_spf's table, apart from characters.factorize.
+prime_counts counts the primes of each class mod q by Lucy's recursion,
+with no sieve and no table of primes, so it checks the prime stream
+itself at every limit up to 2^32."""
 
 import math
 from dataclasses import dataclass
@@ -109,3 +112,36 @@ class SpfTable:
             while n % p == 0:
                 n //= p
         return out
+
+
+def prime_counts(x, q):
+    """pi(x; q, c) for every class c mod q, as an int64 array of q entries:
+    Legendre's recursion in Lucy's form over the values v = x // n and
+    v <= isqrt(x), with S_c(v) the m in [2, v], m = c mod q, not yet struck.
+    Each prime p <= isqrt(x), which S finds itself, strikes the m <= v whose
+    least prime factor is p: the p * k with k in [p, v // p] unstruck, k of
+    class c moving to class p * c mod q. Integers only: no character, no
+    float."""
+    r = math.isqrt(x)
+    c = np.arange(q)[:, None]
+
+    def integers(v):  # the m in [2, v] of each class c, one row per class
+        return (v - c) // q + 1 - (c == 0) - (c == 1 % q) * (v >= 1)
+
+    small = integers(np.arange(r + 1))  # S(v) for v = 0..r
+    large = integers(x // np.arange(1, r + 1))  # S(x // n) for n = 1..r
+    for p in range(2, r + 1):
+        if small[:, p].sum() == small[:, p - 1].sum():
+            continue  # p was struck: not a prime
+        k = min(r, x // (p * p))  # the large entries with x // n >= p^2
+        split = min(k, r // p)  # those with n * p <= r read large[n * p - 1]
+        n = np.arange(split + 1, k + 1)
+        struck = np.concatenate((large[:, p - 1 : split * p : p], small[:, x // (n * p)],
+                                 small[:, np.arange(p * p, r + 1) // p]), axis=1)
+        struck -= small[:, p - 1 : p]  # less the k < p, all primes: k must be >= p
+        moved = np.zeros_like(struck)
+        for cls, to in enumerate((p * c[:, 0] % q).tolist()):
+            moved[to] += struck[cls]
+        large[:, :k] -= moved[:, :k]
+        small[:, p * p :] -= moved[:, k:]
+    return large[:, 0] if x >= 1 else np.zeros(q, dtype=np.int64)

@@ -39,6 +39,12 @@ def test_mertens_prediction():
         asymptotics.mertens_prediction(3, 1.0, b)
 
 
+def test_mertens_prediction_refuses_another_moduluss_bundle():
+    # with the q = 3 bundle it gave 1.189 at q = 5, X = 10^6, where the q = 5 one gives 1.574
+    with pytest.raises(DomainError, match="bundle is for q=3, not q=5"):
+        asymptotics.mertens_prediction(5, 10**6, constants.constants_bundle(3))
+
+
 def test_mertens_ratio_near_one(windows5):
     b = constants.constants_bundle(3)
     ratio = asymptotics.mertens_ap_product(3, 10**5, windows5) / \
@@ -210,6 +216,12 @@ def test_lemma33_prediction(windows5):
     assert p1 > 0
     with pytest.raises(DomainError):
         asymptotics.lemma33_prediction(2, 3, 1, b, windows5)
+
+
+def test_lemma33_prediction_refuses_another_moduluss_bundle():
+    # with the q = 3 bundle it gave 42,034 at q = 5, X = 10^6, where the q = 5 one gives 27,193
+    with pytest.raises(DomainError, match="bundle is for q=3, not q=5"):
+        asymptotics.lemma33_prediction(10**6, 5, 1, constants.constants_bundle(3), ())
 
 
 def test_lemma33_ratio_small_scale(windows5):

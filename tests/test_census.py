@@ -76,7 +76,8 @@ def test_census_monotone(windows5):
 
 def test_census_errors(windows5):
     # the stream checks its inputs when called, before any pair is asked for
-    for q, a, epsilon, constants in ((3, 3, 1.0, {}), (2, 1, 1.0, {}), (3, 2, 0.0, {}),
+    for q, a, epsilon, constants in ((3, 3, 1.0, {}), (2, 1, 1.0, {}), (10**6 + 1, 1, 1.0, {}),
+                                     (2**32, 1, 1.0, {}), (10**18 + 3, 1, 1.0, {}), (3, 2, 0.0, {}),
                                      (3, 2, math.inf, {}), (3, 2, 1.0, {"thm11_c": 0.0}),
                                      (3, 2, 1.0, {"shiu_C": math.nan})):
         with pytest.raises(DomainError):

@@ -7,8 +7,9 @@ import time
 import numpy as np
 import pytest
 
-from congaps import asymptotics, census, cli, primes, shiu
-from congaps.errors import NumericsError
+from congaps import asymptotics, census, cli, constants, primes, shiu
+from congaps.characters import MAX_MODULUS
+from congaps.errors import DomainError, NumericsError
 from oracles import listed, strike_S_T
 
 
@@ -421,6 +422,52 @@ def test_x_above_sieve_capacity_exits_before_sieving(capsys, monkeypatch, argv):
     assert rc == 2
     assert out == ""
     assert "exceeds configured maximum" in err
+
+
+# every entry point of the one modulus rule: a library call of (q, a), or a
+# subcommand's command line, each writing to {out}
+MODULUS_ENTRY_POINTS = {
+    "mertens_ap_product": lambda q, a: asymptotics.mertens_ap_product(q, 100, primes.segments(100)),
+    "count_restricted": lambda q, a: asymptotics.count_restricted(100, q, 1, primes.segments(100)),
+    "congruent_pairs": lambda q, a: census.congruent_pairs(100, q, a, 1.0, primes.segments(100)),
+    "build_construction":
+        lambda q, a: shiu.build_construction(1000, q, a, 1, primes.segments(1000)),
+    "l_one": lambda q, a: constants.l_one(q),
+    "theta_at_one": lambda q, a: constants.theta_at_one(q),
+    "mertens": "mertens --q {q} --x 100 --out {out}",
+    "count": "count --q {q} --x 100 --out {out}",
+    "census": "census --q {q} --a {a} --x 100 --out {out}",
+    "census --list-pairs": "census --q {q} --a {a} --x 100 --list-pairs --out {out}",
+    "shiu": "shiu --h 1000 --q {q} --a {a} --out {out}",
+}
+TAKES_A_CLASS = ("congruent_pairs", "build_construction", "census", "census --list-pairs", "shiu")
+
+
+@pytest.mark.parametrize("entry, q, a", [
+    *((entry, q, 1) for entry in MODULUS_ENTRY_POINTS for q in (2, 10**6 + 1, 2**32, 10**18 + 3)),
+    *((entry, 9, 6) for entry in TAKES_A_CLASS),
+])
+def test_one_modulus_rule_at_every_entry_point(capsys, monkeypatch, tmp_path, entry, q, a):
+    # refused by name before any window is sieved or any output is opened: at
+    # q = 2^32 census once wrote its CSV header and then died on an
+    # OverflowError, and at q = 10^6 + 1 it ran
+    def no_sieve(*args):
+        raise AssertionError(f"sieved {args} before checking q")
+
+    monkeypatch.setattr(primes, "_odd_primes", no_sieve)
+    call, out = MODULUS_ENTRY_POINTS[entry], tmp_path / "F"
+    if callable(call):
+        with pytest.raises(DomainError) as exc:
+            call(q, a)
+        err = f"congaps: {exc.value}\n"
+    else:
+        rc, stdout, err = run(capsys, *call.format(q=q, a=a, out=out).split())
+        assert (rc, stdout) == (2, "")
+        assert not out.exists()
+    if q == 9:
+        assert err == "congaps: a=6 and q=9 must be coprime\n"
+    else:
+        assert err == f"congaps: q must satisfy 3 <= q <= {MAX_MODULUS}, got {q}\n"
 
 
 def test_perron_term_count_capped(capsys):

@@ -119,7 +119,7 @@ def test_l_one_conjugate_pair():
 
 def test_l_one_domain():
     # moduli with only the principal character, and moduli out of range
-    for q in (-3, 0, 1, 2, 10**6 + 1):
+    for q in (-3, 0, 1, 2, 10**6 + 1, 2**32, 10**18 + 3):
         with pytest.raises(DomainError):
             constants.l_one(q)
 

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from congaps import primes
 from congaps.errors import CacheError, CapacityError, DomainError
-from oracles import strike_odd_primes
+from congaps.asymptotics import leaf_counts
+from oracles import prime_counts, strike_odd_primes
 
 
 def trial_primes(limit):
@@ -525,3 +526,62 @@ def test_windows_upto_reads_a_stream_no_further_than_x():
 
     assert primes.joined(primes.windows_upto(stream(), 12)).tolist() == [2, 3, 5, 7, 11]
     assert len(seen) == 3
+
+
+def class_counts(windows, x, q):
+    """The primes <= x of a stream of windows, counted by class mod q."""
+    counts = np.zeros(q, dtype=np.int64)
+    for window in primes.windows_upto(windows, x):
+        counts += np.bincount(window % q, minlength=q)
+    return counts
+
+
+def test_prime_counts_oracle_small():
+    # the oracle against trial division, every class, every q to 30
+    for x in (0, 1, 2, 3, 4, 8, 9, 24, 25, 26, 1000, 3001):
+        known = np.array(trial_primes(x), dtype=np.int64)
+        for q in range(1, 31):
+            assert np.array_equal(prime_counts(x, q), np.bincount(known % q, minlength=q))
+
+
+# the segment edges 3 + k * SEGMENT_SIZE up to 2e7, each drawn with x within 2 of it
+SEGMENT_EDGES = st.builds(lambda k, d: max(0, 3 + k * primes.SEGMENT_SIZE + d),
+                          st.integers(0, (2 * 10**7 - 3) // primes.SEGMENT_SIZE),
+                          st.integers(-2, 2))
+
+
+@settings(max_examples=20, deadline=None)
+@given(x=st.one_of(SEGMENT_EDGES, st.integers(0, 2 * 10**7)), q=st.integers(1, 30),
+       data=st.data())
+def test_stream_class_counts_match_the_oracle(x, q, data):
+    # pi(x; q, c) from the stream, the Mertens fold's class and leaf_counts,
+    # against an oracle that shares no code with the sieve
+    want = prime_counts(x, q)
+    windows = tuple(primes.segments(x))
+    assert np.array_equal(class_counts(windows, x, q), want)
+    a = data.draw(st.integers(0, q - 1))
+    assert sum(w.size for w in primes.windows_upto(windows, x, q, a)) == want[a]
+    assert leaf_counts(windows, q, np.array([0]), np.array([x]), a).tolist() == [want[a]]
+
+
+def test_stream_class_counts_at_1e8_from_sieve_and_cache(tmp_path, monkeypatch):
+    want = prime_counts(10**8, 30)
+    assert want.sum() == 5_761_455
+    monkeypatch.setenv(primes.CACHE_ENV, str(tmp_path))
+    path = primes.cache_path(10**8, str(tmp_path))
+    assert np.array_equal(class_counts(primes.segments(10**8), 10**8, 30), want)  # sieved
+    assert os.path.exists(path)
+    assert np.array_equal(class_counts(primes.segments(10**8), 10**8, 30), want)  # from the file
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("x, pi", [(10**9, 50_847_534), (2**32, 203_280_221)])
+def test_stream_class_counts_far_out(x, pi):
+    # sieving takes about 3 s at 1e9 and 20 s at 2^32; run with -m slow
+    counts = class_counts(primes.segments(x), x, 12)
+    for q in (3, 4):  # 12 = lcm(3, 4): class c mod 12 lies in class c mod q
+        want = prime_counts(x, q)
+        assert want.sum() == pi
+        assert np.array_equal(counts.reshape(-1, q).sum(axis=0), want)
+        if (x, q) == (2**32, 3):
+            assert want.tolist() == [1, 101_638_091, 101_642_129]
