@@ -5,29 +5,27 @@ integers composed only of primes congruent to 1 mod q exceeding Y.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .characters import check_modulus, totient
 from .constants import EULER_GAMMA, ConstantsBundle
 from .errors import DegenerateComparisonError, DomainError
-from .primes import KEY_MAX, Windows, log_euler, sieve_primes, windows_upto
+from .primes import KEY_MAX, Windows, log_euler, remainders, sieve_primes, windows_upto
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     """(actual, predicted, ratio, pass) for one asymptotic check."""
 
     label: str
     actual: float
     predicted: float
     ratio: float
-    params: dict = field(default_factory=dict)
+    params: dict
     passed: bool | None = None
 
     def to_dict(self) -> dict:
@@ -42,6 +40,7 @@ class ComparisonReport:
 
     def to_csv(self) -> str:
         """to_dict as a CSV header and one row: floats as repr, params as sorted JSON."""
+        import csv  # only --format csv reaches here, so no other start loads it
         row = {k: repr(v) if isinstance(v, float) else v for k, v in self.to_dict().items()}
         row["params"] = json.dumps(self.params, sort_keys=True)
         buf = io.StringIO()
@@ -137,8 +136,9 @@ def leaf_counts(windows, q: int, lo: np.ndarray, hi: np.ndarray, cls) -> np.ndar
         if not window.size:
             continue
         due = order[done:np.searchsorted(bounds, window[-1], side="right")]
+        rem = remainders(window, q) if (classes >= 0).any() else None  # once for all classes
         for s, c in enumerate(classes.tolist()):
-            chosen = window if c < 0 else np.compress(window % q == c, window)
+            chosen = window if c < 0 else np.compress(rem == c, window)
             at = due[slot[due] == s]
             pi[at] = running[s] + np.searchsorted(chosen, xs[at], side="right")
             running[s] += chosen.size

@@ -9,20 +9,19 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .characters import check_modulus, totient
 from .errors import DomainError
-from .primes import Windows, next_prime, windows_upto
+from .primes import Windows, next_prime, remainders, windows_upto
 
 
 SAMPLE_PAIRS = 100  # pairs a census report carries
 
 
-@dataclass(frozen=True)
-class CensusResult:
+class CensusResult(NamedTuple):
     X: int
     q: int
     a: int
@@ -32,7 +31,7 @@ class CensusResult:
     bound_shiu: float | None
     wall_time_ms: float
     pairs: tuple[tuple[int, int], ...]  # the first SAMPLE_PAIRS pairs
-    bound_reasons: dict = field(default_factory=dict)  # why a bound is None
+    bound_reasons: dict  # why a bound is None
 
     def to_dict(self) -> dict:
         return {
@@ -73,7 +72,7 @@ def _pairs(X: int, q: int, a: int, epsilon: float, windows: Windows):
     successor = (np.array([next_prime(X)], dtype=np.int64),)
     for window in itertools.chain(windows_upto(windows, X), successor):
         primes = np.concatenate((last, window))
-        in_class = primes % q == a % q
+        in_class = remainders(primes, q) == a % q
         # pairs with both primes in the class; only these take the gap test
         idx = np.flatnonzero(in_class[:-1] & in_class[1:])
         gaps = primes[idx + 1] - primes[idx]

@@ -12,12 +12,10 @@ testable; float values are built from the same numerators.
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 import numpy as np
 
@@ -121,12 +119,11 @@ def element_orders(coords: np.ndarray, orders: tuple[int, ...]) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True, slots=True)
-class Character:
+class Character(NamedTuple):
     """One Dirichlet character mod q: its exponent vector over the table's
     cyclic components."""
 
-    table: CharacterTable = field(repr=False)
+    table: CharacterTable
     exponents: tuple[int, ...]
 
     def _numerators(self, coords: np.ndarray) -> np.ndarray:
@@ -139,6 +136,7 @@ class Character:
 
     def turn(self, n: int) -> Fraction | None:
         """The exact turn of chi(n), or None if n is not coprime to q."""
+        from fractions import Fraction  # exact turns are for checks: a CLI start loads none
         r = n % self.table.q
         if not self.table.units[r]:
             return None
@@ -157,23 +155,22 @@ class Character:
         t = self.turn(n)
         if t is None:
             return 0j
-        return cmath.exp(2j * cmath.pi * t)
+        return complex(math.cos(2 * math.pi * t), math.sin(2 * math.pi * t))  # exp(2 pi i t)
 
 
-@dataclass(frozen=True, eq=False)
 class CharacterTable:
     """The full group of phi(q) characters mod q over one discrete-log
     table; principal first, then lexicographic in generator exponents."""
 
-    q: int
-    orders: tuple[int, ...]  # cyclic component orders d_1..d_k
-    dlog: np.ndarray = field(repr=False)  # (q, k) exponent vector of each residue
-    units: np.ndarray = field(repr=False)  # (q,) residue coprime to q
-    characters: tuple[Character, ...] = field(init=False, repr=False)
+    __slots__ = ("q", "orders", "dlog", "units", "characters")
 
-    def __post_init__(self):
-        exps = itertools.product(*(range(d) for d in self.orders))
-        object.__setattr__(self, "characters", tuple(Character(self, e) for e in exps))
+    def __init__(self, q: int, orders: tuple[int, ...], dlog: np.ndarray, units: np.ndarray):
+        self.q = q
+        self.orders = orders  # cyclic component orders d_1..d_k
+        self.dlog = dlog  # (q, k) exponent vector of each residue
+        self.units = units  # (q,) residue coprime to q
+        exps = itertools.product(*(range(d) for d in orders))
+        self.characters = tuple(Character(self, e) for e in exps)
 
     @property
     def phi_q(self) -> int:

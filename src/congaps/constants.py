@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -203,8 +203,7 @@ def c_of_q(q: int) -> float:
     return constants_bundle(q).c_q
 
 
-@dataclass(frozen=True)
-class ConstantsBundle:
+class ConstantsBundle(NamedTuple):
     """Everything the asymptotic predictions for one modulus need."""
 
     q: int

@@ -16,7 +16,6 @@ fraction at a = 0 (DLMF 6.9.1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,25 +34,23 @@ _MAX_DEPTH = 1024  # cap on series terms and continued-fraction depth
 _PERRON_BLOCK = 1 << 16  # terms per block of perron_check's fold
 
 
-@dataclass(frozen=True)
 class HankelParams:
     """The truncated Hankel contour around s = 1: along the slit from
-    1 - eta to s = 1 and back."""
+    1 - eta to s = 1 and back. beta is the branch exponent 1/phi(q)."""
 
-    X: float
-    beta: float  # the branch exponent 1/phi(q), in (0, 1)
-    eta: float
+    __slots__ = ("X", "beta", "eta")
 
-    def __post_init__(self):
-        for name, value in (("X", self.X), ("beta", self.beta), ("eta", self.eta)):
+    def __init__(self, X: float, beta: float, eta: float):
+        for name, value in (("X", X), ("beta", beta), ("eta", eta)):
             if not math.isfinite(value):
                 raise DomainError(f"{name} must be finite, got {value}")
-        if self.X <= math.e:
-            raise DomainError(f"X must exceed e, got {self.X}")
-        if not 0 < self.beta < 1:
-            raise DomainError(f"beta must lie in (0, 1), got {self.beta}")
-        if self.eta <= 0:
-            raise DomainError(f"eta must be positive, got {self.eta}")
+        if X <= math.e:
+            raise DomainError(f"X must exceed e, got {X}")
+        if not 0 < beta < 1:
+            raise DomainError(f"beta must lie in (0, 1), got {beta}")
+        if eta <= 0:
+            raise DomainError(f"eta must be positive, got {eta}")
+        self.X, self.beta, self.eta = X, beta, eta
 
 
 def default_params(X: float, beta: float, eta: float | None = None) -> HankelParams:

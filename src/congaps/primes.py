@@ -16,7 +16,7 @@ import math
 import os
 import struct
 from collections.abc import Iterable
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,8 +35,7 @@ CACHE_ENV = "CONGAPS_CACHE_DIR"
 _TEMP_SERIAL = itertools.count()  # tells apart the temp files of one process
 
 
-@dataclass
-class PrimeTable:
+class PrimeTable(NamedTuple):
     """All primes up to `limit`, ascending."""
 
     limit: int
@@ -149,13 +148,21 @@ def segments(limit: int):
     return _written(_sieved(limit), limit, path)
 
 
+def remainders(w: np.ndarray, q: int) -> np.ndarray:
+    """w % q for an integer array w >= 0, in w's dtype, as w - (w // q) * q: numpy
+    divides by a scalar by multiplying, but its % divides (2.5x slower on uint32)."""
+    r = w // q
+    r *= q
+    return np.subtract(w, r, out=r)
+
+
 def windows_upto(windows: Windows, x: float, q: int = 1, a: int = 0):
     """The primes = a mod q and <= x of a stream of windows such as
     segments, window by window, read no further than the first window
     that passes x."""
     key = np.uint32(min(max(math.floor(x), 0), KEY_MAX))
     for window in windows:
-        chosen = window if q == 1 else np.compress(window % q == a, window)
+        chosen = window if q == 1 else np.compress(remainders(window, q) == a, window)
         yield chosen[: np.searchsorted(chosen, key, side="right")]
         if window.size and window[-1] > key:
             return

@@ -8,7 +8,7 @@ its integer value (a product of thousands of primes) is never materialized.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,8 +32,7 @@ def t_of_H(H: float) -> float:
     return math.exp(log_h * math.log(math.log(log_h)) / (2.0 * math.log(log_h)))
 
 
-@dataclass(frozen=True)
-class ShiuConstruction:
+class ShiuConstruction(NamedTuple):
     H: int
     q: int
     a: int
@@ -107,8 +106,7 @@ def build_construction(
     )
 
 
-@dataclass(frozen=True)
-class ResidueSets:
+class ResidueSets(NamedTuple):
     """Counts (and optionally members) of the coprime residues h <= H,
     split by whether h falls in the target progression."""
 

@@ -2,8 +2,9 @@
 subcommand, the Perron and Hankel checks and the suite among them, loads
 no module of scipy, and every subcommand runs with scipy blocked. And
 importing the CLI loads every congaps module that the benchmark's tracer
-wraps, as its install looks each one up right after that import. Checked
-by the modules loaded in a fresh interpreter, not by timings."""
+wraps, as its install looks each one up right after that import, but none
+of the stdlib modules that no CLI start uses. Checked by the modules loaded
+in a fresh interpreter, not by timings."""
 
 import json
 import os
@@ -55,6 +56,14 @@ print(json.dumps({"loaded": loaded,
 """
 
 
+# which of the module names in the one argument importing the CLI loads
+LOADED_BY_IMPORT = """
+import json, sys
+import congaps.cli
+print(json.dumps([m for m in json.loads(sys.argv[1]) if m in sys.modules]))
+"""
+
+
 def run_fresh(script, argv):
     """The JSON that `script` prints, run in a fresh interpreter with argv."""
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
@@ -103,3 +112,11 @@ def test_cli_import_loads_every_traced_module():
     seen = run_fresh(TRACED_MODULES, str(tracing))
     assert seen["traced"]
     assert set(seen["traced"]) <= set(seen["loaded"]), seen
+
+
+def test_cli_import_loads_no_unused_stdlib():
+    # the records are NamedTuples, not dataclasses (which load copy); an exact
+    # turn imports fractions (which loads decimal), and a CSV report csv, when
+    # called; a character's value takes math's cos and sin, not cmath's exp
+    unused = ["dataclasses", "copy", "fractions", "decimal", "csv", "cmath"]
+    assert run_fresh(LOADED_BY_IMPORT, unused) == []

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from congaps import primes
+from congaps.characters import MAX_MODULUS
 from congaps.errors import CacheError, CapacityError, DomainError
 from congaps.asymptotics import leaf_counts
 from oracles import prime_counts, strike_odd_primes
@@ -585,3 +586,22 @@ def test_stream_class_counts_far_out(x, pi):
         assert np.array_equal(counts.reshape(-1, q).sum(axis=0), want)
         if (x, q) == (2**32, 3):
             assert want.tolist() == [1, 101_638_091, 101_642_129]
+
+
+# the edges of the two dtypes a fold meets: next_prime(2^32) ends the last
+# census window, as int64
+REMAINDER_EDGES = (0, 2**32 - 1, primes.next_prime(2**32))
+
+
+@settings(max_examples=200, deadline=None)
+@given(q=st.sampled_from([1, 2, 3, MAX_MODULUS]) | st.integers(1, MAX_MODULUS),
+       dtype=st.sampled_from([np.uint32, np.int64]),
+       extra=st.lists(st.integers(0, 2**40), max_size=40))
+def test_remainders_equal_mod(q, dtype, extra):
+    top = np.iinfo(dtype).max
+    w = np.array([v for v in (*REMAINDER_EDGES, q - 1, q, *extra) if v <= top], dtype=dtype)
+    before = w.copy()
+    got = primes.remainders(w, q)
+    assert got.dtype == w.dtype
+    assert got.tolist() == (w % q).tolist() == [int(v) % q for v in before.tolist()]
+    assert np.array_equal(w, before)
