@@ -15,7 +15,7 @@ import numpy as np
 from .characters import check_modulus, totient
 from .constants import EULER_GAMMA, ConstantsBundle
 from .errors import DegenerateComparisonError, DomainError
-from .primes import KEY_MAX, Windows, log_euler, remainders, sieve_primes, windows_upto
+from .primes import Windows, log_euler, remainders, sieve_primes, window_keys, windows_upto
 
 
 class ComparisonReport(NamedTuple):
@@ -125,7 +125,7 @@ def leaf_counts(windows, q: int, lo: np.ndarray, hi: np.ndarray, cls) -> np.ndar
     the number of primes p of windows with lo < p <= hi and p = cls mod q,
     or any p where cls is -1. One pass: each bound is resolved in the
     window that holds it, on top of running counts by class."""
-    xs = np.clip(np.concatenate((hi, lo)), 0, KEY_MAX).astype(np.uint32)  # keys into windows
+    xs = window_keys(np.concatenate((hi, lo)))
     classes, slot = np.unique(np.tile(np.broadcast_to(cls, lo.size), 2), return_inverse=True)
     order = np.argsort(xs)
     bounds = xs[order]

@@ -48,21 +48,18 @@ class CensusResult(NamedTuple):
         }
 
 
-def congruent_pairs(X: int, q: int, a: int, epsilon: float, windows: Windows,
-                    thm11_c: float = 1.0, shiu_C: float = 1.0):
+def congruent_pairs(X: int, q: int, a: int, epsilon: float, windows: Windows):
     """The consecutive prime pairs with p_r <= X (p_next may pass X), both
     = a mod q and gap below epsilon * log p_r: one (p_r, p_next) pair of
     arrays per window of primes.segments(X), the last prime of each
     carried into the next. They are uint32, as the windows are, but the
     last pair is int64: it ends at next_prime(X), which may pass 2^32.
-    The inputs, the reference bounds' constants
-    among them, are checked when this is called, so a census with a bad
-    one writes nothing.
+    The inputs are checked when this is called, so a census with a bad one
+    writes nothing.
     """
     check_modulus(q, a)
-    for name, value in (("epsilon", epsilon), ("c", thm11_c), ("C", shiu_C)):
-        if not 0 < value < math.inf:
-            raise DomainError(f"{name} must be > 0 and finite, got {value}")
+    if not 0 < epsilon < math.inf:
+        raise DomainError(f"epsilon must be > 0 and finite, got {epsilon}")
     return _pairs(X, q, a, epsilon, windows)
 
 
@@ -82,21 +79,13 @@ def _pairs(X: int, q: int, a: int, epsilon: float, windows: Windows):
         last = primes[-1:]
 
 
-def find_congruent_pairs(
-    X: int,
-    q: int,
-    a: int,
-    epsilon: float,
-    windows: Windows,
-    thm11_c: float = 1.0,
-    shiu_C: float = 1.0,
-) -> CensusResult:
+def find_congruent_pairs(X: int, q: int, a: int, epsilon: float, windows: Windows) -> CensusResult:
     """The census: the pairs of congruent_pairs counted in one pass over
     the windows, the first SAMPLE_PAIRS of them kept as Python ints. Both
     reference bounds are informational; each is attached when it is
     defined at X, else reported as None with the reason in bound_reasons.
     """
-    pairs = congruent_pairs(X, q, a, epsilon, windows, thm11_c, shiu_C)
+    pairs = congruent_pairs(X, q, a, epsilon, windows)
     start = time.perf_counter()
     sample: list[tuple[int, int]] = []
     pair_count = 0
@@ -106,8 +95,8 @@ def find_congruent_pairs(
         sample += zip(p_r[:room].tolist(), p_next[:room].tolist())
 
     reasons: dict[str, str] = {}
-    b11 = _bound_or_reason(reasons, "bound_thm11", theorem11_bound, X, thm11_c)
-    bsh = _bound_or_reason(reasons, "bound_shiu", shiu_bound, X, q, a, shiu_C)
+    b11 = _bound_or_reason(reasons, "bound_thm11", theorem11_bound, X)
+    bsh = _bound_or_reason(reasons, "bound_shiu", shiu_bound, X, q, a)
     elapsed = (time.perf_counter() - start) * 1000.0
     return CensusResult(
         X=X,
@@ -133,31 +122,27 @@ def _bound_or_reason(reasons: dict, name: str, bound, *args) -> float | None:
         return None
 
 
-def theorem11_bound(X: float, c: float) -> float:
-    """X^(1 - c/loglog X)."""
+def theorem11_bound(X: float) -> float:
+    """X^(1 - c/loglog X) with c = 1: the theorem leaves c unspecified."""
     if X < 16:
         raise DomainError(f"need X >= 16 so loglog X > 0, got {X}")
-    if c <= 0:
-        raise DomainError(f"c must be > 0, got {c}")
-    return X ** (1.0 - c / math.log(math.log(X)))
+    return X ** (1.0 - 1.0 / math.log(math.log(X)))
 
 
-def shiu_bound(X: float, q: int, a: int, C: float) -> float:
+def shiu_bound(X: float, q: int, a: int) -> float:
     """X^(1 - eps(X)) with eps(X) = C*(logloglog X/loglog X)^(1/phi(q)) when
     a = +-1 mod q, and the (logloglog X)^2/(loglog X * loglogloglog X)
-    variant otherwise."""
-    if C <= 0:
-        raise DomainError(f"C must be > 0, got {C}")
+    variant otherwise, with C = 1: Shiu leaves C unspecified."""
     phi_q = totient(q)
     ll = math.log(math.log(X)) if X > math.e else -1.0
     if ll <= 0 or math.log(ll) <= 0:
         raise DomainError(f"iterated logs not positive at X={X}")
     lll = math.log(ll)
     if a % q in (1 % q, (q - 1) % q):
-        eps = C * (lll / ll) ** (1.0 / phi_q)
+        eps = (lll / ll) ** (1.0 / phi_q)
     else:
         if math.log(lll) <= 0:
             raise DomainError(f"loglogloglog X not positive at X={X}")
         llll = math.log(lll)
-        eps = C * (lll**2 / (ll * llll)) ** (1.0 / phi_q)
+        eps = (lll**2 / (ll * llll)) ** (1.0 / phi_q)
     return X ** (1.0 - eps)

@@ -45,13 +45,22 @@ def _config_flags(path: str) -> list[str]:
     return flags
 
 
-def _with_config(argv: list[str], flags: list[str]) -> list[str]:
-    """argv with the config flags placed right after the subcommand name,
-    ahead of the user's own flags, which therefore win."""
-    i = 0
-    while argv[i].startswith("-"):  # only --config precedes the subcommand
-        i += 1 if "=" in argv[i] else 2
-    return argv[: i + 1] + flags + argv[i + 1 :]
+def _with_config(argv: list[str]) -> list[str]:
+    """argv with the flags of the --config file given before the subcommand
+    placed right after the subcommand's name, ahead of the user's own flags,
+    which therefore win. argv as it is when it names no config or is
+    malformed before the subcommand, for the one full parse to say how."""
+    head = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    head.add_argument("--config")
+    head.add_argument("rest", nargs=argparse.REMAINDER)  # the subcommand and its flags
+    try:
+        known, extra = head.parse_known_args(argv)
+    except argparse.ArgumentError:
+        return argv
+    if known.config is None or extra or not known.rest:
+        return argv
+    i = len(argv) - len(known.rest) + 1  # just past the subcommand's name
+    return argv[:i] + _config_flags(known.config) + argv[i:]
 
 
 def _output(args):
@@ -97,7 +106,7 @@ def cmd_mertens(args) -> int:
             "mertens product vs prediction",
             asymptotics.mertens_ap_product(args.q, args.x, stream),
             asymptotics.mertens_prediction(args.q, args.x, bundle),
-            args.tol,
+            tol=0.05,
             params={"q": args.q, "X": args.x},
         )
     _emit(report, args)
@@ -118,7 +127,7 @@ def cmd_count(args) -> int:
     with contextlib.closing(primes.segments(limit)) as stream:
         predicted = asymptotics.lemma33_prediction(args.x, args.q, args.y, bundle, stream)
     report = asymptotics.compare(
-        "restricted count vs prediction", actual, predicted, args.tol,
+        "restricted count vs prediction", actual, predicted, tol=0.2,
         params={"q": args.q, "X": args.x, "Y": args.y},
     )
     _emit(report, args)
@@ -160,15 +169,11 @@ def cmd_shiu(args) -> int:
 def cmd_census(args) -> int:
     with contextlib.closing(primes.segments(args.x)) as stream:
         if not args.list_pairs:
-            result = census.find_congruent_pairs(
-                args.x, args.q, args.a, args.epsilon, stream,
-                thm11_c=args.c, shiu_C=args.big_c,
-            )
+            result = census.find_congruent_pairs(args.x, args.q, args.a, args.epsilon, stream)
             _emit(result.to_dict(), args)
             return 0
         # checked before the output opens: a bad input writes no header
-        pairs = census.congruent_pairs(args.x, args.q, args.a, args.epsilon, stream,
-                                       thm11_c=args.c, shiu_C=args.big_c)
+        pairs = census.congruent_pairs(args.x, args.q, args.a, args.epsilon, stream)
         with _output(args) as fh:
             fh.write("p_r,p_next,gap,log_p,q,a\n")
             q, a = args.q, args.a
@@ -241,14 +246,6 @@ def cmd_suite(args) -> int:
     return 1 if hard_fail else 0
 
 
-def _tolerance(text: str) -> float:
-    """--tol: finite and >= 0, as NaN or a negative tolerance fails every ratio."""
-    value = float(text)
-    if not 0 <= value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="congaps",
@@ -273,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mertens", help="Mertens product vs its prediction")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--x", type=int, required=True)
-    p.add_argument("--tol", type=_tolerance, default=0.05)
     common(p, report=True)
     p.set_defaults(func=cmd_mertens)
 
@@ -281,7 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--y", type=float, default=1.0)
-    p.add_argument("--tol", type=_tolerance, default=0.2)
     common(p, report=True)
     p.set_defaults(func=cmd_count)
 
@@ -299,10 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--x", type=int, default=10**7)
     p.add_argument("--epsilon", type=float, default=1.0)
-    p.add_argument("--c", type=float, default=1.0,
-                   help="constant in the X^(1-c/loglog X) reference bound")
-    p.add_argument("--big-c", dest="big_c", type=float, default=1.0,
-                   help="constant in the X^(1-eps(X)) reference bound")
     p.add_argument("--list-pairs", dest="list_pairs", action="store_true")
     common(p)
     p.set_defaults(func=cmd_census)
@@ -330,11 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        if args.config:
-            args = parser.parse_args(_with_config(argv, _config_flags(args.config)))
+        args = build_parser().parse_args(_with_config(argv))
         return args.func(args)
     except CongapsError as exc:
         print(f"congaps: {exc}", file=sys.stderr)

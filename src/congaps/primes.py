@@ -50,10 +50,15 @@ class PrimeTable(NamedTuple):
 
 # what a fold over the primes reads: a stream of uint32 windows, ascending
 Windows = Iterable[np.ndarray]
-# the greatest search key into a window: above every prime below MAX_SIEVE_LIMIT, and
-# a uint32. searchsorted copies a uint32 window into the dtype of a wider key, and a
-# Python int is one, so every key into a window is a uint32 clipped here
+# the greatest uint32: above every prime below MAX_SIEVE_LIMIT
 KEY_MAX = np.iinfo(np.uint32).max
+
+
+def window_keys(x) -> np.ndarray:
+    """Search keys into a window for x, one number or an array: floored and
+    clipped to [0, KEY_MAX], as uint32. searchsorted copies a uint32 window
+    into the dtype of a wider key, and a Python int is one."""
+    return np.clip(np.asarray(x, dtype=float), 0, KEY_MAX).astype(np.uint32)
 
 
 def _odd_primes(low: int, high: int, base: np.ndarray | None = None) -> np.ndarray:
@@ -160,7 +165,7 @@ def windows_upto(windows: Windows, x: float, q: int = 1, a: int = 0):
     """The primes = a mod q and <= x of a stream of windows such as
     segments, window by window, read no further than the first window
     that passes x."""
-    key = np.uint32(min(max(math.floor(x), 0), KEY_MAX))
+    key = window_keys(x)
     for window in windows:
         chosen = window if q == 1 else np.compress(remainders(window, q) == a, window)
         yield chosen[: np.searchsorted(chosen, key, side="right")]

@@ -15,7 +15,7 @@ import numpy as np
 from .asymptotics import ComparisonReport, leaf_counts, restricted_nodes
 from .characters import check_modulus, factorize, totient
 from .errors import DomainError
-from .primes import Windows, joined, log_euler, sieve_primes, windows_upto
+from .primes import Windows, joined, log_euler, sieve_primes, window_keys, windows_upto
 
 # t_of_H needs log log log H > 0, i.e. H > e^e.
 T_OF_H_THRESHOLD = math.exp(math.e)
@@ -129,7 +129,7 @@ def compute_S_T(c: ShiuConstruction, windows: Windows,
 
     def allowed(window):  # the window less the modulus primes, all of which it holds
         i, j = np.searchsorted(modulus, (window[0], window[-1] + 1)) if window.size else (0, 0)
-        keys = modulus[i:j].astype(window.dtype)  # int64 keys would copy a uint32 window
+        keys = window_keys(modulus[i:j])
         return np.delete(window, np.searchsorted(window, keys)) if j > i else window
 
     n, lo, hi = restricted_nodes(c.H, allowed(sieve_primes(math.isqrt(c.H)).primes), 1)

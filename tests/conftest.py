@@ -20,9 +20,9 @@ def table5():
 
 
 @pytest.fixture(scope="session")
-def windows5(table5):
-    # the primes to 10^5 as a stream of one window, for the folds
-    return (table5.primes,)
+def windows5():
+    # the primes to 10^5 as the folds read them: one uint32 window per segment
+    return tuple(primes.segments(10**5))
 
 
 @pytest.fixture(scope="session")
@@ -37,8 +37,8 @@ def table7():
 
 
 @pytest.fixture(scope="session")
-def windows7(table7):
-    return (table7.primes,)
+def windows7():
+    return tuple(primes.segments(10**7))
 
 
 @pytest.fixture(scope="session")

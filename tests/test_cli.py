@@ -1,7 +1,10 @@
+import argparse
 import csv
 import io
 import json
 import math
+import pathlib
+import shlex
 import time
 
 import numpy as np
@@ -48,7 +51,8 @@ def test_mertens_report(capsys):
 
 
 def test_failing_report_json(capsys):
-    rc, out, _ = run(capsys, "mertens", "--q", "3", "--x", "10000", "--tol", "0")
+    # ratio 1.079 at X = 10, outside the fixed tolerance of 0.05
+    rc, out, _ = run(capsys, "mertens", "--q", "3", "--x", "10")
     assert rc == 0
     assert '"pass": false' in out
 
@@ -200,8 +204,8 @@ def test_census_list_pairs_out_file(tmp_path, capsys):
     assert len(lines) == 7
 
 
-@pytest.mark.parametrize("bad", [["--epsilon", "0"], ["--c", "0"], ["--q", "2", "--a", "1"],
-                                 ["--a", "3"]], ids=["epsilon", "c", "q", "a"])
+@pytest.mark.parametrize("bad", [["--epsilon", "0"], ["--q", "2", "--a", "1"], ["--a", "3"]],
+                         ids=["epsilon", "q", "a"])
 def test_census_list_pairs_bad_input_writes_nothing(tmp_path, capsys, bad):
     argv = ["census", "--q", "3", "--a", "2", "--x", "600", "--list-pairs", *bad]
     rc, out, err = run(capsys, *argv)
@@ -227,6 +231,66 @@ def test_flags_a_subcommand_ignores_are_rejected(capsys, argv):
     out, err = capsys.readouterr()
     assert out == ""
     assert "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize("argv, entry", [
+    (["mertens", "--q", "3", "--x", "100"], "tol = 0.1"),
+    (["count", "--q", "3", "--x", "100"], "tol = 0.1"),
+    (["census", "--q", "3", "--a", "2", "--x", "100"], "c = 2"),
+    (["census", "--q", "3", "--a", "2", "--x", "100"], "big_c = 2"),
+], ids=["mertens-tol", "count-tol", "census-c", "census-big-c"])
+def test_fixed_constants_are_not_inputs(tmp_path, capsys, argv, entry):
+    # the tolerances (0.05, 0.2) and the bounds' c = C = 1 are the program's,
+    # neither flags nor config keys
+    key, value = (part.strip() for part in entry.split("="))
+    flag = "--" + key.replace("_", "-")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(entry + "\n")
+    for full in ([*argv, flag, value], ["--config", str(cfg), *argv]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(full)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+# an argv per subcommand (and contour mode) that sets each input off its default,
+# and the report key that echoes each argparse dest; a comparison report's
+# params are read as top-level keys
+ECHOED_INPUTS = [
+    (["constants", "--q", "5"], {"q": "q"}),
+    (["mertens", "--q", "4", "--x", "1000"], {"q": "q", "x": "X"}),
+    (["count", "--q", "4", "--x", "1000", "--y", "3.5"], {"q": "q", "x": "X", "y": "Y"}),
+    (["shiu", "--h", "100000", "--q", "3", "--a", "2", "--p0", "17"],
+     {"h": "H", "q": "q", "a": "a", "p0": "p0"}),
+    (["census", "--q", "4", "--a", "3", "--x", "1000", "--epsilon", "1.5"],
+     {"q": "q", "a": "a", "x": "X", "epsilon": "epsilon"}),
+    (["contour", "--mode", "hankel", "--x", "1e6", "--beta", "0.25", "--eta", "0.6"],
+     {"mode": "mode", "x": "X", "beta": "beta", "eta": "eta"}),
+    (["contour", "--mode", "perron", "--n", "5", "--x", "10.5", "--t-height", "100",
+      "--kappa", "1.5"], {"mode": "mode", "n": "N", "x": "X", "t_height": "T", "kappa": "kappa"}),
+    (["contour", "--mode", "gamma", "--theta", "0.25"], {"mode": "mode", "theta": "theta"}),
+    (["suite", "--scale", "full"], {"scale": "scale"}),
+]
+FORM_ONLY = {"out", "format", "config", "list_pairs", "members"}  # they change the output's form
+
+
+def test_every_input_is_in_its_report(capsys):
+    parser = cli.build_parser()
+    (action,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    echoed = {name: set() for name in action.choices}
+    for argv, keys in ECHOED_INPUTS:
+        sub, args = action.choices[argv[0]], parser.parse_args(argv)
+        echoed[argv[0]] |= set(keys)
+        rc, out, _ = run(capsys, *argv)
+        assert rc == 0, argv
+        report = strict_json(out)
+        report.update(report.get("params", {}))
+        for dest, key in keys.items():
+            assert getattr(args, dest) != sub.get_default(dest), (argv, dest)
+            assert report[key] == getattr(args, dest), (argv, dest)
+    for name, sub in action.choices.items():
+        dests = {a.dest for a in sub._actions} - {"help"}
+        assert dests - FORM_ONLY == echoed[name], name
 
 
 def test_contour_gamma(capsys):
@@ -319,6 +383,31 @@ def test_config_supplies_defaults(tmp_path, capsys):
     assert json.loads(out)["pair_count"] == 6
 
 
+def test_config_supplies_required_flags(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("q = 3\na = 2\nx = 1000\n")
+    rc, out, _ = run(capsys, "--config", str(cfg), "census")
+    assert rc == 0
+    rc, flagged, _ = run(capsys, "census", "--q", "3", "--a", "2", "--x", "1000")
+    assert json.loads(out)["pair_count"] == json.loads(flagged)["pair_count"] == 13
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--config"], "argument --config: expected one argument"),
+    (["--config", "{cfg}"], "the following arguments are required: command"),
+    (["--config", "{cfg}", "--bogus", "constants", "--q", "3"], "unrecognized arguments: --bogus"),
+    (["--config", "{cfg}", "census", "--x"], "argument --x: expected one argument"),
+])
+def test_malformed_command_line_with_config(tmp_path, capsys, argv, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("q = 3\na = 2\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main([arg.format(cfg=cfg) for arg in argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: congaps ") and message in err  # argparse's own message
+
+
 def test_flags_override_config(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("epsilon = 1\nx = 600\n")
@@ -387,8 +476,6 @@ def test_census_json_is_strict_when_bounds_undefined(capsys):
 
 @pytest.mark.parametrize("flag, value, name", [
     pytest.param("--epsilon", "nan", "epsilon", id="--epsilon"),
-    pytest.param("--c", "nan", "c", id="--c"),
-    pytest.param("--big-c", "nan", "C", id="--big-c"),
     pytest.param("--epsilon", "inf", "epsilon", id="--epsilon-inf"),
 ])
 def test_non_finite_report_exit_code(capsys, flag, value, name):
@@ -398,15 +485,6 @@ def test_non_finite_report_exit_code(capsys, flag, value, name):
     assert rc == 2
     assert out == ""
     assert f"congaps: {name} must be > 0 and finite, got {value}" in err
-
-
-@pytest.mark.parametrize("flag, value", [("--c", "0"), ("--big-c", "-1")])
-def test_census_rejects_nonpositive_bound_constants(capsys, flag, value):
-    argv = ("census", "--q", "3", "--a", "2", "--x", "1000", flag, value)
-    rc, out, err = run(capsys, *argv)
-    assert rc == 2
-    assert out == ""
-    assert "must be > 0" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -485,25 +563,6 @@ def test_perron_rejects_fewer_than_one_term(capsys, n):
     assert rc == 2
     assert out == ""
     assert "N must be >= 1" in err
-
-
-@pytest.mark.parametrize("entry, argv", [
-    ("", ["mertens", "--q", "3", "--x", "100000", "--tol", "nan"]),
-    ("", ["mertens", "--q", "3", "--x", "100000", "--tol", "inf"]),
-    ("", ["count", "--q", "3", "--x", "100000", "--tol", "-1"]),
-    ("tol = nan", ["count", "--q", "3", "--x", "100000"]),
-], ids=["mertens-nan", "mertens-inf", "count-negative", "config-nan"])
-def test_tol_must_be_finite_and_nonnegative(tmp_path, capsys, monkeypatch, entry, argv):
-    def no_primes(*args):
-        raise AssertionError("a prime stream was sized for a tolerance it cannot honour")
-
-    monkeypatch.setattr(primes, "segments", no_primes)
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(entry + "\n")
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["--config", str(cfg), *argv])
-    assert exc.value.code == 2
-    assert "argument --tol: must be finite and >= 0" in capsys.readouterr().err
 
 
 def test_mertens_and_census_share_one_cache_file(tmp_path, capsys, monkeypatch):
@@ -699,7 +758,19 @@ def test_config_switch_honoured(tmp_path, capsys):
 
 def test_config_typed_values(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("big-c = 2\nlist_pairs = true\nepsilon = 1\nx = 600\n")
+    cfg.write_text("list_pairs = true\nepsilon = 1.0\nx = 600\n")
     rc, out, _ = run(capsys, "--config=" + str(cfg), "census", "--q", "3", "--a", "2")
     assert rc == 0
     assert len(out.strip().split("\n")) == 7  # header plus the 6 pairs
+
+
+def test_readme_cli_examples_parse():
+    # every congaps line of the README's CLI block takes only flags the parser knows
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    examples = [line[1:] for line in lines if line[:1] == ["congaps"]]
+    assert examples  # the block was found
+    parser = cli.build_parser()
+    for argv in examples:
+        parser.parse_args(argv)  # exits with 2 on an unknown flag

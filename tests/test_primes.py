@@ -502,6 +502,16 @@ def test_windows_upto_of_a_table_and_of_a_stream(table5, windows5):
         assert primes.joined(primes.windows_upto(primes.segments(10**5), x, q, a)).tolist() == want
 
 
+def test_window_keys_floor_and_clip_to_uint32():
+    top = primes.KEY_MAX
+    keys = primes.window_keys(np.array([-5, 0, 7, top, top + 1, 2**40], dtype=np.int64))
+    assert keys.dtype == np.uint32
+    assert keys.tolist() == [0, 0, 7, top, top, top]
+    for x, want in ((10.5, 10), (-0.5, 0), (99_991, 99_991), (top + 0.5, top), (10**30, top)):
+        key = primes.window_keys(x)
+        assert key.dtype == np.uint32 and key == want, x
+
+
 def test_windows_upto_copies_no_window():
     # a search key of a wider dtype than the window's, a Python int among them,
     # makes searchsorted copy the window into that dtype: 2 * window.nbytes
